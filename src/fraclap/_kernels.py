@@ -1,344 +1,117 @@
-"""Hot inner loops: pair sums, singular quadrature, scan kernels.
+"""Masked pair sums, ball and modulus scans and second differences on the
+periodic lattice, evaluated as exact identities.
 
-Every kernel exists twice: a numba ``@njit`` version and a plain-numpy
-fallback.  The fallback is selected by setting the environment variable
-``FRACLAP_NO_NUMBA=1`` before import (or automatically when numba is not
-installed).  ``benchmarks/kernel_bench.py`` compares the two paths.
+Masked points are passed as a (P, dim) integer index array, e.g.
+``np.argwhere(mask)``, with their values in the same order.  Distances are
+periodic: |m h| for the minimum-image lattice offset m.  Every pair weight
+depends on the offset alone, so with w = 1_D, v scattered onto the grid
+(zero off D) and * the periodic convolution on the grid:
 
-All distances are periodic (minimum image) with box length L per axis.
-Coordinates are passed as (P, dim) float arrays, values as (P,) or (P, C)
-arrays where C counts tensor components.
+* ``pair_sum_sq_diff``, K(m) = |m h|^-expo with K(0) = 0:
+
+      sum_{i != j in D} |v_i - v_j|^2 K(x_i - x_j) = 2 <w v^2, w * K> - 2 <w v, (w v) * K>
+
+  after the mean over D is removed from v (the left side ignores it);
+* ``ball_scan``: (w v^2) * B, (w v) * B and w * B read at the points of D,
+  with B(m) = 1{|m h| < rho};
+* ``modulus_scan``: max |v(x) - v(x + m)| over x, x + m in D, for each
+  lattice offset m with |m h| below the last bin edge;
+* ``second_difference_sum``: 1/2 sum_z (2 f(x) - f(x+z) - f(x-z)) K(z)
+  = f(x) sum K - (f * K_sym)(x), K_sym(z) = (K(z) + K(-z)) / 2.
+
+The convolutions are real FFTs on the grid, exact up to roundoff; the
+modulus scan takes maxima of the pairwise differences themselves.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_DISABLED = os.environ.get("FRACLAP_NO_NUMBA", "").strip() in {"1", "true", "yes"}
 
-if not _DISABLED:
-    try:
-        from numba import njit, prange
-
-        USING_NUMBA = True
-    except ImportError:  # pragma: no cover
-        USING_NUMBA = False
-else:
-    USING_NUMBA = False
-
-if not USING_NUMBA:  # identity decorators so the same source compiles either way
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-        return lambda f: f
-
-    prange = range
+def _offset_dist2(grid) -> np.ndarray:
+    """|m h|^2 for every lattice offset m (minimum image), shaped like the grid."""
+    N = grid.points_per_axis
+    m = np.arange(N)
+    d = np.minimum(m, N - m) * grid.spacing
+    return sum(a * a for a in np.meshgrid(*([d] * grid.dim), indexing="ij", sparse=True))
 
 
-# ---------------------------------------------------------------------------
-# numba-compiled bodies (also run as plain python when numba is off, but the
-# public wrappers below route to vectorized numpy instead)
-# ---------------------------------------------------------------------------
-
-@njit(cache=True)
-def _pair_sum_sq_nb(coords, comps, expo, box):
-    P = coords.shape[0]
-    dim = coords.shape[1]
-    C = comps.shape[1]
-    total = 0.0
-    for i in range(P):
-        for j in range(i + 1, P):
-            d2 = 0.0
-            for a in range(dim):
-                d = abs(coords[i, a] - coords[j, a])
-                if d > 0.5 * box:
-                    d = box - d
-                d2 += d * d
-            num = 0.0
-            for c in range(C):
-                dv = comps[i, c] - comps[j, c]
-                num += dv * dv
-            total += num / d2 ** (0.5 * expo)
-    return 2.0 * total
+def _masked_convolutions(points, fields, kernel):
+    """fields[c] * kernel (periodic, over the trailing grid axes) at the points."""
+    axes = tuple(range(1, kernel.ndim + 1))
+    conv = np.fft.irfftn(
+        np.fft.rfftn(fields, axes=axes) * np.fft.rfftn(kernel), s=kernel.shape, axes=axes
+    )
+    return conv[(slice(None), *points.T)]
 
 
-@njit(cache=True)
-def _pair_sum_bilinear_nb(coords, va, vb, expo, box):
-    P = coords.shape[0]
-    dim = coords.shape[1]
-    total = 0.0
-    for i in range(P):
-        for j in range(i + 1, P):
-            d2 = 0.0
-            for a in range(dim):
-                d = abs(coords[i, a] - coords[j, a])
-                if d > 0.5 * box:
-                    d = box - d
-                d2 += d * d
-            total += (va[i] - va[j]) * (vb[i] - vb[j]) / d2 ** (0.5 * expo)
-    return 2.0 * total
-
-
-@njit(cache=True)
-def _second_diff_1d_nb(values, idx, kernel):
-    N = values.shape[0]
-    out = np.empty(idx.shape[0])
-    for p in range(idx.shape[0]):
-        i = idx[p]
-        acc = 0.0
-        fi = values[i]
-        for j in range(1, N):
-            acc += (2.0 * fi - values[(i + j) % N] - values[(i - j) % N]) * kernel[j]
-        out[p] = 0.5 * acc
+def _scatter(points, columns, shape) -> np.ndarray:
+    """(C, *shape) fields holding columns[:, c] at the points, zero elsewhere."""
+    out = np.zeros((columns.shape[1], *shape))
+    out[(slice(None), *points.T)] = columns.T
     return out
 
 
-@njit(cache=True)
-def _second_diff_2d_nb(values, idx_i, idx_j, kernel):
-    N0 = values.shape[0]
-    N1 = values.shape[1]
-    out = np.empty(idx_i.shape[0])
-    for p in range(idx_i.shape[0]):
-        i = idx_i[p]
-        j = idx_j[p]
-        fi = values[i, j]
-        acc = 0.0
-        for a in range(N0):
-            for b in range(N1):
-                if a == 0 and b == 0:
-                    continue
-                acc += (
-                    2.0 * fi
-                    - values[(i + a) % N0, (j + b) % N1]
-                    - values[(i - a) % N0, (j - b) % N1]
-                ) * kernel[a, b]
-        out[p] = 0.5 * acc
-    return out
+def pair_sum_sq_diff(points, comps, expo, grid) -> float:
+    """sum_{i != j} |V_i - V_j|^2 / dist(i, j)^expo over the masked points."""
+    points = np.asarray(points)
+    v = np.asarray(comps, dtype=np.float64).reshape(points.shape[0], -1)
+    v = v - v.mean(axis=0)
+    with np.errstate(divide="ignore"):
+        K = _offset_dist2(grid) ** (-0.5 * float(expo))
+    K.flat[0] = 0.0
+    fields = _scatter(points, np.column_stack([np.ones(len(v)), v]), grid.shape)
+    conv = _masked_convolutions(points, fields, K)
+    total = 2.0 * np.sum(v * v * conv[0][:, None]) - 2.0 * np.sum(v.T * conv[1:])
+    return max(float(total), 0.0)  # nonnegative; clamp the roundoff of a zero sum
 
 
-@njit(cache=True)
-def _ball_scan_nb(coords, vals, rho, box):
-    P = coords.shape[0]
-    dim = coords.shape[1]
-    sum_sq = np.zeros(P)
-    sums = np.zeros(P)
-    cnt = np.zeros(P)
-    for i in range(P):
-        for j in range(P):
-            d2 = 0.0
-            for a in range(dim):
-                d = abs(coords[i, a] - coords[j, a])
-                if d > 0.5 * box:
-                    d = box - d
-                d2 += d * d
-            if d2 < rho * rho:
-                v = vals[j]
-                sum_sq[i] += v * v
-                sums[i] += v
-                cnt[i] += 1.0
-    return sum_sq, sums, cnt
+def ball_scan(points, vals, rho, grid):
+    """Per masked point: sums of v^2, of v and the point count over the
+    masked points within periodic distance < rho."""
+    points = np.asarray(points)
+    v = np.asarray(vals, dtype=np.float64)
+    ball = (_offset_dist2(grid) < rho * rho).astype(np.float64)
+    fields = _scatter(points, np.column_stack([v * v, v, np.ones_like(v)]), grid.shape)
+    sum_sq, sums, cnt = _masked_convolutions(points, fields, ball)
+    return sum_sq, sums, np.rint(cnt)
 
 
-@njit(cache=True)
-def _modulus_scan_nb(coords, vals, edges, box):
-    P = coords.shape[0]
-    dim = coords.shape[1]
-    B = edges.shape[0] - 1
-    best = np.zeros(B)
-    for i in range(P):
-        for j in range(i + 1, P):
-            d2 = 0.0
-            for a in range(dim):
-                d = abs(coords[i, a] - coords[j, a])
-                if d > 0.5 * box:
-                    d = box - d
-                d2 += d * d
-            dist = np.sqrt(d2)
-            dv = abs(vals[i] - vals[j])
-            for b in range(B):
-                if edges[b] <= dist < edges[b + 1]:
-                    if dv > best[b]:
-                        best[b] = dv
-                    break
+def modulus_scan(points, vals, edges, grid) -> np.ndarray:
+    """Max |v_i - v_j| over masked pairs with edges[b] <= dist(i, j) < edges[b+1]."""
+    points = np.asarray(points)
+    v = np.asarray(vals, dtype=np.float64)
+    edges = np.asarray(edges, dtype=np.float64)
+    N = grid.points_per_axis
+    d2 = _offset_dist2(grid)
+    bins = np.searchsorted(edges, np.sqrt(d2), side="right") - 1
+    # offsets m and -m give the same pairs: keep the one with the smaller flat index
+    flat = np.arange(d2.size).reshape(d2.shape)
+    mirror = np.ravel_multi_index(tuple(-np.indices(d2.shape) % N), d2.shape)
+    keep = (d2 > 0) & (bins >= 0) & (bins < edges.size - 1) & (flat <= mirror)
+    field = np.full(grid.shape, np.nan)  # NaN off the mask; fmax skips it
+    field[tuple(points.T)] = v
+    best = np.zeros(edges.size - 1)
+    for m, b in zip(np.argwhere(keep), bins[keep]):
+        partner = field[tuple(((points + m) % N).T)]
+        best[b] = np.fmax.reduce(np.abs(v - partner), initial=best[b])
     return best
 
 
-# ---------------------------------------------------------------------------
-# numpy fallbacks (blocked so memory stays bounded)
-# ---------------------------------------------------------------------------
-
-_BLOCK = 512
-
-
-def _periodic_dist2_block(ci, cj, box):
-    d = np.abs(ci[:, None, :] - cj[None, :, :])
-    d = np.minimum(d, box - d)
-    return np.sum(d * d, axis=2)
-
-
-def _pair_sum_sq_np(coords, comps, expo, box):
-    P = coords.shape[0]
-    total = 0.0
-    for i0 in range(0, P, _BLOCK):
-        ci = coords[i0 : i0 + _BLOCK]
-        vi = comps[i0 : i0 + _BLOCK]
-        for j0 in range(0, P, _BLOCK):
-            cj = coords[j0 : j0 + _BLOCK]
-            vj = comps[j0 : j0 + _BLOCK]
-            d2 = _periodic_dist2_block(ci, cj, box)
-            num = np.sum((vi[:, None, :] - vj[None, :, :]) ** 2, axis=2)
-            if i0 == j0:
-                np.fill_diagonal(d2, 1.0)
-                np.fill_diagonal(num, 0.0)
-            total += np.sum(num / d2 ** (0.5 * expo))
-    return total
+def second_difference_field(values, kernel) -> np.ndarray:
+    """1/2 sum_z (2 f(x) - f(x+z) - f(x-z)) kernel(z) at every grid point."""
+    values = np.asarray(values, dtype=np.float64)
+    # constants drop out; shifting by one sample makes constant input exactly zero
+    f = values - values.flat[0]
+    axes = tuple(range(values.ndim))
+    # the transform of the symmetrized real kernel is the real part of its transform
+    conv = np.fft.irfftn(
+        np.fft.rfftn(f) * np.fft.rfftn(kernel).real, s=values.shape, axes=axes
+    )
+    return f * np.sum(kernel) - conv
 
 
-def _pair_sum_bilinear_np(coords, va, vb, expo, box):
-    P = coords.shape[0]
-    total = 0.0
-    for i0 in range(0, P, _BLOCK):
-        ci = coords[i0 : i0 + _BLOCK]
-        ai = va[i0 : i0 + _BLOCK]
-        bi = vb[i0 : i0 + _BLOCK]
-        for j0 in range(0, P, _BLOCK):
-            cj = coords[j0 : j0 + _BLOCK]
-            aj = va[j0 : j0 + _BLOCK]
-            bj = vb[j0 : j0 + _BLOCK]
-            d2 = _periodic_dist2_block(ci, cj, box)
-            num = (ai[:, None] - aj[None, :]) * (bi[:, None] - bj[None, :])
-            if i0 == j0:
-                np.fill_diagonal(d2, 1.0)
-                np.fill_diagonal(num, 0.0)
-            total += np.sum(num / d2 ** (0.5 * expo))
-    return total
-
-
-def _second_diff_1d_np(values, idx, kernel):
-    N = values.shape[0]
-    out = np.empty(idx.shape[0])
-    j = np.arange(1, N)
-    for p, i in enumerate(idx):
-        out[p] = 0.5 * np.sum(
-            (2.0 * values[i] - values[(i + j) % N] - values[(i - j) % N]) * kernel[1:]
-        )
-    return out
-
-
-def _second_diff_2d_np(values, idx_i, idx_j, kernel):
-    N0, N1 = values.shape
-    rev0 = (-np.arange(N0)) % N0
-    rev1 = (-np.arange(N1)) % N1
-    out = np.empty(idx_i.shape[0])
-    for p in range(idx_i.shape[0]):
-        i, j = idx_i[p], idx_j[p]
-        # arr_p[a,b] = values[(i+a)%N0,(j+b)%N1]; arr_m[a,b] = values[(i-a)%N0,(j-b)%N1]
-        arr_p = np.roll(np.roll(values, -i, axis=0), -j, axis=1)
-        arr_m = arr_p[np.ix_(rev0, rev1)]
-        sd = 2.0 * values[i, j] - arr_p - arr_m
-        sd[0, 0] = 0.0
-        out[p] = 0.5 * np.sum(sd * kernel)
-    return out
-
-
-def _ball_scan_np(coords, vals, rho, box):
-    P = coords.shape[0]
-    sum_sq = np.zeros(P)
-    sums = np.zeros(P)
-    cnt = np.zeros(P)
-    for i0 in range(0, P, _BLOCK):
-        ci = coords[i0 : i0 + _BLOCK]
-        d2 = _periodic_dist2_block(ci, coords, box)
-        inside = d2 < rho * rho
-        sum_sq[i0 : i0 + _BLOCK] = inside @ (vals * vals)
-        sums[i0 : i0 + _BLOCK] = inside @ vals
-        cnt[i0 : i0 + _BLOCK] = inside.sum(axis=1)
-    return sum_sq, sums, cnt
-
-
-def _modulus_scan_np(coords, vals, edges, box):
-    B = edges.shape[0] - 1
-    best = np.zeros(B)
-    P = coords.shape[0]
-    for i0 in range(0, P, _BLOCK):
-        ci = coords[i0 : i0 + _BLOCK]
-        vi = vals[i0 : i0 + _BLOCK]
-        d2 = _periodic_dist2_block(ci, coords, box)
-        dist = np.sqrt(d2)
-        dv = np.abs(vi[:, None] - vals[None, :])
-        for b in range(B):
-            sel = (edges[b] <= dist) & (dist < edges[b + 1])
-            if sel.any():
-                best[b] = max(best[b], dv[sel].max())
-    return best
-
-
-# ---------------------------------------------------------------------------
-# public wrappers
-# ---------------------------------------------------------------------------
-
-def pair_sum_sq_diff(coords, comps, expo, box):
-    """sum_{i != j} |V_i - V_j|^2 / dist(i,j)^expo with periodic distance."""
-    coords = np.ascontiguousarray(coords, dtype=np.float64)
-    comps = np.ascontiguousarray(comps, dtype=np.float64)
-    if comps.ndim == 1:
-        comps = comps[:, None]
-    if USING_NUMBA:
-        return _pair_sum_sq_nb(coords, comps, float(expo), float(box))
-    return _pair_sum_sq_np(coords, comps, float(expo), float(box))
-
-
-def pair_sum_bilinear(coords, va, vb, expo, box):
-    """sum_{i != j} (a_i - a_j)(b_i - b_j) / dist(i,j)^expo, periodic distance."""
-    coords = np.ascontiguousarray(coords, dtype=np.float64)
-    va = np.ascontiguousarray(va, dtype=np.float64)
-    vb = np.ascontiguousarray(vb, dtype=np.float64)
-    if USING_NUMBA:
-        return _pair_sum_bilinear_nb(coords, va, vb, float(expo), float(box))
-    return _pair_sum_bilinear_np(coords, va, vb, float(expo), float(box))
-
-
-def second_difference_sum(values, flat_indices, kernel):
-    """Symmetric-difference singular quadrature at selected grid points.
-
-    Returns 0.5 * sum_z (2 f(x) - f(x+z) - f(x-z)) * kernel(z) for each
-    requested point, the lattice offset z running over the whole periodic
-    grid except 0 (the kernel array carries exclusion zeros and the h^dim
-    quadrature weight).
-    """
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    if values.ndim == 1:
-        idx = np.ascontiguousarray(flat_indices, dtype=np.int64)
-        k = np.ascontiguousarray(kernel, dtype=np.float64)
-        if USING_NUMBA:
-            return _second_diff_1d_nb(values, idx, k)
-        return _second_diff_1d_np(values, idx, k)
-    if values.ndim == 2:
-        ii = np.ascontiguousarray(flat_indices[0], dtype=np.int64)
-        jj = np.ascontiguousarray(flat_indices[1], dtype=np.int64)
-        k = np.ascontiguousarray(kernel, dtype=np.float64)
-        if USING_NUMBA:
-            return _second_diff_2d_nb(values, ii, jj, k)
-        return _second_diff_2d_np(values, ii, jj, k)
-    raise ValueError("singular quadrature implemented for dim 1 and 2 only")
-
-
-def ball_scan(coords, vals, rho, box):
-    """Per-center sums of v^2, v and point counts over periodic balls."""
-    coords = np.ascontiguousarray(coords, dtype=np.float64)
-    vals = np.ascontiguousarray(vals, dtype=np.float64)
-    if USING_NUMBA:
-        return _ball_scan_nb(coords, vals, float(rho), float(box))
-    return _ball_scan_np(coords, vals, float(rho), float(box))
-
-
-def modulus_scan(coords, vals, edges, box):
-    """Max |v_i - v_j| per distance bin [edges[b], edges[b+1])."""
-    coords = np.ascontiguousarray(coords, dtype=np.float64)
-    vals = np.ascontiguousarray(vals, dtype=np.float64)
-    edges = np.ascontiguousarray(edges, dtype=np.float64)
-    if USING_NUMBA:
-        return _modulus_scan_nb(coords, vals, edges, box)
-    return _modulus_scan_np(coords, vals, edges, box)
+def second_difference_sum(values, points, kernel) -> np.ndarray:
+    """The second-difference sum at the grid points given as one index array
+    per axis."""
+    return second_difference_field(values, kernel)[points]

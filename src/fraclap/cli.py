@@ -33,14 +33,11 @@ def experiment(name: str):
 
 
 def _grid(cfg, dim=None, n=None, box=None) -> Grid:
-    try:
-        return Grid(
-            dim if dim is not None else cfg["dim"],
-            n if n is not None else cfg["grid"],
-            box if box is not None else cfg["box"],
-        )
-    except GridError:
-        raise
+    return Grid(
+        dim if dim is not None else cfg["dim"],
+        n if n is not None else cfg["grid"],
+        box if box is not None else cfg["box"],
+    )
 
 
 # -- acceptance experiments ---------------------------------------------------

@@ -51,10 +51,6 @@ class SphereValuedMap:
     def grid(self) -> Grid:
         return self.components[0].grid
 
-    @property
-    def target_dim(self) -> int:
-        return len(self.components)
-
 
 def _check_alias_guard(f: GridFunction, name: str) -> None:
     frac = spectral_mass_fraction_above(f, f.grid.points_per_axis / 4)

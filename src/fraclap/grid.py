@@ -157,9 +157,6 @@ class DomainMask:
         cols = [self.grid.axis_coords()[i] for i in idx]
         return np.stack(cols, axis=1)
 
-    def describe(self) -> dict:
-        return {"label": self.label, "points": self.npoints, "measure": self.measure}
-
 
 def _check_same_grid(g1: Grid, g2: Grid):
     if g1 != g2:
@@ -221,9 +218,6 @@ class GridFunction:
     def is_real(self) -> bool:
         return not np.iscomplexobj(self.values)
 
-    def with_support(self, mask: DomainMask) -> "GridFunction":
-        return GridFunction(self.grid, self.values, mask)
-
     def __add__(self, other):
         if isinstance(other, GridFunction):
             _check_same_grid(self.grid, other.grid)
@@ -249,10 +243,6 @@ class GridFunction:
 
     def mean(self) -> float:
         return float(np.mean(self.values.real)) if self.is_real else complex(np.mean(self.values))
-
-
-def grid_function(grid: Grid, values, support: Optional[DomainMask] = None) -> GridFunction:
-    return GridFunction(grid, np.asarray(values), support)
 
 
 def transform_forward(f: GridFunction) -> np.ndarray:

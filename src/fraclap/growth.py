@@ -18,7 +18,7 @@ import numpy as np
 from . import _kernels
 from .grid import DomainMask, GridFunction, annulus_mask, ball_mask, lp_norm
 from .multipliers import frac_laplacian
-from .singular import PAIR_SUM_CAPS, gagliardo_seminorm
+from .singular import gagliardo_seminorm
 
 SLACK = 1e-12
 
@@ -276,9 +276,7 @@ def counterexample_driteration(witness: int, gamma: float, alpha: float, lam: fl
 
 # -- Morrey-Campanato ---------------------------------------------------------
 
-def campanato_functionals(
-    v: GridFunction, D: DomainMask, lam: float, R: float, center_cap: int = 4096
-) -> dict:
+def campanato_functionals(v: GridFunction, D: DomainMask, lam: float, R: float) -> dict:
     """sup over centers x in D and dyadic rho in {R, R/2, ... >= 4h} of
     rho^-lam * int_{D cap B_rho(x)} |v|^2 (J) and the mean-shifted variant (M),
     with the attaining (x, rho)."""
@@ -288,13 +286,9 @@ def campanato_functionals(
         raise GrowthError("R must be at least 8 grid spacings")
     if lam <= 0:
         raise GrowthError("lambda must be positive")
-    sel = D.values
-    coords = np.stack([grid.axis_coords()[i] for i in np.nonzero(sel)], axis=1)
-    vals = np.asarray(v.values, dtype=float)[sel]
-    stride = max(1, int(math.ceil(coords.shape[0] / center_cap)))
-    coords_c = coords[::stride]
-    vals_c = vals[::stride]
-    weight = grid.cell_measure * stride  # masked points subsampled jointly
+    points = np.argwhere(D.values)
+    vals = np.asarray(v.values, dtype=float)[D.values]
+    weight = grid.cell_measure
     rhos = []
     rho = R
     while rho >= 4 * h:
@@ -303,7 +297,7 @@ def campanato_functionals(
     best_J, best_M = 0.0, 0.0
     at_J = at_M = (None, None)
     for rho in rhos:
-        sum_sq, sums, cnt = _kernels.ball_scan(coords_c, vals_c, rho, grid.box_length)
+        sum_sq, sums, cnt = _kernels.ball_scan(points, vals, rho, grid)
         mass = sum_sq * weight
         centered = (sum_sq - np.where(cnt > 0, sums**2 / np.maximum(cnt, 1), 0.0)) * weight
         jv = float(np.max(mass)) * rho**-lam
@@ -361,21 +355,18 @@ def holder_exponent_estimate(
     sems = [_ball_seminorm_sup(v, E, r, grid.dim / 2.0, n_centers) for r in radii]
     alpha_a = float(np.polyfit(np.log(radii), np.log(np.maximum(sems, 1e-300)), 1)[0])
 
-    coords = np.stack([grid.axis_coords()[i] for i in np.nonzero(sel)], axis=1)
+    points = np.argwhere(sel)
     vals = np.asarray(v.values, dtype=float)[sel]
-    cap = PAIR_SUM_CAPS[grid.dim]
-    stride = max(1, int(math.ceil(coords.shape[0] / cap)))
-    coords, vals = coords[::stride], vals[::stride]
     masses = []
     for rho in radii:
-        sum_sq, sums, cnt = _kernels.ball_scan(coords, vals, rho, grid.box_length)
+        sum_sq, sums, cnt = _kernels.ball_scan(points, vals, rho, grid)
         centered = (sum_sq - np.where(cnt > 0, sums**2 / np.maximum(cnt, 1), 0.0))
-        masses.append(float(np.max(centered)) * grid.cell_measure * stride)
+        masses.append(float(np.max(centered)) * grid.cell_measure)
     slope_b = float(np.polyfit(np.log(radii), np.log(np.maximum(masses, 1e-300)), 1)[0])
     alpha_b = (slope_b - grid.dim) / 2.0
 
     edges = np.array([0.0] + [r for r in sorted(radii)])
-    best = _kernels.modulus_scan(coords, vals, edges, grid.box_length)
+    best = _kernels.modulus_scan(points, vals, edges, grid)
     mods = np.maximum.accumulate(best)  # W(delta) is nondecreasing
     good = mods > 0
     alpha_c = float(np.polyfit(np.log(edges[1:][good]), np.log(mods[good]), 1)[0])

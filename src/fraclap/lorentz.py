@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import Grid, GridError, GridFunction, transform_forward
+from .grid import Grid, GridError, GridFunction
 
 
 class LorentzError(ValueError):
@@ -103,12 +103,6 @@ def profile_from_values(values: np.ndarray, cell_measure: float) -> Rearrangemen
 def decreasing_rearrangement(f: GridFunction) -> RearrangementProfile:
     """Profile of |f| with cell measure h^dim per sample."""
     return profile_from_values(f.values, f.grid.cell_measure)
-
-
-def spectral_profile(f: GridFunction) -> RearrangementProfile:
-    """Profile of the coefficient table |F| (frequency cells measure L^-dim)."""
-    F = transform_forward(f)
-    return profile_from_values(np.abs(F), f.grid.box_length ** (-f.grid.dim))
 
 
 def lorentz_norm_profile(prof: RearrangementProfile, p: float, q: float) -> float:

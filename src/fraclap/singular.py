@@ -29,6 +29,8 @@ from . import _kernels
 from .grid import DomainMask, Grid, GridFunction, l2_inner, lp_norm
 from .multipliers import derivative_tensor, frac_laplacian
 
+# Pair sums are exact over every masked point and no longer use these caps;
+# only the benchmark's tracing hooks still read them.
 PAIR_SUM_CAPS = {1: 2**13, 2: 2**12, 3: 2**11}
 
 
@@ -123,17 +125,15 @@ def raw_second_difference(
     maxima of even data up to roundoff; multiply by -1 for the orientation
     with f(x+z) + f(x-z) - 2 f(x).
     """
+    if f.grid.dim > 2:
+        raise SingularError("pointwise quadrature supports dim 1 and 2")
     scheme = scheme or SingularQuadratureScheme()
     if kernel is None:
         kernel = periodized_kernel(f.grid, s, scheme)
-    if f.grid.dim == 1:
-        idx = np.atleast_1d(np.asarray(points[0] if isinstance(points, tuple) else points))
-        return _kernels.second_difference_sum(f.values, idx.astype(np.int64), kernel)
-    if f.grid.dim == 2:
-        ii = np.atleast_1d(np.asarray(points[0], dtype=np.int64))
-        jj = np.atleast_1d(np.asarray(points[1], dtype=np.int64))
-        return _kernels.second_difference_sum(f.values, (ii, jj), kernel)
-    raise SingularError("pointwise quadrature supports dim 1 and 2")
+    if f.grid.dim == 1 and not isinstance(points, tuple):
+        points = (points,)
+    index = tuple(np.atleast_1d(np.asarray(points[a], dtype=np.int64)) for a in range(f.grid.dim))
+    return _kernels.second_difference_sum(f.values, index, kernel)
 
 
 def raw_operator_field(
@@ -144,14 +144,13 @@ def raw_operator_field(
 ) -> GridFunction:
     """The same raw quadrature at every grid point, via FFT convolution.
 
-    Identical (to roundoff) to raw_second_difference on the full index set:
-    the symmetric sum collapses to f * sum(K) - f conv K for symmetric K.
+    raw_second_difference reads the same field at its points: the symmetric
+    sum collapses to f * sum(K) - f conv K for symmetric K.
     """
     scheme = scheme or SingularQuadratureScheme()
     if kernel is None:
         kernel = periodized_kernel(f.grid, s, scheme)
-    conv = np.fft.ifftn(np.fft.fftn(f.values) * np.fft.fftn(kernel)).real
-    return GridFunction(f.grid, f.values * np.sum(kernel) - conv)
+    return GridFunction(f.grid, _kernels.second_difference_field(f.values, kernel))
 
 
 def calibrate_cns(
@@ -202,21 +201,12 @@ def frac_lap_pointwise(
 
 
 def _masked_pair_data(f_comps, grid: Grid, mask: Optional[DomainMask]):
-    """Coordinates and stacked component values on a mask, with the documented
-    stride subsampling above the per-dimension pair-sum caps."""
-    if mask is None:
-        sel = np.ones(grid.shape, dtype=bool)
-    else:
-        sel = mask.values
-    idx = np.nonzero(sel)
-    P = idx[0].size
-    if P == 0:
+    """Indices (P, dim) of the masked points and the stacked component values there."""
+    sel = np.ones(grid.shape, dtype=bool) if mask is None else mask.values
+    points = np.argwhere(sel)
+    if points.shape[0] == 0:
         raise SingularError("empty mask")
-    cap = PAIR_SUM_CAPS[grid.dim]
-    stride = max(1, int(math.ceil(P / cap)))
-    coords = np.stack([grid.axis_coords()[i] for i in idx], axis=1)[::stride]
-    comps = np.stack([c[sel][::stride] for c in f_comps], axis=1)
-    return coords, comps, stride
+    return points, np.stack([c[sel] for c in f_comps], axis=1)
 
 
 def gagliardo_seminorm(f: GridFunction, D: Optional[DomainMask], s: float) -> float:
@@ -224,9 +214,8 @@ def gagliardo_seminorm(f: GridFunction, D: Optional[DomainMask], s: float) -> fl
     the spectral-gradient L^2 norm for integer s.
 
     Fractional case: sqrt of sum over D x D (diagonal excluded) of
-    |grad^k f(z1) - grad^k f(z2)|^2 / |z1-z2|^(n + 2(s-k)) h^(2n), k = floor(s).
-    Masks beyond the size caps are subsampled with a stride recorded in the
-    quadrature weight (stride^2 h^(2n)).
+    |grad^k f(z1) - grad^k f(z2)|^2 / |z1-z2|^(n + 2(s-k)) h^(2n), k = floor(s),
+    summed over every pair of masked points.
     """
     if s < 0:
         raise SingularError("order must be nonnegative")
@@ -237,10 +226,10 @@ def gagliardo_seminorm(f: GridFunction, D: Optional[DomainMask], s: float) -> fl
         total = sum(lp_norm(c, 2, D) ** 2 for c in comps)
         return math.sqrt(total)
     comps = [c.values for c in derivative_tensor(f, k)]
-    coords, vals, stride = _masked_pair_data(comps, grid, D)
+    points, vals = _masked_pair_data(comps, grid, D)
     expo = grid.dim + 2.0 * (s - k)
-    total = _kernels.pair_sum_sq_diff(coords, vals, expo, grid.box_length)
-    return math.sqrt(total * (stride * grid.cell_measure) ** 2)
+    total = _kernels.pair_sum_sq_diff(points, vals, expo, grid)
+    return math.sqrt(total) * grid.cell_measure
 
 
 def bilinear_form(

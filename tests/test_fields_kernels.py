@@ -1,11 +1,9 @@
-"""Generator determinism and numba/numpy kernel parity."""
-
-import os
-import subprocess
-import sys
+"""Generator determinism, and the lattice-identity kernels against brute-force
+O(P^2) references."""
 
 import numpy as np
-import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fraclap import _kernels
 from fraclap.fields import (
@@ -14,7 +12,7 @@ from fraclap.fields import (
     moment_free_bump,
     sphere_valued_map,
 )
-from fraclap.grid import Grid, lp_norm
+from fraclap.grid import Grid, ball_mask, lp_norm
 
 
 def test_band_limited_field_deterministic_unit_norm():
@@ -58,77 +56,121 @@ def test_sphere_map_on_sphere():
     assert np.max(np.abs(norm_sq - 1.0)) < 1e-12
 
 
-# -- kernel parity -------------------------------------------------------------
+# -- kernels against brute-force references --------------------------------------
 
-def _numpy_twin(name):
-    return getattr(_kernels, name)
+GRID_POINTS = {1: 64, 2: 16, 3: 8}
 
-
-@pytest.mark.skipif(not _kernels.USING_NUMBA, reason="numba disabled in this environment")
-def test_pair_sum_parity():
-    rng = np.random.default_rng(0)
-    coords = rng.random((150, 2))
-    comps = rng.standard_normal((150, 3))
-    a = _kernels._pair_sum_sq_nb(coords, comps, 2.5, 1.0)
-    b = _kernels._pair_sum_sq_np(coords, comps, 2.5, 1.0)
-    assert abs(a - b) <= 1e-11 * abs(b)
-    va, vb = rng.standard_normal(150), rng.standard_normal(150)
-    a = _kernels._pair_sum_bilinear_nb(coords, va, vb, 1.5, 1.0)
-    b = _kernels._pair_sum_bilinear_np(coords, va, vb, 1.5, 1.0)
-    assert abs(a - b) <= 1e-11 * max(abs(b), 1e-300)
+dims = st.sampled_from([1, 2, 3])
+boxes = st.sampled_from([1.0, 3.0])  # L = 3 makes h = 3/N, not a power of two
+seeds = st.integers(0, 2**32 - 1)
+# None: random scattered mask; a number r: ball of radius r L about a random
+# center, which wraps the boundary and for r > 1/4 is wider than L/2
+mask_radii = st.one_of(st.none(), st.floats(0.1, 0.8))
 
 
-@pytest.mark.skipif(not _kernels.USING_NUMBA, reason="numba disabled in this environment")
-def test_second_difference_parity():
-    rng = np.random.default_rng(1)
-    vals = rng.standard_normal(128)
-    kern = np.abs(rng.standard_normal(128))
-    kern[0] = 0.0
-    idx = np.array([0, 3, 77], dtype=np.int64)
-    a = _kernels._second_diff_1d_nb(vals, idx, kern)
-    b = _kernels._second_diff_1d_np(vals, idx, kern)
-    assert np.max(np.abs(a - b)) <= 1e-11 * np.max(np.abs(b))
-    vals2 = rng.standard_normal((32, 32))
-    kern2 = np.abs(rng.standard_normal((32, 32)))
-    kern2[0, 0] = 0.0
-    ii = np.array([0, 5], dtype=np.int64)
-    jj = np.array([3, 30], dtype=np.int64)
-    a = _kernels._second_diff_2d_nb(vals2, ii, jj, kern2)
-    b = _kernels._second_diff_2d_np(vals2, ii, jj, kern2)
-    assert np.max(np.abs(a - b)) <= 1e-11 * np.max(np.abs(b))
+def _lattice_case(dim, box, seed, radius):
+    g = Grid(dim, GRID_POINTS[dim], box)
+    rng = np.random.default_rng(seed)
+    if radius is None:
+        mask = rng.random(g.shape) < rng.uniform(0.05, 0.95)
+    else:
+        mask = ball_mask(g, rng.random(dim) * box, radius * box).values
+    mask.flat[rng.integers(mask.size)] = True
+    return g, np.argwhere(mask), rng
 
 
-@pytest.mark.skipif(not _kernels.USING_NUMBA, reason="numba disabled in this environment")
-def test_scan_parity():
-    rng = np.random.default_rng(2)
-    coords = rng.random((200, 1))
-    vals = rng.standard_normal(200)
-    a = _kernels._ball_scan_nb(coords, vals, 0.2, 1.0)
-    b = _kernels._ball_scan_np(coords, vals, 0.2, 1.0)
-    for x, y in zip(a, b):
-        assert np.max(np.abs(x - y)) <= 1e-11 * max(np.max(np.abs(y)), 1.0)
-    edges = np.array([0.0, 0.1, 0.2, 0.5])
-    a = _kernels._modulus_scan_nb(coords, vals, edges, 1.0)
-    b = _kernels._modulus_scan_np(coords, vals, edges, 1.0)
-    assert np.max(np.abs(a - b)) <= 1e-12
+def _pair_dist2(points, g):
+    """Squared minimum-image distance between every pair of points."""
+    N = g.points_per_axis
+    d = np.abs(points[:, None, :] - points[None, :, :])
+    d = np.minimum(d, N - d) * g.spacing
+    return sum(d[..., a] ** 2 for a in range(g.dim))
 
 
-def test_numpy_fallback_env_flag():
-    # a subprocess with FRACLAP_NO_NUMBA=1 must run the same computation on
-    # the pure-numpy path and agree with the in-process result
-    code = (
-        "import numpy as np\n"
-        "from fraclap import _kernels\n"
-        "assert not _kernels.USING_NUMBA\n"
-        "rng = np.random.default_rng(0)\n"
-        "coords = rng.random((100, 1)); comps = rng.standard_normal((100, 2))\n"
-        "print(float(_kernels.pair_sum_sq_diff(coords, comps, 1.5, 1.0)))\n"
-    )
-    env = dict(os.environ, FRACLAP_NO_NUMBA="1")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert out.returncode == 0, out.stderr
-    rng = np.random.default_rng(0)
-    coords = rng.random((100, 1))
-    comps = rng.standard_normal((100, 2))
-    here = _kernels.pair_sum_sq_diff(coords, comps, 1.5, 1.0)
-    assert abs(float(out.stdout.strip()) - here) <= 1e-11 * abs(here)
+def _pair_sum_reference(points, comps, expo, g):
+    d2 = _pair_dist2(points, g)
+    np.fill_diagonal(d2, 1.0)
+    num = np.sum((comps[:, None, :] - comps[None, :, :]) ** 2, axis=2)
+    return float(np.sum(num / d2 ** (0.5 * expo)))
+
+
+def _ball_scan_reference(points, vals, rho, g):
+    inside = _pair_dist2(points, g) < rho * rho
+    return inside @ (vals * vals), inside @ vals, inside.sum(axis=1), inside @ np.abs(vals)
+
+
+def _modulus_scan_reference(points, vals, edges, g):
+    dist = np.sqrt(_pair_dist2(points, g))
+    np.fill_diagonal(dist, -1.0)
+    dv = np.abs(vals[:, None] - vals[None, :])
+    best = np.zeros(len(edges) - 1)
+    for b in range(len(best)):
+        sel = (edges[b] <= dist) & (dist < edges[b + 1])
+        if sel.any():
+            best[b] = dv[sel].max()
+    return best
+
+
+def _second_difference_reference(values, index, kernel):
+    N, axes = values.shape[0], tuple(range(values.ndim))
+    mirror = np.ix_(*[(-np.arange(N)) % N] * values.ndim)
+    out = []
+    for x in zip(*index):
+        plus = np.roll(values, tuple(-i for i in x), axis=axes)  # plus[z] = f(x + z)
+        out.append(0.5 * np.sum((2.0 * values[x] - plus - plus[mirror]) * kernel))
+    return np.array(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=dims, box=boxes, seed=seeds, radius=mask_radii,
+       expo=st.one_of(st.just(0.0), st.floats(0.5, 4.0)), ncomp=st.integers(1, 3))
+@example(dim=3, box=3.0, seed=0, radius=0.7, expo=0.0, ncomp=2)
+@example(dim=2, box=1.0, seed=1, radius=None, expo=2.5, ncomp=1)
+def test_pair_sum_matches_brute_force(dim, box, seed, radius, expo, ncomp):
+    g, points, rng = _lattice_case(dim, box, seed, radius)
+    comps = rng.standard_normal((len(points), ncomp))
+    ref = _pair_sum_reference(points, comps, expo, g)
+    got = _kernels.pair_sum_sq_diff(points, comps, expo, g)
+    assert abs(got - ref) <= 1e-12 * ref
+    if ncomp == 1:
+        assert _kernels.pair_sum_sq_diff(points, comps[:, 0], expo, g) == got
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=dims, box=boxes, seed=seeds, radius=mask_radii, rho_sq_steps=st.integers(1, 200))
+@example(dim=1, box=1.0, seed=2, radius=0.6, rho_sq_steps=9)  # rho = 3h, a lattice distance
+@example(dim=3, box=3.0, seed=3, radius=None, rho_sq_steps=9)
+def test_ball_scan_matches_brute_force(dim, box, seed, radius, rho_sq_steps):
+    g, points, rng = _lattice_case(dim, box, seed, radius)
+    vals = rng.standard_normal(len(points))
+    rho = g.spacing * np.sqrt(rho_sq_steps)
+    sum_sq, sums, cnt, abs_sums = _ball_scan_reference(points, vals, rho, g)
+    got_sq, got_sums, got_cnt = _kernels.ball_scan(points, vals, rho, g)
+    assert np.array_equal(got_cnt, cnt)
+    assert np.max(np.abs(got_sq - sum_sq)) <= 1e-12 * np.max(sum_sq)
+    assert np.max(np.abs(got_sums - sums)) <= 1e-12 * np.max(abs_sums)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=dims, box=boxes, seed=seeds, radius=mask_radii,
+       edge_sq_steps=st.lists(st.integers(1, 1100), min_size=1, max_size=5, unique=True))
+@example(dim=2, box=3.0, seed=4, radius=0.45, edge_sq_steps=[1, 4, 9, 16])
+@example(dim=1, box=1.0, seed=5, radius=0.7, edge_sq_steps=[1023, 1025])  # last bin: offset N/2 only
+def test_modulus_scan_matches_brute_force(dim, box, seed, radius, edge_sq_steps):
+    g, points, rng = _lattice_case(dim, box, seed, radius)
+    vals = rng.standard_normal(len(points))
+    edges = np.concatenate([[0.0], g.spacing * np.sqrt(sorted(edge_sq_steps))])
+    ref = _modulus_scan_reference(points, vals, edges, g)
+    assert np.array_equal(_kernels.modulus_scan(points, vals, edges, g), ref)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=dims, box=boxes, seed=seeds)
+def test_second_difference_matches_brute_force(dim, box, seed):
+    g, points, rng = _lattice_case(dim, box, seed, None)
+    values = rng.standard_normal(g.shape)
+    kernel = np.abs(rng.standard_normal(g.shape))  # not symmetric: the sum symmetrizes it
+    index = tuple(points[:5].T)
+    ref = _second_difference_reference(values, index, kernel)
+    got = _kernels.second_difference_sum(values, index, kernel)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))

@@ -237,10 +237,10 @@ def test_convex_set_gradient_estimate():
     # C ||grad v||^2_{L2(B)}, calibrated then regressed, gamma in {0, n+1}
     g = Grid(1, 1024, 1.0)
     D = ball_mask(g, g.center, 0.12)
-    coords = D.point_coords()
+    points = np.argwhere(D.values)
 
     def ratio(v, gamma):
-        num = _kernels.pair_sum_sq_diff(coords, v.values[D.values], gamma, g.box_length)
+        num = _kernels.pair_sum_sq_diff(points, v.values[D.values], gamma, g)
         num *= g.cell_measure**2
         den = lp_norm(gradient(v)[0], 2, D) ** 2
         return num / den
