@@ -68,18 +68,25 @@ def commutator_H(
     The pointwise product folds spectra, so both inputs must keep their
     spectral mass below N/4 (checked unless guard=False).
     """
+    s = _checked_order(u, v, order, guard)
+    return _commutator_from(u, v, frac_laplacian(u, s).values, frac_laplacian(v, s).values, s)
+
+
+def _checked_order(u: GridFunction, v: GridFunction, order: Optional[float], guard: bool) -> float:
     if u.grid != v.grid:
         raise GridError("grids differ")
-    s = float(order) if order is not None else u.grid.dim / 2.0
     if guard:
         _check_alias_guard(u, "u")
         _check_alias_guard(v, "v")
+    return float(order) if order is not None else u.grid.dim / 2.0
+
+
+def _commutator_from(
+    u: GridFunction, v: GridFunction, lap_u: np.ndarray, lap_v: np.ndarray, s: float
+) -> GridFunction:
+    """H(u,v) from Lap^s u and Lap^s v already at hand (no checks)."""
     uv = GridFunction(u.grid, u.values * v.values)
-    out = (
-        frac_laplacian(uv, s).values
-        - u.values * frac_laplacian(v, s).values
-        - v.values * frac_laplacian(u, s).values
-    )
+    out = frac_laplacian(uv, s).values - u.values * lap_v - v.values * lap_u
     return GridFunction(u.grid, out)
 
 
@@ -205,9 +212,10 @@ def h_norm_ratio(u: GridFunction, v: GridFunction) -> dict:
     """
     grid = u.grid
     n = grid.dim
-    H = commutator_H(u, v)
-    lap_u = frac_laplacian(u, n / 2.0)
-    lap_v = frac_laplacian(v, n / 2.0)
+    s = _checked_order(u, v, None, guard=True)
+    lap_u = frac_laplacian(u, s)
+    lap_v = frac_laplacian(v, s)
+    H = _commutator_from(u, v, lap_u.values, lap_v.values, s)
     nu, nv = lp_norm(lap_u, 2), lp_norm(lap_v, 2)
     if nu == 0 or nv == 0:
         raise CompensationError("zero energy denominators")
@@ -236,7 +244,7 @@ def structure_identity_residual(u: SphereValuedMap, eta: GridFunction) -> dict:
     for comp in u.components:
         w = GridFunction(grid, eta.values * comp.values)
         lap_w = frac_laplacian(w, n / 2.0)
-        H_ww = commutator_H(w, w, guard=False)
+        H_ww = _commutator_from(w, w, lap_w.values, lap_w.values, n / 2.0)
         acc = acc + w.values * lap_w.values + 0.5 * H_ww.values
     resid = GridFunction(grid, acc - 0.5 * rhs.values)
     scale = lp_norm(rhs, 2)

@@ -95,21 +95,32 @@ class Grid:
         fs = self.frequencies()
         return np.sqrt(sum(f * f for f in fs))
 
-    def periodic_displacement(self, center) -> list:
-        """Signed minimum-image displacement x - center per axis, in [-L/2, L/2)."""
+    def _axis_displacements(self, center) -> list:
+        """Minimum-image x_a - center_a as 1D arrays, each shaped to
+        broadcast along its own axis (N along axis a, 1 elsewhere)."""
         L = self.box_length
         center = np.atleast_1d(np.asarray(center, dtype=float))
         if center.shape[0] != self.dim:
             raise GridError(f"center must have {self.dim} components")
+        x = self.axis_coords()
         out = []
-        for a, xa in enumerate(self.coords()):
-            d = (xa - center[a] + 0.5 * L) % L - 0.5 * L
-            out.append(d)
+        for a in range(self.dim):
+            shape = [1] * self.dim
+            shape[a] = self.points_per_axis
+            out.append(((x - center[a] + 0.5 * L) % L - 0.5 * L).reshape(shape))
         return out
 
+    def periodic_displacement(self, center) -> list:
+        """Signed minimum-image displacement x - center per axis, in [-L/2, L/2).
+
+        Each component is a read-only np.broadcast_to view of shape grid.shape
+        over the 1D per-axis displacement; copy it before writing.
+        """
+        return [np.broadcast_to(d, self.shape) for d in self._axis_displacements(center)]
+
     def periodic_distance(self, center) -> np.ndarray:
-        d = self.periodic_displacement(center)
-        return np.sqrt(sum(x * x for x in d))
+        # squares of the 1D per-axis displacements, summed by broadcasting
+        return np.sqrt(sum(d * d for d in self._axis_displacements(center)))
 
     @property
     def center(self) -> np.ndarray:

@@ -19,9 +19,10 @@ def restricted_cg(sel: np.ndarray, apply_op, b: np.ndarray, tol: float, maxiter:
     residual); raises SolveError when the relative residual does not reach
     tol within maxiter iterations.
     """
+    off = ~sel
     x = np.zeros_like(b)
     r = b.copy()
-    r[~sel] = 0.0
+    r[off] = 0.0
     p = r.copy()
     rs = float(np.sum(r * r))
     b_norm = math.sqrt(float(np.sum(b[sel] ** 2)))
@@ -29,7 +30,7 @@ def restricted_cg(sel: np.ndarray, apply_op, b: np.ndarray, tol: float, maxiter:
         return x, 0, 0.0
     for it in range(1, maxiter + 1):
         Ap = apply_op(p)
-        Ap[~sel] = 0.0
+        Ap[off] = 0.0
         denom = float(np.sum(p * Ap))
         if denom <= 0:
             raise SolveError("operator lost positive definiteness on the subspace")

@@ -18,6 +18,7 @@ from fraclap.compensation import (
 from fraclap.cutoffs import build_family, evaluate
 from fraclap.fields import band_limited_field, sphere_valued_map
 from fraclap.grid import Grid, GridFunction, lp_norm, transform_forward
+from fraclap.lorentz import lorentz_norm_profile, profile_from_values
 from fraclap.multipliers import frac_laplacian, gradient
 
 
@@ -61,6 +62,8 @@ def test_alias_guard(g1):
     smooth = band_limited_field(g1, 1, cutoff=32)
     with pytest.raises(CompensationError, match="alias"):
         commutator_H(rough, smooth)
+    with pytest.raises(CompensationError, match="alias"):
+        h_norm_ratio(rough, smooth)
 
 
 # -- defect inequalities ---------------------------------------------------------
@@ -206,6 +209,33 @@ def test_structure_identity_phase_map(g1, eta):
         (GridFunction(g1, np.cos(phase)), GridFunction(g1, np.sin(phase)))
     )
     assert structure_identity_residual(umap, eta)["relative"] <= 1e-10
+
+
+def test_reused_transforms_match_commutator_H_bitwise(g1, eta):
+    # h_norm_ratio and structure_identity_residual form H from the Lap^{n/2}
+    # arrays they already hold; the result must equal commutator_H's exactly
+    u = band_limited_field(g1, 5, cutoff=64)
+    v = band_limited_field(g1, 6, cutoff=64)
+    H = commutator_H(u, v)
+    lap_u, lap_v = frac_laplacian(u, 0.5), frac_laplacian(v, 0.5)
+    nu, nv = lp_norm(lap_u, 2), lp_norm(lap_v, 2)
+    H_prof = profile_from_values(np.abs(transform_forward(H)), 1.0)
+    u_prof = profile_from_values(np.abs(transform_forward(lap_u)), 1.0)
+    assert h_norm_ratio(u, v) == {
+        "l2": lp_norm(H, 2) / (nu * nv),
+        "lorentz21": lorentz_norm_profile(H_prof, 2.0, 1.0) / (nu * nv),
+        "weak_factor": lp_norm(H, 2) / (lorentz_norm_profile(u_prof, 2.0, np.inf) * nv),
+    }
+
+    umap = SphereValuedMap(tuple(sphere_valued_map(g1, 2, 3, cutoff=24)))
+    rhs = frac_laplacian(GridFunction(g1, eta.values * eta.values), 0.5)
+    acc = np.zeros(g1.shape)
+    for comp in umap.components:
+        w = GridFunction(g1, eta.values * comp.values)
+        acc = acc + w.values * frac_laplacian(w, 0.5).values + 0.5 * commutator_H(w, w, guard=False).values
+    resid = lp_norm(GridFunction(g1, acc - 0.5 * rhs.values), 2)
+    out = structure_identity_residual(umap, eta)
+    assert (out["residual"], out["scale"]) == (resid, lp_norm(rhs, 2))
 
 
 def test_sphere_constraint_enforced(g1):

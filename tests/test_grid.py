@@ -118,6 +118,19 @@ def test_ball_mask_is_exact_periodic_distance():
     assert mask.values[0]  # point at x=0 is within 0.05 < r
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_periodic_geometry_matches_meshgrid_bitwise(dim):
+    g = Grid(dim, 16, 3.0)
+    center = [0.1, 2.95, 1.5][:dim]
+    L = g.box_length
+    mesh = [(x - c + 0.5 * L) % L - 0.5 * L for x, c in zip(g.coords(), center)]
+    disp = g.periodic_displacement(center)
+    for d, m in zip(disp, mesh):
+        assert d.shape == g.shape and not d.flags.writeable
+        assert np.array_equal(d, m)
+    assert np.array_equal(g.periodic_distance(center), np.sqrt(sum(m * m for m in mesh)))
+
+
 def test_annulus_and_set_algebra():
     g = Grid(2, 32, 1.0)
     ann = annulus_mask(g, g.center, 0.1, 0.3)

@@ -1,8 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fraclap.fields import band_limited_field, moment_free_bump, smooth_bump
-from fraclap.grid import Grid, GridFunction, ball_mask, l2_inner, lp_norm
+from fraclap import multipliers
+from fraclap.grid import (
+    Grid,
+    GridFunction,
+    ball_mask,
+    l2_inner,
+    lp_norm,
+    transform_forward,
+    transform_inverse,
+)
 from fraclap.multipliers import (
     SymbolError,
     FrequencySymbol,
@@ -151,6 +162,103 @@ def test_symbol_singular_off_zero_rejected_at_application(g1):
 
     sym = FrequencySymbol("pole", 1, pole)
     f = band_limited_field(g1, 0)
+    with pytest.raises(SymbolError, match="NaN/Inf"):
+        apply_symbol(f, sym)
+
+
+# -- real path against the full complex path ---------------------------------
+
+def _reference_apply(f, symbol, policy):
+    """Full-lattice complex path: conjugate-symmetrize the table, fftn, apply,
+    ifftn, check the imaginary residue, take the real part."""
+    grid = f.grid
+    F = transform_forward(f)
+    table = symbol.on_lattice(grid)
+    rev = (-np.arange(grid.points_per_axis)) % grid.points_per_axis
+    with np.errstate(invalid="ignore"):
+        table = 0.5 * (table + np.conjugate(table[np.ix_(*([rev] * grid.dim))]))
+    zero = (0,) * grid.dim
+    if policy is ZeroModePolicy.PROJECT_MEAN_FIRST:
+        F[zero] = 0.0
+    bad = ~np.isfinite(table)
+    bad[zero] = False
+    assert not np.any(bad)
+    with np.errstate(invalid="ignore"):
+        out = table * F
+    if policy is ZeroModePolicy.IDENTITY_FOR_S_ZERO:
+        out[zero] = F[zero]
+    elif not np.isfinite(table[zero]) or policy is ZeroModePolicy.ANNIHILATE:
+        out[zero] = 0.0
+    g = transform_inverse(grid, out, real=False).values
+    amp = max(1.0, float(np.max(np.abs(table[np.isfinite(table)]))))
+    assert np.max(np.abs(g.imag)) <= 1e-12 * amp * lp_norm(f, 2)
+    return g.real
+
+
+def _oracle_symbol(dim, kind, j, alpha_axes, s):
+    if kind == "abs_pow":
+        return abs_power_symbol(dim, s)
+    if kind == "riesz":
+        return riesz_symbol(dim, j % dim)
+    alpha = [0] * dim
+    for a in alpha_axes:
+        alpha[a % dim] += 1
+    base = identity_symbol(dim) if kind == "derived:identity" else riesz_symbol(dim, j % dim)
+    return derived_symbol(base, alpha, 1.5)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    dim=st.integers(1, 3),
+    n_pts=st.sampled_from([8, 16]),
+    box=st.sampled_from([1.0, 3.0]),
+    seed=st.integers(0, 2**16),
+    kind=st.sampled_from(["abs_pow", "riesz", "derived:identity", "derived:riesz"]),
+    s=st.sampled_from([0.5, 1.0, 1.5, -0.5]),
+    j=st.integers(0, 2),
+    alpha_axes=st.lists(st.integers(0, 2), min_size=1, max_size=2),
+    policy=st.sampled_from(list(ZeroModePolicy)),
+)
+@example(dim=2, n_pts=8, box=1.0, seed=0, kind="riesz", s=1.0, j=1, alpha_axes=[0],
+         policy=ZeroModePolicy.ANNIHILATE)
+@example(dim=3, n_pts=8, box=1.0, seed=1, kind="riesz", s=1.0, j=2, alpha_axes=[0],
+         policy=ZeroModePolicy.IDENTITY_FOR_S_ZERO)
+@example(dim=1, n_pts=16, box=1.0, seed=2, kind="abs_pow", s=-0.5, j=0, alpha_axes=[0],
+         policy=ZeroModePolicy.PROJECT_MEAN_FIRST)
+def test_real_path_matches_full_complex_reference(dim, n_pts, box, seed, kind, s, j, alpha_axes, policy):
+    # white noise carries content on every Nyquist plane
+    g = Grid(dim, n_pts, box)
+    values = np.random.default_rng(seed).standard_normal(g.shape)
+    if kind == "abs_pow" and s < 0:
+        values -= np.mean(values)
+    f = GridFunction(g, values)
+    sym = _oracle_symbol(dim, kind, j, alpha_axes, s)
+    ref = _reference_apply(f, sym, policy)
+    got = apply_symbol(f, sym, policy)
+    assert got.is_real
+    assert np.max(np.abs(got.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_half_lattice_table():
+    g = Grid(2, 16, 1.0)
+    half = multipliers._conjugate_symmetrize(g, abs_power_symbol(2, -0.5).on_lattice(g))
+    assert half.shape == (16, 9) and np.isinf(half[0, 0].real)
+    # odd symbols lose their Nyquist plane along the odd axis, on either axis
+    riesz = multipliers._conjugate_symmetrize(g, riesz_symbol(2, 1).on_lattice(g))
+    assert np.all(riesz[:, -1] == 0)
+    riesz = multipliers._conjugate_symmetrize(g, riesz_symbol(2, 0).on_lattice(g))
+    assert np.all(riesz[8, :] == 0)
+
+
+def test_real_flagged_symbol_singular_off_zero_rejected_on_real_path(g1):
+    def pole(xs):
+        xi = np.asarray(xs[0], dtype=float)
+        with np.errstate(divide="ignore"):
+            return (1.0 / (xi * xi - 100.0)).astype(complex)
+
+    sym = FrequencySymbol("even-pole", 1, pole, reality_flag=True)
+    f = band_limited_field(g1, 0)
+    assert f.is_real
     with pytest.raises(SymbolError, match="NaN/Inf"):
         apply_symbol(f, sym)
 
