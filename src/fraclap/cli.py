@@ -2,11 +2,12 @@
 deterministic, and emits a JSON report plus CSV tables.
 
     fraclap list
-    fraclap run <experiment> [--dim D --grid N --box L --s S --seed K
-                              --scales a b c --out DIR --constants FILE]
+    fraclap run <experiment> [--grid N --box L --s S --seed K --scales a b c
+                              --out DIR --constants FILE --m1 ID --m2 ID]
     fraclap calibrate <suite> --out constants.json [--seed K]
 
-Exit code 0 iff every verdict in the report passed.
+Exit codes: 0 when every verdict in the report passed, 1 when a verdict
+failed, 2 for a config error or an unknown experiment.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import time
 import numpy as np
 
 from .grid import Grid, GridError, GridFunction, ball_mask, lp_norm
-from .reporting import Report, ReportError, load_constants, regression_bound, write_constants
+from .reporting import SLACK, Report, ReportError, load_constants, regression_bound, write_constants
 
 REGISTRY: dict = {}
 
@@ -32,12 +33,40 @@ def experiment(name: str):
     return wrap
 
 
-def _grid(cfg, dim=None, n=None, box=None) -> Grid:
-    return Grid(
-        dim if dim is not None else cfg["dim"],
-        n if n is not None else cfg["grid"],
-        box if box is not None else cfg["box"],
-    )
+def _grid(cfg, dim, n) -> Grid:
+    return Grid(dim, n, cfg["box"])
+
+
+def _sup(sample, seeds) -> dict:
+    """Sup over `seeds` of each named statistic that `sample(seed)` returns."""
+    sup: dict = {}
+    for seed in seeds:
+        for key, value in sample(seed).items():
+            sup[key] = max(sup[key], value) if key in sup else value
+    return sup
+
+
+def split_seed_regression(rep, sample, cal_seeds, fresh_seeds, verdicts, floor=0.0, constants=None):
+    """Calibrate-then-regress: `verdicts` maps a verdict name to a statistic of
+    `sample(seed)`, whose sup over `fresh_seeds` must stay within
+    max(0, its sup over `cal_seeds`) * SLACK + floor.  With a constants
+    payload the bound is the file's `<experiment>/<statistic>` value times
+    SLACK instead, recorded in `rep.constants_used`, and the calibration seeds
+    are not sampled.  Returns (calibration sups or None, fresh sups).
+    """
+    if constants is None:
+        cal = _sup(sample, cal_seeds)
+        bounds = {verdict: max(0.0, cal[stat]) * SLACK + floor for verdict, stat in verdicts.items()}
+    else:
+        cal, bounds = None, {}
+        for verdict, stat in verdicts.items():
+            name = f"{rep.experiment}/{stat}"
+            bounds[verdict] = regression_bound(constants, name)
+            rep.constants_used.append({"name": name, "bound": bounds[verdict]})
+    fresh = _sup(sample, fresh_seeds)
+    for verdict, stat in verdicts.items():
+        rep.add_verdict(verdict, fresh[stat] <= bounds[verdict], fresh[stat], bounds[verdict])
+    return cal, fresh
 
 
 # -- acceptance experiments ---------------------------------------------------
@@ -277,11 +306,30 @@ def run_lorentz_algebra(cfg) -> Report:
     return rep
 
 
+def _h_ratio_sample(g, seed) -> dict:
+    """H(u, v) norm ratios, maxed over an independent pair (u, v) and the
+    diagonal pair (u, u); u, v are band-limited at N/8 from `seed`, `seed + 1`."""
+    from .compensation import h_norm_ratio
+    from .fields import band_limited_field
+
+    cut = g.points_per_axis / 8
+    u = band_limited_field(g, seed, cutoff=cut)
+    v = band_limited_field(g, seed + 1, cutoff=cut)
+    a, b = h_norm_ratio(u, v), h_norm_ratio(u, u)
+    return {f"h_{key}": max(a[key], b[key]) for key in ("l2", "lorentz21", "weak_factor")}
+
+
+def _defect_sample(seed) -> dict:
+    from .compensation import defect_scan
+
+    return {"defect_p0.5": defect_scan(1, 0.5, samples=200000, seed=seed)["sup"]}
+
+
 @experiment("compensation")
 def run_compensation(cfg) -> Report:
-    from .compensation import SphereValuedMap, defect_scan, h_norm_ratio, structure_identity_residual
+    from .compensation import SphereValuedMap, structure_identity_residual
     from .cutoffs import build_family, evaluate
-    from .fields import band_limited_field, sphere_valued_map
+    from .fields import sphere_valued_map
 
     g = _grid(cfg, dim=1, n=cfg.get("grid") or 512)
     rep = Report("compensation", {**cfg, "dim": 1, "grid": g.points_per_axis})
@@ -297,34 +345,15 @@ def run_compensation(cfg) -> Report:
     # calibrated regressions: constants file if given, else split-seed protocol
     # (the family mixes independent and diagonal pairs; the diagonal u = v
     # cases are the extremal ones)
-    cut = g.points_per_axis / 8
-
-    def _h_sup(seed0, count):
-        sup = {"l2": 0.0, "lorentz21": 0.0, "weak_factor": 0.0}
-        for k in range(count):
-            u = band_limited_field(g, seed0 + 2 * k, cutoff=cut)
-            v = band_limited_field(g, seed0 + 2 * k + 1, cutoff=cut)
-            for pair in ((u, v), (u, u)):
-                out = h_norm_ratio(*pair)
-                for key in sup:
-                    sup[key] = max(sup[key], out[key])
-        return sup
-
-    if cfg.get("constants"):
-        payload = load_constants(cfg["constants"], expect_grid=g)
-        bound_l2 = regression_bound(payload, "compensation/h_l2")
-        bound_defect = regression_bound(payload, "compensation/defect_p0.5")
-        rep.constants_used.append({"name": "compensation/h_l2", "bound": bound_l2})
-    else:
-        cal = _h_sup(cfg["seed"], 25)
-        bound_l2 = cal["l2"] * 1.01
-        bound_defect = defect_scan(1, 0.5, samples=200000, seed=cfg["seed"])["sup"] * 1.01
-    fresh = _h_sup(cfg["seed"] + 1000, 10)
-    rep.add_verdict("h_norm_regression", fresh["l2"] <= bound_l2, fresh["l2"], bound_l2)
-    fresh_defect = defect_scan(1, 0.5, samples=200000, seed=cfg["seed"] + 1000)["sup"]
-    rep.add_verdict("defect_regression", fresh_defect <= bound_defect, fresh_defect, bound_defect)
-    rep.add_table("ratios", [{"structure_worst": worst_resid, "h_l2_fresh": fresh["l2"],
-                              "defect_fresh": fresh_defect}])
+    payload = load_constants(cfg["constants"], expect_grid=g) if cfg.get("constants") else None
+    seed = cfg["seed"]
+    _, h = split_seed_regression(rep, lambda k: _h_ratio_sample(g, k), range(seed, seed + 50, 2),
+                                 range(seed + 1000, seed + 1020, 2), {"h_norm_regression": "h_l2"},
+                                 constants=payload)
+    _, defect = split_seed_regression(rep, _defect_sample, [seed], [seed + 1000],
+                                      {"defect_regression": "defect_p0.5"}, constants=payload)
+    rep.add_table("ratios", [{"structure_worst": worst_resid, "h_l2_fresh": h["h_l2"],
+                              "defect_fresh": defect["defect_p0.5"]}])
     return rep
 
 
@@ -441,17 +470,15 @@ def run_mv_poincare(cfg) -> Report:
     fam = build_family(4)
     s, t = cfg.get("s") or 0.5, 0.0
     r = g.box_length / 32
-    ratios = []
-    for k in range(10):
-        v = band_limited_field(g, cfg["seed"] + k, cutoff=64, envelope=32)
-        ratios.append(mv_poincare_ratio(v, r, g.center, s, t, fam)["ratio"])
-    cal = max(ratios) * 1.01
-    fresh = []
-    for k in range(10):
-        v = band_limited_field(g, cfg["seed"] + 500 + k, cutoff=64, envelope=32)
-        fresh.append(mv_poincare_ratio(v, r, g.center, s, t, fam)["ratio"])
-    rep.add_verdict("regression", max(fresh) <= cal, max(fresh), cal)
-    rep.add_table("ratios", [{"calibration_max": max(ratios), "fresh_max": max(fresh)}])
+
+    def sample(seed):
+        v = band_limited_field(g, seed, cutoff=64, envelope=32)
+        return {"ratio": mv_poincare_ratio(v, r, g.center, s, t, fam)["ratio"]}
+
+    seed = cfg["seed"]
+    cal, fresh = split_seed_regression(rep, sample, range(seed, seed + 10),
+                                       range(seed + 500, seed + 510), {"regression": "ratio"})
+    rep.add_table("ratios", [{"calibration_max": cal["ratio"], "fresh_max": fresh["ratio"]}])
     return rep
 
 
@@ -463,18 +490,14 @@ def run_homogloc(cfg) -> Report:
     g = _grid(cfg, dim=1, n=cfg.get("grid") or 2048)
     rep = Report("homogeneous-norm-localization", {**cfg, "dim": 1})
     s = cfg.get("s") or 0.5
-    ratios = []
-    for k in range(10):
-        v = band_limited_field(g, cfg["seed"] + k, cutoff=64, envelope=32)
-        ratios.append(homogeneous_norm_localization(v, g.box_length / 8, g.center, s)["ratio"])
-    cal = max(ratios) * 1.01
-    fresh = [
-        homogeneous_norm_localization(
-            band_limited_field(g, cfg["seed"] + 500 + k, cutoff=64, envelope=32),
-            g.box_length / 8, g.center, s)["ratio"]
-        for k in range(10)
-    ]
-    rep.add_verdict("regression", max(fresh) <= cal, max(fresh), cal)
+
+    def sample(seed):
+        v = band_limited_field(g, seed, cutoff=64, envelope=32)
+        return {"ratio": homogeneous_norm_localization(v, g.box_length / 8, g.center, s)["ratio"]}
+
+    seed = cfg["seed"]
+    split_seed_regression(rep, sample, range(seed, seed + 10), range(seed + 500, seed + 510),
+                          {"regression": "ratio"})
     return rep
 
 
@@ -486,18 +509,17 @@ def run_local_norm(cfg) -> Report:
     g = _grid(cfg, dim=1, n=cfg.get("grid") or 1024)
     rep = Report("local-norm-recovery", {**cfg, "dim": 1})
     r = g.box_length / 64
-    ratios = []
-    for k in range(5):
-        v = confined_field(g, cfg["seed"] + k, radius=r)
-        ratios.append(local_norm_recovery(v, r, g.center, 8.0)["ratio"])
-    cal = max(ratios) * 1.01
-    fresh = [
-        local_norm_recovery(confined_field(g, cfg["seed"] + 500 + k, radius=r), r, g.center, 8.0)["ratio"]
-        for k in range(5)
-    ]
-    rep.add_verdict("regression", max(fresh) <= cal, max(fresh), cal)
-    stab = local_norm_recovery(confined_field(g, cfg["seed"], radius=r), r, g.center, 16.0)["ratio"]
-    rep.add_verdict("lambda_stability", stab <= ratios[0] * 1.10 + 1e-12, stab, ratios[0] * 1.10)
+    ratios = {}  # seed -> Lambda = 8 ratio, kept for the stability check
+
+    def sample(seed):
+        ratios[seed] = local_norm_recovery(confined_field(g, seed, radius=r), r, g.center, 8.0)["ratio"]
+        return {"ratio": ratios[seed]}
+
+    seed = cfg["seed"]
+    split_seed_regression(rep, sample, range(seed, seed + 5), range(seed + 500, seed + 505),
+                          {"regression": "ratio"})
+    stab = local_norm_recovery(confined_field(g, seed, radius=r), r, g.center, 16.0)["ratio"]
+    rep.add_verdict("lambda_stability", stab <= ratios[seed] * 1.10 + 1e-12, stab, ratios[seed] * 1.10)
     return rep
 
 
@@ -560,21 +582,15 @@ def run_polynomial_gap(cfg) -> Report:
     rep = Report("polynomial-gap", {**cfg, "dim": 1})
     fam = build_family(5)
     r = g.box_length / 64
-    sup_g = sup_e = 0.0
-    for j in range(10):
-        v = band_limited_field(g, cfg["seed"] + j, cutoff=64, envelope=32)
+
+    def sample(seed):
+        v = band_limited_field(g, seed, cutoff=64, envelope=32)
         out = polynomial_gap_scan(v, r, g.center, 4, fam)
-        sup_g = max(sup_g, max(out["g"]))
-        sup_e = max(sup_e, max(out["e"]))
-    cal_g, cal_e = sup_g * 1.01, sup_e * 1.01
-    fresh_g = fresh_e = 0.0
-    for j in range(10):
-        v = band_limited_field(g, cfg["seed"] + 500 + j, cutoff=64, envelope=32)
-        out = polynomial_gap_scan(v, r, g.center, 4, fam)
-        fresh_g = max(fresh_g, max(out["g"]))
-        fresh_e = max(fresh_e, max(out["e"]))
-    rep.add_verdict("gap_regression", fresh_g <= cal_g, fresh_g, cal_g)
-    rep.add_verdict("error_regression", fresh_e <= cal_e, fresh_e, cal_e)
+        return {"g": max(out["g"]), "e": max(out["e"])}
+
+    seed = cfg["seed"]
+    split_seed_regression(rep, sample, range(seed, seed + 10), range(seed + 500, seed + 510),
+                          {"gap_regression": "g", "error_regression": "e"})
     return rep
 
 
@@ -587,18 +603,15 @@ def run_fourier_domination(cfg) -> Report:
     rep = Report("fourier-domination", {**cfg, "dim": 1})
     cut = g.points_per_axis / 8
 
-    def sup_over(seed0, count):
-        sup = 0.0
-        for k in range(count):
-            u = band_limited_field(g, seed0 + 2 * k, cutoff=cut)
-            v = band_limited_field(g, seed0 + 2 * k + 1, cutoff=cut)
-            sup = max(sup, fourier_domination_check(u, v)["max_ratio"])
-            sup = max(sup, fourier_domination_check(u, u)["max_ratio"])
-        return sup
+    def sample(seed):
+        u = band_limited_field(g, seed, cutoff=cut)
+        v = band_limited_field(g, seed + 1, cutoff=cut)
+        return {"ratio": max(fourier_domination_check(u, v)["max_ratio"],
+                             fourier_domination_check(u, u)["max_ratio"])}
 
-    cal = sup_over(cfg["seed"], 25) * 1.01
-    fresh = sup_over(cfg["seed"] + 700, 10)
-    rep.add_verdict("regression", fresh <= cal, fresh, cal)
+    seed = cfg["seed"]
+    split_seed_regression(rep, sample, range(seed, seed + 50, 2), range(seed + 700, seed + 720, 2),
+                          {"regression": "ratio"})
     return rep
 
 
@@ -654,17 +667,14 @@ def run_lower_order(cfg) -> Report:
     m1 = parse_symbol_id(cfg.get("m1") or "riesz:0", 2)
     m2 = parse_symbol_id(cfg.get("m2") or "identity", 2)
 
-    def sup_over(seed0):
-        sup = 0.0
-        for k in range(10):
-            u = band_limited_field(g, seed0 + 2 * k, cutoff=16)
-            v = band_limited_field(g, seed0 + 2 * k + 1, cutoff=16)
-            sup = max(sup, lower_order_product_norm(u, v, s, m1, m2)["ratio"])
-        return sup
+    def sample(seed):
+        u = band_limited_field(g, seed, cutoff=16)
+        v = band_limited_field(g, seed + 1, cutoff=16)
+        return {"ratio": lower_order_product_norm(u, v, s, m1, m2)["ratio"]}
 
-    cal = sup_over(cfg["seed"]) * 1.01
-    fresh = sup_over(cfg["seed"] + 900)
-    rep.add_verdict("regression", fresh <= cal, fresh, cal)
+    seed = cfg["seed"]
+    split_seed_regression(rep, sample, range(seed, seed + 20, 2), range(seed + 900, seed + 920, 2),
+                          {"regression": "ratio"})
     return rep
 
 
@@ -696,21 +706,17 @@ def run_seminorm_comparison(cfg) -> Report:
     rep = Report("seminorm-comparison", {**cfg, "dim": 1})
     fam = build_family(5)
     r = g.box_length / 128
-    needed = []
-    for k in range(8):
-        v = band_limited_field(g, cfg["seed"] + k, cutoff=128, envelope=64)
-        needed.append(seminorm_comparison_terms(v, r, g.center, fam)["needed_constant"])
-    # the absorbing constant is nonnegative; seeds where the eps-term alone
-    # dominates contribute 0
-    cal = max(0.0, max(needed)) * 1.01 + 1e-12
-    fresh = [
-        seminorm_comparison_terms(
-            band_limited_field(g, cfg["seed"] + 500 + k, cutoff=128, envelope=64),
-            r, g.center, fam)["needed_constant"]
-        for k in range(8)
-    ]
-    rep.add_verdict("regression", max(fresh) <= cal, max(fresh), cal)
-    rep.add_table("needed", [{"calibration_max": max(needed), "fresh_max": max(fresh)}])
+
+    def sample(seed):
+        v = band_limited_field(g, seed, cutoff=128, envelope=64)
+        return {"needed": seminorm_comparison_terms(v, r, g.center, fam)["needed_constant"]}
+
+    # the absorbing constant is nonnegative (the helper clamps the calibration
+    # sup at 0): seeds where the eps-term alone dominates contribute 0
+    seed = cfg["seed"]
+    cal, fresh = split_seed_regression(rep, sample, range(seed, seed + 8), range(seed + 500, seed + 508),
+                                       {"regression": "needed"}, floor=1e-12)
+    rep.add_table("needed", [{"calibration_max": cal["needed"], "fresh_max": fresh["needed"]}])
     return rep
 
 
@@ -720,27 +726,18 @@ EXPERIMENTS_HELP = ", ".join(sorted(REGISTRY))
 # -- calibration suites --------------------------------------------------------
 
 def calibrate_suite(suite: str, seed: int, out_path: str) -> dict:
-    from .compensation import defect_scan, h_norm_ratio, triangle_defect_scan
+    from .compensation import triangle_defect_scan
     from .fields import band_limited_field
 
     g = Grid(1, 512, 1.0)
     constants: dict = {}
     if suite in ("compensation", "all"):
-        cut = g.points_per_axis / 8
-        sup = {"l2": 0.0, "lorentz21": 0.0, "weak_factor": 0.0}
-        for k in range(25):
-            u = band_limited_field(g, seed + 2 * k, cutoff=cut)
-            v = band_limited_field(g, seed + 2 * k + 1, cutoff=cut)
-            for pair in ((u, v), (u, u)):
-                out = h_norm_ratio(*pair)
-                for key in sup:
-                    sup[key] = max(sup[key], out[key])
+        # the calibration half of run_compensation's split-seed protocol
         prov = "50 seeded pairs (25 independent + 25 diagonal), cutoff N/8"
-        constants["compensation/h_l2"] = {"value": sup["l2"], "provenance": prov}
-        constants["compensation/h_lorentz21"] = {"value": sup["lorentz21"], "provenance": prov}
-        constants["compensation/h_weak_factor"] = {"value": sup["weak_factor"], "provenance": prov}
+        for key, value in _sup(lambda k: _h_ratio_sample(g, k), range(seed, seed + 50, 2)).items():
+            constants[f"compensation/{key}"] = {"value": value, "provenance": prov}
         constants["compensation/defect_p0.5"] = {
-            "value": defect_scan(1, 0.5, samples=200000, seed=seed)["sup"],
+            "value": _sup(_defect_sample, [seed])["defect_p0.5"],
             "provenance": "200k samples, |xi| = 1, theta = 1/2",
         }
         constants["compensation/triangle_p0.5"] = {
@@ -751,17 +748,17 @@ def calibrate_suite(suite: str, seed: int, out_path: str) -> dict:
         from .lorentz import compact_support_ratio, holder_product_ratio, oneil_convolution_ratio
         from .fields import confined_field
 
-        sup_h = sup_c = sup_o = 0.0
-        for k in range(20):
-            f = band_limited_field(g, seed + 100 + k, cutoff=32)
-            h = band_limited_field(g, seed + 200 + k, cutoff=32)
-            sup_h = max(sup_h, holder_product_ratio(f, h, 4.0, 2.0, 4.0, 2.0))
-            sup_o = max(sup_o, oneil_convolution_ratio(f, h, 1.5, 2.0, 1.5, 2.0))
-            w = confined_field(g, seed + 300 + k, radius=g.box_length / 6)
-            sup_c = max(sup_c, compact_support_ratio(w, w.support.measure, 2.0, 2.0, 4.0))
-        constants["lorentz/holder_4_2_4_2"] = {"value": sup_h, "provenance": "20 seeded pairs"}
-        constants["lorentz/oneil_1.5_2"] = {"value": sup_o, "provenance": "20 seeded pairs"}
-        constants["lorentz/compact_support_2_2_4"] = {"value": sup_c, "provenance": "20 confined fields"}
+        def sample(k):
+            f = band_limited_field(g, k + 100, cutoff=32)
+            h = band_limited_field(g, k + 200, cutoff=32)
+            w = confined_field(g, k + 300, radius=g.box_length / 6)
+            return {"holder_4_2_4_2": holder_product_ratio(f, h, 4.0, 2.0, 4.0, 2.0),
+                    "oneil_1.5_2": oneil_convolution_ratio(f, h, 1.5, 2.0, 1.5, 2.0),
+                    "compact_support_2_2_4": compact_support_ratio(w, w.support.measure, 2.0, 2.0, 4.0)}
+
+        for key, value in _sup(sample, range(seed, seed + 20)).items():
+            prov = "20 confined fields" if key.startswith("compact") else "20 seeded pairs"
+            constants[f"lorentz/{key}"] = {"value": value, "provenance": prov}
     if not constants:
         raise ReportError(f"unknown calibration suite {suite!r}")
     write_constants(out_path, seed, g, constants)
@@ -776,7 +773,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list", help="list experiment ids")
     runp = sub.add_parser("run", help=f"run one experiment ({EXPERIMENTS_HELP})")
     runp.add_argument("experiment")
-    runp.add_argument("--dim", type=int, default=1)
     runp.add_argument("--grid", type=int, default=None, help="points per axis (power of two)")
     runp.add_argument("--box", type=float, default=1.0)
     runp.add_argument("--s", type=float, default=None, help="operator order")
@@ -807,7 +803,6 @@ def main(argv=None) -> int:
         print(f"unknown experiment {args.experiment!r}; ids: {EXPERIMENTS_HELP}", file=sys.stderr)
         return 2
     cfg = {
-        "dim": args.dim,
         "grid": args.grid,
         "box": args.box,
         "s": args.s,

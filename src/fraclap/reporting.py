@@ -140,8 +140,11 @@ def load_constants(path: str, expect_grid=None) -> dict:
     return payload
 
 
-def regression_bound(payload: dict, name: str, slack: float = 1.01) -> float:
+SLACK = 1.01  # fresh samples must stay within a calibrated constant times SLACK
+
+
+def regression_bound(payload: dict, name: str) -> float:
     try:
-        return float(payload["constants"][name]["value"]) * slack
+        return float(payload["constants"][name]["value"]) * SLACK
     except KeyError as exc:
         raise ReportError(f"constant {name} missing from constants file") from exc

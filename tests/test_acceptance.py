@@ -13,7 +13,6 @@ from fraclap.cli import REGISTRY
 
 def _run(name, **overrides):
     cfg = {
-        "dim": 1,
         "grid": None,
         "box": 1.0,
         "s": None,

@@ -1,10 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
-from fraclap.cli import REGISTRY, calibrate_suite, main
+from fraclap.cli import REGISTRY, calibrate_suite, main, split_seed_regression
 from fraclap.grid import Grid
-from fraclap.reporting import ReportError, load_constants, regression_bound, write_constants
+from fraclap.reporting import SLACK, Report, ReportError, load_constants, regression_bound, write_constants
 
 
 def test_list_command(capsys):
@@ -47,6 +48,19 @@ def test_determinism_modulo_wall_clock(tmp_path):
     assert strip(out1) == strip(out2)
 
 
+def test_run_has_no_dim_option(capsys):
+    # every experiment pins its own dimension; a --dim flag would be ignored
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "hodge", "--dim", "2"])
+    assert exc.value.code == 2
+    assert "--dim" in capsys.readouterr().err
+
+
+def _regression_bounds(out_dir):
+    report = json.loads((out_dir / "compensation.json").read_text())
+    return {v["name"]: v["bound"] for v in report["verdicts"] if v["name"].endswith("_regression")}
+
+
 def test_calibrate_then_regress_same_seed(tmp_path):
     path = tmp_path / "constants.json"
     constants = calibrate_suite("compensation", 0, str(path))
@@ -59,6 +73,78 @@ def test_calibrate_then_regress_same_seed(tmp_path):
         "--out", str(tmp_path / "reports"),
     ])
     assert rc == 0
+    # the in-run calibration at the same seed sets the same bounds, bit for bit
+    assert main(["run", "compensation", "--out", str(tmp_path / "in-run")]) == 0
+    from_file = _regression_bounds(tmp_path / "reports")
+    assert set(from_file) == {"h_norm_regression", "defect_regression"}
+    assert _regression_bounds(tmp_path / "in-run") == from_file
+
+
+def test_constants_mode_records_every_bound_it_reads(tmp_path):
+    path = tmp_path / "constants.json"
+    calibrate_suite("compensation", 0, str(path))
+    payload = load_constants(str(path))
+    out = tmp_path / "reports"
+    assert main(["run", "compensation", "--constants", str(path), "--out", str(out)]) == 0
+    report = json.loads((out / "compensation.json").read_text())
+    names = ("compensation/h_l2", "compensation/defect_p0.5")
+    assert report["constants_used"] == [{"name": n, "bound": regression_bound(payload, n)} for n in names]
+
+
+def _synthetic_sample(calls):
+    """Seeded statistics: "pos" in [0.5, 1), "neg" in [-2, -1)."""
+    def sample(seed):
+        calls.append(seed)
+        rng = np.random.default_rng(seed)
+        return {"pos": float(rng.uniform(0.5, 1.0)), "neg": float(rng.uniform(-2.0, -1.0))}
+
+    return sample
+
+
+def _expected_sup(seeds):
+    samples = [_synthetic_sample([])(seed) for seed in seeds]
+    return {key: max(s[key] for s in samples) for key in ("pos", "neg")}
+
+
+def test_split_seed_bound_is_calibration_sup_times_slack():
+    rep, calls = Report("synthetic", {}), []
+    cal, fresh = split_seed_regression(rep, _synthetic_sample(calls), range(6), range(100, 104),
+                                       {"pos_regression": "pos"})
+    assert calls == [*range(6), *range(100, 104)]
+    assert cal == _expected_sup(range(6))
+    assert fresh == _expected_sup(range(100, 104))
+    (verdict,) = rep.verdicts
+    assert verdict["name"] == "pos_regression"
+    assert verdict["bound"] == cal["pos"] * SLACK
+    assert verdict["value"] == fresh["pos"]
+    assert verdict["passed"] == (fresh["pos"] <= cal["pos"] * SLACK)
+    assert rep.constants_used == []
+
+
+def test_split_seed_negative_calibration_sup_gives_floor():
+    rep = Report("synthetic", {})
+    cal, fresh = split_seed_regression(rep, _synthetic_sample([]), range(6), range(100, 104),
+                                       {"neg_regression": "neg", "pos_regression": "pos"}, floor=1e-12)
+    assert cal["neg"] < 0.0
+    neg, pos = rep.verdicts
+    assert neg["bound"] == 1e-12
+    assert neg["value"] == fresh["neg"] and neg["passed"]
+    assert pos["bound"] == cal["pos"] * SLACK + 1e-12
+
+
+def test_split_seed_constants_payload_skips_calibration(tmp_path):
+    path = tmp_path / "c.json"
+    write_constants(str(path), 0, Grid(1, 64, 1.0), {"synthetic/pos": {"value": 0.75, "provenance": "x"}})
+    rep, calls = Report("synthetic", {}), []
+    cal, fresh = split_seed_regression(rep, _synthetic_sample(calls), range(6), range(100, 104),
+                                       {"pos_regression": "pos"}, floor=1.0,
+                                       constants=load_constants(str(path)))
+    assert calls == list(range(100, 104))
+    assert cal is None
+    assert fresh == _expected_sup(range(100, 104))
+    (verdict,) = rep.verdicts
+    assert verdict["bound"] == 0.75 * SLACK
+    assert rep.constants_used == [{"name": "synthetic/pos", "bound": 0.75 * SLACK}]
 
 
 def test_regress_with_mismatched_grid_refuses(tmp_path):
