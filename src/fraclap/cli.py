@@ -6,8 +6,12 @@ deterministic, and emits a JSON report plus CSV tables.
                               --out DIR --constants FILE --m1 ID --m2 ID]
     fraclap calibrate <suite> --out constants.json [--seed K]
 
+Each experiment reads only some of the run options (`fraclap run` refuses
+the others, since a report echoes its config); --seed and --out apply to all.
+
 Exit codes: 0 when every verdict in the report passed, 1 when a verdict
-failed, 2 for a config error or an unknown experiment.
+failed, 2 for a config error (including an option the experiment does not
+read) or an unknown experiment.
 """
 
 from __future__ import annotations
@@ -20,13 +24,29 @@ import time
 import numpy as np
 
 from .grid import Grid, GridError, GridFunction, ball_mask, lp_norm
-from .reporting import SLACK, Report, ReportError, load_constants, regression_bound, write_constants
+from .reporting import (
+    CALIBRATION_GRID,
+    SLACK,
+    Report,
+    ReportError,
+    load_constants,
+    regression_bound,
+    write_constants,
+)
 
 REGISTRY: dict = {}
 
 
-def experiment(name: str):
+# run options an experiment may read; --seed and --out apply to every run
+RUN_OPTIONS = ("grid", "box", "s", "scales", "constants", "m1", "m2")
+
+
+def experiment(name: str, reads=()):
+    """Register an experiment under `name`; `reads` lists the RUN_OPTIONS it
+    reads, and `main` refuses any other option given on the command line."""
+
     def wrap(fn):
+        fn.reads = frozenset(reads)
         REGISTRY[name] = fn
         return fn
 
@@ -71,7 +91,7 @@ def split_seed_regression(rep, sample, cal_seeds, fresh_seeds, verdicts, floor=0
 
 # -- acceptance experiments ---------------------------------------------------
 
-@experiment("partition-of-unity")
+@experiment("partition-of-unity", reads=("scales",))
 def run_partition(cfg) -> Report:
     from .cutoffs import build_family
 
@@ -92,7 +112,7 @@ def run_partition(cfg) -> Report:
     return rep
 
 
-@experiment("cutoff-norm-scaling")
+@experiment("cutoff-norm-scaling", reads=("box",))
 def run_cutoff_scaling(cfg) -> Report:
     from .cutoffs import build_family, norm_scaling_experiment
 
@@ -117,7 +137,7 @@ def run_cutoff_scaling(cfg) -> Report:
     return rep
 
 
-@experiment("definition-equivalence")
+@experiment("definition-equivalence", reads=("grid", "box", "s"))
 def run_definition_equivalence(cfg) -> Report:
     from .fields import confined_field
     from .multipliers import frac_laplacian
@@ -143,7 +163,7 @@ def run_definition_equivalence(cfg) -> Report:
     return rep
 
 
-@experiment("equivalence-ratio")
+@experiment("equivalence-ratio", reads=("grid", "box", "s"))
 def run_equivalence_ratio(cfg) -> Report:
     from .fields import confined_field
     from .singular import equivalence_ratio
@@ -161,7 +181,7 @@ def run_equivalence_ratio(cfg) -> Report:
     return rep
 
 
-@experiment("hodge")
+@experiment("hodge", reads=("grid", "box", "s"))
 def run_hodge(cfg) -> Report:
     from .fields import band_limited_field
     from .hodge import hodge_decompose
@@ -192,7 +212,7 @@ def run_hodge(cfg) -> Report:
     return rep
 
 
-@experiment("harmonic-decay")
+@experiment("harmonic-decay", reads=("grid", "box", "s"))
 def run_harmonic_decay(cfg) -> Report:
     from .fields import band_limited_field
     from .hodge import harmonic_decay_check
@@ -211,7 +231,7 @@ def run_harmonic_decay(cfg) -> Report:
     return rep
 
 
-@experiment("disjoint-support-decay")
+@experiment("disjoint-support-decay", reads=("box",))
 def run_disjoint_decay(cfg) -> Report:
     from .hodge import disjoint_pairing_decay
 
@@ -235,7 +255,7 @@ def run_disjoint_decay(cfg) -> Report:
     return rep
 
 
-@experiment("poincare-scaling")
+@experiment("poincare-scaling", reads=("grid", "box"))
 def run_poincare_scaling(cfg) -> Report:
     from .meanvalue import poincare_constant
 
@@ -253,7 +273,7 @@ def run_poincare_scaling(cfg) -> Report:
     return rep
 
 
-@experiment("lorentz-algebra")
+@experiment("lorentz-algebra", reads=("grid", "box"))
 def run_lorentz_algebra(cfg) -> Report:
     from .fields import band_limited_field
     from .lorentz import (
@@ -325,7 +345,7 @@ def _defect_sample(seed) -> dict:
     return {"defect_p0.5": defect_scan(1, 0.5, samples=200000, seed=seed)["sup"]}
 
 
-@experiment("compensation")
+@experiment("compensation", reads=("grid", "box", "constants"))
 def run_compensation(cfg) -> Report:
     from .compensation import SphereValuedMap, structure_identity_residual
     from .cutoffs import build_family, evaluate
@@ -391,7 +411,7 @@ def run_iteration(cfg) -> Report:
     return rep
 
 
-@experiment("dirichlet-growth")
+@experiment("dirichlet-growth", reads=("grid", "box"))
 def run_dirichlet_growth(cfg) -> Report:
     from .cutoffs import base_profile_values
     from .growth import holder_exponent_estimate
@@ -416,7 +436,7 @@ def run_dirichlet_growth(cfg) -> Report:
 
 # -- module-level extras -------------------------------------------------------
 
-@experiment("product-rule")
+@experiment("product-rule", reads=("box",))
 def run_product_rule(cfg) -> Report:
     from .fields import moment_free_bump
     from .multipliers import product_rule_residual
@@ -443,7 +463,7 @@ def run_product_rule(cfg) -> Report:
     return rep
 
 
-@experiment("polynomial-annihilation")
+@experiment("polynomial-annihilation", reads=("grid", "box"))
 def run_poly_annihilation(cfg) -> Report:
     from .fields import smooth_bump
     from .multipliers import polynomial_annihilation
@@ -459,7 +479,7 @@ def run_poly_annihilation(cfg) -> Report:
     return rep
 
 
-@experiment("mv-poincare")
+@experiment("mv-poincare", reads=("grid", "box", "s"))
 def run_mv_poincare(cfg) -> Report:
     from .cutoffs import build_family
     from .fields import band_limited_field
@@ -482,7 +502,7 @@ def run_mv_poincare(cfg) -> Report:
     return rep
 
 
-@experiment("homogeneous-norm-localization")
+@experiment("homogeneous-norm-localization", reads=("grid", "box", "s"))
 def run_homogloc(cfg) -> Report:
     from .fields import band_limited_field
     from .growth import homogeneous_norm_localization
@@ -501,7 +521,7 @@ def run_homogloc(cfg) -> Report:
     return rep
 
 
-@experiment("local-norm-recovery")
+@experiment("local-norm-recovery", reads=("grid", "box"))
 def run_local_norm(cfg) -> Report:
     from .fields import confined_field
     from .hodge import local_norm_recovery
@@ -523,7 +543,7 @@ def run_local_norm(cfg) -> Report:
     return rep
 
 
-@experiment("weighted-power-profile")
+@experiment("weighted-power-profile", reads=("box",))
 def run_weighted_power(cfg) -> Report:
     from .lorentz import lorentz_norm_profile, weighted_power_profile
 
@@ -548,7 +568,7 @@ def run_weighted_power(cfg) -> Report:
     return rep
 
 
-@experiment("annulus-mv-poincare")
+@experiment("annulus-mv-poincare", reads=("grid", "box", "s"))
 def run_annulus_mv(cfg) -> Report:
     from .cutoffs import build_family
     from .fields import band_limited_field
@@ -572,7 +592,7 @@ def run_annulus_mv(cfg) -> Report:
     return rep
 
 
-@experiment("polynomial-gap")
+@experiment("polynomial-gap", reads=("grid", "box"))
 def run_polynomial_gap(cfg) -> Report:
     from .cutoffs import build_family
     from .fields import band_limited_field
@@ -594,7 +614,7 @@ def run_polynomial_gap(cfg) -> Report:
     return rep
 
 
-@experiment("fourier-domination")
+@experiment("fourier-domination", reads=("grid", "box"))
 def run_fourier_domination(cfg) -> Report:
     from .compensation import fourier_domination_check
     from .fields import band_limited_field
@@ -615,7 +635,7 @@ def run_fourier_domination(cfg) -> Report:
     return rep
 
 
-@experiment("localization")
+@experiment("localization", reads=("grid", "box"))
 def run_localization(cfg) -> Report:
     from .fields import smooth_bump
     from .grid import l2_inner
@@ -654,7 +674,7 @@ def run_localization(cfg) -> Report:
     return rep
 
 
-@experiment("lower-order-product")
+@experiment("lower-order-product", reads=("grid", "box", "s", "m1", "m2"))
 def run_lower_order(cfg) -> Report:
     from .fields import band_limited_field
     from .hodge import lower_order_product_norm
@@ -678,7 +698,7 @@ def run_lower_order(cfg) -> Report:
     return rep
 
 
-@experiment("campanato")
+@experiment("campanato", reads=("grid", "box"))
 def run_campanato(cfg) -> Report:
     from .fields import band_limited_field
     from .growth import campanato_functionals
@@ -696,7 +716,7 @@ def run_campanato(cfg) -> Report:
     return rep
 
 
-@experiment("seminorm-comparison")
+@experiment("seminorm-comparison", reads=("grid", "box"))
 def run_seminorm_comparison(cfg) -> Report:
     from .cutoffs import build_family
     from .fields import band_limited_field
@@ -729,7 +749,7 @@ def calibrate_suite(suite: str, seed: int, out_path: str) -> dict:
     from .compensation import triangle_defect_scan
     from .fields import band_limited_field
 
-    g = Grid(1, 512, 1.0)
+    g = Grid(**CALIBRATION_GRID)
     constants: dict = {}
     if suite in ("compensation", "all"):
         # the calibration half of run_compensation's split-seed protocol
@@ -774,7 +794,7 @@ def _build_parser() -> argparse.ArgumentParser:
     runp = sub.add_parser("run", help=f"run one experiment ({EXPERIMENTS_HELP})")
     runp.add_argument("experiment")
     runp.add_argument("--grid", type=int, default=None, help="points per axis (power of two)")
-    runp.add_argument("--box", type=float, default=1.0)
+    runp.add_argument("--box", type=float, default=None, help="box length (default 1)")
     runp.add_argument("--s", type=float, default=None, help="operator order")
     runp.add_argument("--seed", type=int, default=0)
     runp.add_argument("--scales", type=float, nargs="*", default=None)
@@ -802,9 +822,15 @@ def main(argv=None) -> int:
     if args.experiment not in REGISTRY:
         print(f"unknown experiment {args.experiment!r}; ids: {EXPERIMENTS_HELP}", file=sys.stderr)
         return 2
+    run = REGISTRY[args.experiment]
+    # a report echoes its config, so an option the experiment ignores is refused
+    ignored = [f"--{opt}" for opt in RUN_OPTIONS if getattr(args, opt) is not None and opt not in run.reads]
+    if ignored:
+        print(f"config error: {args.experiment} does not read {', '.join(ignored)}", file=sys.stderr)
+        return 2
     cfg = {
         "grid": args.grid,
-        "box": args.box,
+        "box": 1.0 if args.box is None else args.box,
         "s": args.s,
         "seed": args.seed,
         "scales": args.scales,
@@ -814,7 +840,7 @@ def main(argv=None) -> int:
     }
     try:
         t0 = time.time()
-        report = REGISTRY[args.experiment](cfg)
+        report = run(cfg)
         report.wall_clock_s = time.time() - t0
     except (GridError, ReportError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -5,15 +5,19 @@ supported in B_2, values in [0,1]) and builds
 
     eta^k = (1 - sum_{l<k} eta^l) * sum_{l<k} eta^l(./2),      k >= 1,
 
-equivalently Psi_k = Psi_{k-1} + (1 - Psi_{k-1}) * Psi_{k-1}(./2) for the
-partial sums Psi_k = sum_{l<=k} eta^l.  The recursion gives exact structural
-facts that the tests assert verbatim: eta^k vanishes outside the annulus
-B_{2^{k+1}} \\ closure(B_{2^{k-1}}), the partial sums are identically 1 on
-B_{2^k}, and sup |d^i eta^k| <= C_i 2^(-k i).
+equivalently 1 - Psi_k = (1 - Psi_{k-1}) (1 - Psi_{k-1}(./2)) for the
+partial sums Psi_k = sum_{l<=k} eta^l.  By induction Psi_k = eta0(2^-k .):
+(1 - eta0(2^(1-k) rho)) (1 - eta0(2^-k rho)) = 1 - eta0(2^-k rho), since the
+first factor is 1 wherever the second is nonzero (2^-k rho > 3/2 gives
+2^(1-k) rho > 3).  So eta^k = eta0(2^-k .) - eta0(2^(1-k) .) vanishes outside
+the annulus B_{2^{k+1}} \\ closure(B_{2^{k-1}}), the partial sums are
+identically 1 on B_{2^k}, and sup |d^i eta^k| <= C_i 2^(-k i).
 
-Radial values and first/second radial derivatives are produced by running
-the product/chain rule through the recursion on the closed form (no grid
-differencing), via a linear dynamic program over the halved arguments.
+Radial values and first/second radial derivatives of Psi_k are the closed
+form of eta0 at 2^-k rho, with derivatives scaled by 2^-k and 4^-k (no grid
+differencing).  In floating point this equals the recursion bit for bit on
+values: where eta0(2^(1-k) rho) lies strictly between 0 and 1, the rounded
+v + (1 - v) is exactly 1.
 """
 
 from __future__ import annotations
@@ -27,26 +31,29 @@ from .grid import Grid, GridError, GridFunction, annulus_mask, ball_mask, lp_nor
 from .multipliers import frac_laplacian
 
 
-def _ramp(t: np.ndarray):
+def _ramp(t: np.ndarray, derivatives: bool = True):
     """Smooth ramp: 0 for t <= 0, 1 for t >= 1, exp-mollifier blend between.
 
-    Returns (value, d/dt, d2/dt2); exactly 0.0 / 1.0 outside the blend zone.
+    Returns (value, d/dt, d2/dt2), or the value alone when derivatives is
+    False; exactly 0.0 / 1.0 outside the blend zone.
     """
     t = np.asarray(t, dtype=float)
     v = np.zeros_like(t)
-    d1 = np.zeros_like(t)
-    d2 = np.zeros_like(t)
     inside = (t > 0.0) & (t < 1.0)
     v[t >= 1.0] = 1.0
     ti = t[inside]
     a = np.exp(-1.0 / ti)
     b = np.exp(-1.0 / (1.0 - ti))
+    s = a + b
+    v[inside] = a / s
+    if not derivatives:
+        return v
+    d1 = np.zeros_like(t)
+    d2 = np.zeros_like(t)
     ap = a / ti**2
     bp = -b / (1.0 - ti) ** 2
     app = a * (1.0 / ti**4 - 2.0 / ti**3)
     bpp = b * (1.0 / (1.0 - ti) ** 4 - 2.0 / (1.0 - ti) ** 3)
-    s = a + b
-    v[inside] = a / s
     d1[inside] = (ap * b - a * bp) / s**2
     num = app * b - a * bpp
     d2[inside] = (num * s - 2.0 * (ap * b - a * bp) * (ap + bp)) / s**3
@@ -61,7 +68,8 @@ def base_profile(rho: np.ndarray):
 
 
 def base_profile_values(rho: np.ndarray) -> np.ndarray:
-    return base_profile(rho)[0]
+    """eta0 values alone (no derivative arrays)."""
+    return _ramp(2.0 * (2.0 - np.asarray(rho, dtype=float)), derivatives=False)
 
 
 def _check_base(profile) -> None:
@@ -79,8 +87,8 @@ def _check_base(profile) -> None:
 class DyadicCutoffFamily:
     """The eta^k family up to depth K, as radial closed forms.
 
-    partial(k, rho) evaluates Psi_k = sum_{l<=k} eta^l with first and second
-    radial derivatives; ring(k, rho) evaluates eta^k alone.
+    partial(k, rho) evaluates Psi_k = sum_{l<=k} eta^l = eta0(2^-k rho) with
+    first and second radial derivatives; ring(k, rho) evaluates eta^k alone.
     """
 
     depth: int
@@ -100,25 +108,14 @@ class DyadicCutoffFamily:
         }
 
     def partial(self, k: int, rho: np.ndarray):
-        """(Psi_k, Psi_k', Psi_k'') at radii rho, by the recursion DP."""
+        """(Psi_k, Psi_k', Psi_k'') at radii rho: eta0 and its chain-rule
+        derivatives at 2^-k rho (the closed form of the recursion)."""
         if k < 0:
             z = np.zeros_like(np.asarray(rho, dtype=float))
             return z, z.copy(), z.copy()
-        rho = np.asarray(rho, dtype=float)
-        # level j holds Psi_l evaluated at rho / 2^j; one halving per level used
-        args = [rho / 2.0**j for j in range(k + 1)]
-        triples = [self.profile(a) for a in args]
-        for l in range(1, k + 1):
-            nxt = []
-            for j in range(k + 1 - l):
-                v1, a1, s1 = triples[j]
-                v2, a2, s2 = triples[j + 1]
-                v = v1 + (1.0 - v1) * v2
-                d = a1 * (1.0 - v2) + (1.0 - v1) * a2 * 0.5
-                dd = s1 * (1.0 - v2) - a1 * a2 + (1.0 - v1) * s2 * 0.25
-                nxt.append((v, d, dd))
-            triples = nxt
-        return triples[0]
+        h = 2.0**-k
+        v, d1, d2 = self.profile(np.asarray(rho, dtype=float) * h)
+        return v, h * d1, (h * h) * d2
 
     def ring(self, k: int, rho: np.ndarray):
         """(eta^k, (eta^k)', (eta^k)'') at radii rho."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import Grid, GridFunction, ball_mask
+from .grid import Grid, GridFunction, ball_mask, per_axis
 from .cutoffs import base_profile_values
 
 
@@ -31,8 +31,8 @@ def band_limited_field(
     rng = np.random.default_rng(seed)
     white = rng.standard_normal(grid.shape)
     W = np.fft.fftn(white)
-    modes = grid.mode_numbers()
-    mag = np.sqrt(sum(m.astype(float) ** 2 for m in modes))
+    m = np.fft.fftfreq(grid.points_per_axis) * grid.points_per_axis  # integer modes
+    mag = np.sqrt(sum(x**2 for x in per_axis([m] * grid.dim)))
     W = np.where(mag <= cutoff, W, 0.0)
     if envelope is not None:
         W = W * np.exp(-((mag / envelope) ** 2))

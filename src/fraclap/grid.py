@@ -79,9 +79,13 @@ class Grid:
         x = self.axis_coords()
         return list(np.meshgrid(*([x] * self.dim), indexing="ij"))
 
+    def axis_frequencies(self) -> np.ndarray:
+        """Physical frequencies xi = m/L of one axis, in fftfreq order."""
+        return np.fft.fftfreq(self.points_per_axis, d=self.spacing)
+
     def frequencies(self) -> list:
         """Physical frequency arrays xi = m/L per axis, broadcast to shape."""
-        f = np.fft.fftfreq(self.points_per_axis, d=self.spacing)
+        f = self.axis_frequencies()
         return list(np.meshgrid(*([f] * self.dim), indexing="ij"))
 
     def mode_numbers(self) -> list:
@@ -103,12 +107,7 @@ class Grid:
         if center.shape[0] != self.dim:
             raise GridError(f"center must have {self.dim} components")
         x = self.axis_coords()
-        out = []
-        for a in range(self.dim):
-            shape = [1] * self.dim
-            shape[a] = self.points_per_axis
-            out.append(((x - center[a] + 0.5 * L) % L - 0.5 * L).reshape(shape))
-        return out
+        return per_axis([(x - center[a] + 0.5 * L) % L - 0.5 * L for a in range(self.dim)])
 
     def periodic_displacement(self, center) -> list:
         """Signed minimum-image displacement x - center per axis, in [-L/2, L/2).
@@ -125,6 +124,13 @@ class Grid:
     @property
     def center(self) -> np.ndarray:
         return np.full(self.dim, 0.5 * self.box_length)
+
+
+def per_axis(arrays) -> list:
+    """1D arrays, one per axis, each reshaped to broadcast along its own axis
+    (its length along axis a, 1 elsewhere)."""
+    dim = len(arrays)
+    return [np.reshape(x, [-1 if b == a else 1 for b in range(dim)]) for a, x in enumerate(arrays)]
 
 
 @dataclass(frozen=True)

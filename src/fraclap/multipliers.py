@@ -15,10 +15,16 @@ realize the polynomial product rule
 which holds exactly on R^n and up to a measurable quadrature/wrap-around
 floor on the torus (monomials are only asserted against interior windows).
 
+Symbol evaluators receive one 1D frequency array per axis, shaped to
+broadcast along its own axis (length along axis a, 1 elsewhere), and must
+return an array that broadcasts to the lattice shape; tables are broadcast
+to shape only at the end, so no meshgrid is ever built.  The arithmetic per
+lattice entry is the same as on full meshgrids.
+
 apply_symbol on real input with a real-flagged symbol (m(-xi) = conj(m(xi)))
-runs on rfftn/irfftn, so its output is real by construction.  Its lattice
-table is evaluated per call on the full lattice, conjugate symmetrized onto
-the rfftn half lattice (which zeroes the odd part of the symbol on the
+runs on rfftn/irfftn, so its output is real by construction.  Its table is
+evaluated per call on the rfftn half lattice and on its mirror -xi, and
+conjugate symmetrized there (which zeroes the odd part of the symbol on the
 Nyquist planes) and checked finite off the zero mode.  Complex input, or
 a symbol without the reality flag, takes the complex fftn/ifftn path.
 apply_table stays a complex-FFT fast path on raw arrays for the iterative
@@ -40,6 +46,7 @@ from .grid import (
     Grid,
     GridFunction,
     lp_norm,
+    per_axis,
     transform_forward,
     transform_inverse,
 )
@@ -69,8 +76,11 @@ class FrequencySymbol:
     """Multiplier m(xi) with homogeneity metadata.
 
     evaluator maps a list of per-axis frequency arrays to a complex array.
-    reality_flag asserts m(-xi) = conj(m(xi)); homogeneity_degree delta
-    asserts m(lambda xi) = lambda^delta m(xi).  Both are spot-checked at
+    The arrays broadcast against each other (on the lattice, axis a varies
+    along axis a only) and the result must broadcast to their common shape,
+    entry by entry the value at that frequency.  reality_flag asserts
+    m(-xi) = conj(m(xi)); homogeneity_degree delta asserts
+    m(lambda xi) = lambda^delta m(xi).  Both are spot-checked at
     construction on sampled frequencies (lambda in {2, 4}).
     """
 
@@ -105,12 +115,21 @@ class FrequencySymbol:
         axes = [pts[:, a] for a in range(self.dim)]
         return np.asarray(self.evaluator(axes), dtype=complex)
 
-    def on_lattice(self, grid: Grid) -> np.ndarray:
+    def on_axes(self, axes: Sequence[np.ndarray]) -> np.ndarray:
+        """Complex table at the frequencies of per-axis arrays that broadcast
+        against each other, broadcast (read-only) to their common shape."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            table = np.asarray(self.evaluator(axes), dtype=complex)
+        return np.broadcast_to(table, np.broadcast_shapes(*(np.shape(x) for x in axes)))
+
+    def check_grid(self, grid: Grid) -> None:
         if grid.dim != self.dim:
             raise SymbolError(f"symbol is {self.dim}-dimensional, grid is {grid.dim}")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            table = np.asarray(self.evaluator(grid.frequencies()), dtype=complex)
-        return table
+
+    def on_lattice(self, grid: Grid) -> np.ndarray:
+        """Read-only table on the full frequency lattice."""
+        self.check_grid(grid)
+        return self.on_axes(per_axis([grid.axis_frequencies()] * grid.dim))
 
 
 def identity_symbol(dim: int) -> FrequencySymbol:
@@ -142,20 +161,26 @@ def riesz_symbol(dim: int, j: int) -> FrequencySymbol:
     return FrequencySymbol(f"riesz:{j}", dim, ev, 0.0, True)
 
 
-def _conjugate_symmetrize(grid: Grid, table: np.ndarray) -> np.ndarray:
+def _conjugate_symmetrize(grid: Grid, symbol: FrequencySymbol) -> np.ndarray:
     """(m(xi) + conj(m(-xi)))/2 on the rfftn half lattice [..., :N//2+1].
 
-    A no-op (to roundoff) for symbols with m(-xi) = conj(m(xi)) except at the
+    m is evaluated twice, on the half lattice and on its mirror (lattice
+    index -j mod N per axis, so a Nyquist frequency is its own mirror).  A
+    no-op (to roundoff) for symbols with m(-xi) = conj(m(xi)) except at the
     self-conjugate Nyquist planes, where it drops the imaginary part; without
     this, odd symbols (Riesz type) would map the Nyquist content of real
     inputs to non-Hermitian coefficients.  The result is the half of a table
     that is exactly Hermitian at every finite entry, as irfftn assumes.
     """
-    N = grid.points_per_axis
-    rev = (-np.arange(N)) % N
-    neg = table[np.ix_(*([rev] * (grid.dim - 1)), rev[: N // 2 + 1])]
+    symbol.check_grid(grid)
+    N, dim = grid.points_per_axis, grid.dim
+    f = grid.axis_frequencies()
+    half = N // 2 + 1
+    mirror = f[(-np.arange(N)) % N]
+    table = symbol.on_axes(per_axis([f] * (dim - 1) + [f[:half]]))
+    neg = symbol.on_axes(per_axis([mirror] * (dim - 1) + [mirror[:half]]))
     with np.errstate(invalid="ignore"):  # zero mode may hold inf, fixed by policy
-        return 0.5 * (table[..., : N // 2 + 1] + np.conjugate(neg))
+        return 0.5 * (table + np.conjugate(neg))
 
 
 def apply_symbol(
@@ -170,14 +195,14 @@ def apply_symbol(
     construction.  Anything else takes the complex fftn/ifftn path.
     """
     grid = f.grid
-    table = symbol.on_lattice(grid)
     real = f.is_real and symbol.reality_flag
     if real:
         axes = tuple(range(grid.dim))
         F = np.fft.rfftn(f.values, axes=axes)
-        table = _conjugate_symmetrize(grid, table)
+        table = _conjugate_symmetrize(grid, symbol)
     else:
         F = transform_forward(f)
+        table = symbol.on_lattice(grid)
     zero = (0,) * grid.dim
     if policy is ZeroModePolicy.PROJECT_MEAN_FIRST:
         F[zero] = 0.0

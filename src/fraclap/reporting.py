@@ -100,6 +100,8 @@ def _reject_nan(obj) -> None:
 # -- constants file -----------------------------------------------------------
 
 CONSTANTS_SCHEMA = 1
+# the grid spec of every file `fraclap calibrate` writes; it has no grid options
+CALIBRATION_GRID = {"dim": 1, "points_per_axis": 512, "box_length": 1.0}
 
 
 def grid_spec(grid) -> dict:
@@ -133,9 +135,10 @@ def load_constants(path: str, expect_grid=None) -> dict:
         want = grid_spec(expect_grid)
         have = payload.get("grid")
         if have != want:
+            cal = "Grid({dim}, {points_per_axis}, {box_length})".format(**CALIBRATION_GRID)
             raise ReportError(
                 f"constants file grid spec {have} does not match run grid {want}; "
-                "recalibrate before regressing"
+                f"fraclap calibrate writes constants only for {cal}, so regress on that grid"
             )
     return payload
 

@@ -1,9 +1,11 @@
+import inspect
 import json
+import re
 
 import numpy as np
 import pytest
 
-from fraclap.cli import REGISTRY, calibrate_suite, main, split_seed_regression
+from fraclap.cli import REGISTRY, RUN_OPTIONS, calibrate_suite, main, split_seed_regression
 from fraclap.grid import Grid
 from fraclap.reporting import SLACK, Report, ReportError, load_constants, regression_bound, write_constants
 
@@ -54,6 +56,32 @@ def test_run_has_no_dim_option(capsys):
         main(["run", "hodge", "--dim", "2"])
     assert exc.value.code == 2
     assert "--dim" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,ignored", [
+    (["product-rule", "--grid", "64", "--s", "3"], ["--grid", "--s"]),
+    (["partition-of-unity", "--grid", "64"], ["--grid"]),
+    (["iteration-lemmas", "--box", "2"], ["--box"]),
+    (["hodge", "--constants", "c.json", "--scales", "4"], ["--scales", "--constants"]),
+])
+def test_run_refuses_options_the_experiment_ignores(capsys, tmp_path, argv, ignored):
+    # a report echoes its config; an option that never ran must not appear there
+    assert main(["run", *argv, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"does not read {', '.join(ignored)}" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_declared_options_are_the_options_read():
+    # every cfg key an experiment reads, besides the seed, is declared, and
+    # nothing else is; _grid(cfg, ...) reads the box
+    for name, fn in REGISTRY.items():
+        src = inspect.getsource(fn)
+        read = set(re.findall(r'cfg(?:\.get\(|\[)"(\w+)"', src)) - {"seed"}
+        if "_grid(cfg" in src:
+            read.add("box")
+        assert read <= set(RUN_OPTIONS), name
+        assert fn.reads == read, name
 
 
 def _regression_bounds(out_dir):
@@ -147,16 +175,18 @@ def test_split_seed_constants_payload_skips_calibration(tmp_path):
     assert rep.constants_used == [{"name": "synthetic/pos", "bound": 0.75 * SLACK}]
 
 
-def test_regress_with_mismatched_grid_refuses(tmp_path):
+def test_regress_with_mismatched_grid_refuses(capsys, tmp_path):
     path = tmp_path / "constants.json"
     calibrate_suite("compensation", 0, str(path))
-    with pytest.raises(ReportError, match="grid spec"):
+    # the message names the one grid `fraclap calibrate` can write
+    with pytest.raises(ReportError, match=r"grid spec .* only for Grid\(1, 512, 1.0\)"):
         load_constants(str(path), expect_grid=Grid(1, 1024, 1.0))
     rc = main([
         "run", "compensation", "--grid", "1024", "--constants", str(path),
         "--out", str(tmp_path / "reports"),
     ])
     assert rc == 2
+    assert "Grid(1, 512, 1.0)" in capsys.readouterr().err
 
 
 def test_every_acceptance_criterion_has_an_experiment():

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fraclap.cutoffs import (
+    DyadicCutoffFamily,
     base_profile,
     base_profile_values,
     build_family,
@@ -45,6 +48,51 @@ def test_first_ring_matches_recursion(family):
     assert np.max(np.abs(got - expected)) < 1e-15
     outside = (rho <= 1.0) | (rho >= 4.0)
     assert np.max(np.abs(got[outside])) == 0.0
+
+
+def _recursion_partial(profile, k, rho):
+    """(Psi_k, Psi_k', Psi_k'') by the defining recursion
+    Psi_l = Psi_{l-1} + (1 - Psi_{l-1}) Psi_{l-1}(./2), run as a dynamic
+    program over the halved radii rho / 2^j with the product and chain rules."""
+    triples = [profile(rho / 2.0**j) for j in range(k + 1)]
+    for level in range(1, k + 1):
+        nxt = []
+        for j in range(k + 1 - level):
+            v1, a1, s1 = triples[j]
+            v2, a2, s2 = triples[j + 1]
+            v = v1 + (1.0 - v1) * v2
+            d = a1 * (1.0 - v2) + (1.0 - v1) * a2 * 0.5
+            dd = s1 * (1.0 - v2) - a1 * a2 + (1.0 - v1) * s2 * 0.25
+            nxt.append((v, d, dd))
+        triples = nxt
+    return triples[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    depth=st.integers(1, 10),
+    seed=st.integers(0, 2**16),
+    n_random=st.integers(0, 2000),
+)
+@example(depth=10, seed=0, n_random=2000)
+def test_closed_form_matches_recursion(depth, seed, n_random):
+    # Psi_k = eta0(2^-k .): values bit for bit, derivatives to 1e-12 of their
+    # sup, for every k <= depth, at random radii and at every breakpoint
+    # 1.5 * 2^j, 2^(j+1) of the blend zones with its neighbours (the zone
+    # midpoints 1.75 * 2^j keep that sup away from subnormal roundoff)
+    fam = DyadicCutoffFamily(depth)
+    breaks = np.array([c * 2.0**j for j in range(depth + 2) for c in (1.5, 1.75, 2.0)])
+    rho = np.concatenate([
+        np.random.default_rng(seed).uniform(0.0, 2.0 ** (depth + 1) * 1.05, n_random),
+        breaks, np.nextafter(breaks, 0.0), np.nextafter(breaks, np.inf), [0.0],
+    ])
+    for k in range(depth + 1):
+        got = fam.partial(k, rho)
+        ref = _recursion_partial(base_profile, k, rho)
+        assert got[0].tobytes() == ref[0].tobytes()
+        for order in (1, 2):
+            scale = np.max(np.abs(ref[order]))
+            assert np.max(np.abs(got[order] - ref[order])) <= 1e-12 * scale
 
 
 def test_partition_at_origin_exact(family):

@@ -32,6 +32,25 @@ def test_band_limit_respected():
     assert np.max(np.abs(F[np.abs(modes) > 32])) < 1e-10
 
 
+def _meshgrid_band_limited_values(grid, seed, cutoff, envelope):
+    """band_limited_field's values computed on full integer-mode meshgrids."""
+    W = np.fft.fftn(np.random.default_rng(seed).standard_normal(grid.shape))
+    mag = np.sqrt(sum(m.astype(float) ** 2 for m in grid.mode_numbers()))
+    W = np.where(mag <= cutoff, W, 0.0) * np.exp(-((mag / envelope) ** 2))
+    W[(0,) * grid.dim] = 0.0
+    vals = np.fft.ifftn(W).real
+    return vals / np.sqrt(np.sum(vals**2) * grid.cell_measure)
+
+
+def test_band_limited_field_matches_meshgrid_reference():
+    # per-axis mode arrays give the same |m| at every lattice point, bit for bit
+    for dim, n_pts in ((1, 256), (2, 32), (3, 16)):
+        g = Grid(dim, n_pts, 2.0)
+        got = band_limited_field(g, 5, cutoff=n_pts / 8, envelope=n_pts / 16).values
+        ref = _meshgrid_band_limited_values(g, 5, n_pts / 8, n_pts / 16)
+        assert got.tobytes() == ref.tobytes()
+
+
 def test_confined_field_support():
     g = Grid(1, 1024, 1.0)
     f = confined_field(g, 7, radius=1 / 6)

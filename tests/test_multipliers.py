@@ -241,13 +241,48 @@ def test_real_path_matches_full_complex_reference(dim, n_pts, box, seed, kind, s
 
 def test_half_lattice_table():
     g = Grid(2, 16, 1.0)
-    half = multipliers._conjugate_symmetrize(g, abs_power_symbol(2, -0.5).on_lattice(g))
+    half = multipliers._conjugate_symmetrize(g, abs_power_symbol(2, -0.5))
     assert half.shape == (16, 9) and np.isinf(half[0, 0].real)
     # odd symbols lose their Nyquist plane along the odd axis, on either axis
-    riesz = multipliers._conjugate_symmetrize(g, riesz_symbol(2, 1).on_lattice(g))
+    riesz = multipliers._conjugate_symmetrize(g, riesz_symbol(2, 1))
     assert np.all(riesz[:, -1] == 0)
-    riesz = multipliers._conjugate_symmetrize(g, riesz_symbol(2, 0).on_lattice(g))
+    riesz = multipliers._conjugate_symmetrize(g, riesz_symbol(2, 0))
     assert np.all(riesz[8, :] == 0)
+
+
+def _full_lattice_half_table(grid, symbol):
+    """(m(xi) + conj(m(-xi)))/2 on the rfftn half lattice, from the table on
+    full meshgrids and its mirror gathered with np.ix_."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        table = np.asarray(symbol.evaluator(grid.frequencies()), dtype=complex)
+    N = grid.points_per_axis
+    rev = (-np.arange(N)) % N
+    neg = table[np.ix_(*([rev] * (grid.dim - 1)), rev[: N // 2 + 1])]
+    with np.errstate(invalid="ignore"):
+        return table, 0.5 * (table[..., : N // 2 + 1] + np.conjugate(neg))
+
+
+def _table_symbols(dim):
+    syms = [identity_symbol(dim)] + [abs_power_symbol(dim, s) for s in (0.5, -0.5, 1.5)]
+    bases = [identity_symbol(dim)] + [riesz_symbol(dim, j) for j in range(dim)]
+    syms += bases[1:]
+    for alpha in multipliers._multi_indices_upto(dim, 2):
+        if sum(alpha):
+            syms += [derived_symbol(base, alpha, 1.5) for base in bases]
+    return syms
+
+
+@pytest.mark.parametrize("dim,n_pts", [(1, 8), (1, 64), (2, 8), (2, 16), (3, 8)])
+def test_half_lattice_table_matches_full_lattice_reference(dim, n_pts):
+    # per-axis evaluation does the same arithmetic per entry as full
+    # meshgrids, so half tables and full tables agree bit for bit
+    g = Grid(dim, n_pts, 3.0)
+    for sym in _table_symbols(dim):
+        full, half = _full_lattice_half_table(g, sym)
+        got = multipliers._conjugate_symmetrize(g, sym)
+        assert got.shape == half.shape and got.tobytes() == half.tobytes(), sym.name
+        lattice = sym.on_lattice(g)
+        assert lattice.shape == full.shape and np.ascontiguousarray(lattice).tobytes() == full.tobytes()
 
 
 def test_real_flagged_symbol_singular_off_zero_rejected_on_real_path(g1):
