@@ -156,9 +156,7 @@ def mode_convolution(grid: Grid, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     axes = tuple(range(grid.dim))
     fa = np.fft.fftn(a, s=shape, axes=axes)
     fb = np.fft.fftn(b, s=shape, axes=axes)
-    full = np.fft.ifftn(fa * fb, axes=axes)
-    if not (np.iscomplexobj(A) or np.iscomplexobj(B)):
-        full = full.real
+    full = np.fft.ifftn(fa * fb, axes=axes).real
     # modes of the factors run over [-N/2, N/2); index m in the shifted layout
     # is m + N/2, so the sum index (m1 + m2) + N sits at offset N/2 from the
     # output's origin when we crop back to the central window

@@ -15,6 +15,11 @@ Conventions (everything else in the package leans on these):
 
   i.e. frequency cells carry measure L^(-dim).
 
+Fields are real: a GridFunction holds float64 values and refuses complex
+ones, so every coefficient table of a field is Hermitian, F(-xi) = conj(F(xi)).
+Frequency and mode tables and periodic displacements are built from 1D
+per-axis arrays that broadcast along their own axis (per_axis).
+
 Balls, annuli and all distances are periodic (minimum image).
 """
 
@@ -83,21 +88,9 @@ class Grid:
         """Physical frequencies xi = m/L of one axis, in fftfreq order."""
         return np.fft.fftfreq(self.points_per_axis, d=self.spacing)
 
-    def frequencies(self) -> list:
-        """Physical frequency arrays xi = m/L per axis, broadcast to shape."""
-        f = self.axis_frequencies()
-        return list(np.meshgrid(*([f] * self.dim), indexing="ij"))
-
-    def mode_numbers(self) -> list:
-        """Integer mode arrays m in [-N/2, N/2) per axis, broadcast to shape."""
-        m = np.fft.fftfreq(self.points_per_axis) * self.points_per_axis
-        grids = np.meshgrid(*([m] * self.dim), indexing="ij")
-        return [g.astype(np.int64) for g in grids]
-
     def frequency_magnitude(self) -> np.ndarray:
         """|xi| on the lattice; zero exactly at the zero mode only."""
-        fs = self.frequencies()
-        return np.sqrt(sum(f * f for f in fs))
+        return np.sqrt(sum(f * f for f in per_axis([self.axis_frequencies()] * self.dim)))
 
     def _axis_displacements(self, center) -> list:
         """Minimum-image x_a - center_a as 1D arrays, each shaped to
@@ -161,19 +154,6 @@ class DomainMask:
         _check_same_grid(self.grid, other.grid)
         return DomainMask(self.grid, self.values | other.values, f"({self.label})|({other.label})")
 
-    def intersection(self, other: "DomainMask") -> "DomainMask":
-        _check_same_grid(self.grid, other.grid)
-        return DomainMask(self.grid, self.values & other.values, f"({self.label})&({other.label})")
-
-    def issubset(self, other: "DomainMask") -> bool:
-        return bool(np.all(~self.values | other.values))
-
-    def point_coords(self) -> np.ndarray:
-        """(P, dim) coordinates of the masked points."""
-        idx = np.nonzero(self.values)
-        cols = [self.grid.axis_coords()[i] for i in idx]
-        return np.stack(cols, axis=1)
-
 
 def _check_same_grid(g1: Grid, g2: Grid):
     if g1 != g2:
@@ -201,9 +181,10 @@ def full_mask(grid: Grid) -> DomainMask:
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Real- or complex-valued field sampled on a periodic grid.
+    """Real field sampled on a periodic grid, stored as float64.
 
-    Values are immutable after construction and must be finite.  When a
+    Values are immutable after construction and must be real and finite
+    (complex input is refused, never silently cast).  When a
     support mask is attached, the values must vanish outside it to within
     1e-14 * max|values|.
     """
@@ -216,11 +197,10 @@ class GridFunction:
         v = np.asarray(self.values)
         if v.shape != self.grid.shape:
             raise GridError(f"values shape {v.shape} does not match grid {self.grid.shape}")
-        if not np.iscomplexobj(v):
-            v = v.astype(np.float64, copy=True)
-        else:
-            v = v.astype(np.complex128, copy=True)
-        if not np.all(np.isfinite(v.real)) or (np.iscomplexobj(v) and not np.all(np.isfinite(v.imag))):
+        if np.iscomplexobj(v):
+            raise GridError("GridFunction values must be real")
+        v = v.astype(np.float64, copy=True)
+        if not np.all(np.isfinite(v)):
             raise GridError("GridFunction values must be finite")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
@@ -230,10 +210,6 @@ class GridFunction:
             outside = np.abs(v[~self.support.values])
             if outside.size and peak > 0 and np.max(outside) > 1e-14 * peak:
                 raise GridError("values do not vanish outside the attached support mask")
-
-    @property
-    def is_real(self) -> bool:
-        return not np.iscomplexobj(self.values)
 
     def __add__(self, other):
         if isinstance(other, GridFunction):
@@ -259,7 +235,7 @@ class GridFunction:
         return GridFunction(self.grid, -self.values)
 
     def mean(self) -> float:
-        return float(np.mean(self.values.real)) if self.is_real else complex(np.mean(self.values))
+        return float(np.mean(self.values))
 
 
 def transform_forward(f: GridFunction) -> np.ndarray:
@@ -267,13 +243,10 @@ def transform_forward(f: GridFunction) -> np.ndarray:
     return np.fft.fftn(f.values) * f.grid.cell_measure
 
 
-def transform_inverse(grid: Grid, coeffs: np.ndarray, real: bool = True) -> GridFunction:
-    """Inverse of transform_forward.  With real=True the (tiny) imaginary
-    residue of a Hermitian table is dropped."""
-    vals = np.fft.ifftn(coeffs) / grid.cell_measure
-    if real:
-        vals = vals.real
-    return GridFunction(grid, vals)
+def transform_inverse(grid: Grid, coeffs: np.ndarray) -> GridFunction:
+    """Inverse of transform_forward for a Hermitian table; the (tiny)
+    imaginary residue of the inverse FFT is dropped."""
+    return GridFunction(grid, (np.fft.ifftn(coeffs) / grid.cell_measure).real)
 
 
 def lp_norm(f: GridFunction, p: float, mask: Optional[DomainMask] = None) -> float:
@@ -296,27 +269,22 @@ def lp_norm(f: GridFunction, p: float, mask: Optional[DomainMask] = None) -> flo
 
 
 def l2_inner(f: GridFunction, g: GridFunction, mask: Optional[DomainMask] = None) -> float:
-    """Quadrature inner product sum f*conj(g)*h^dim (real part for real inputs)."""
+    """Quadrature inner product sum f*g*h^dim."""
     _check_same_grid(f.grid, g.grid)
-    prod = f.values * np.conjugate(g.values)
+    prod = f.values * g.values
     if mask is not None:
         prod = prod[mask.values]
-    out = np.sum(prod) * f.grid.cell_measure
-    return float(out.real) if (f.is_real and g.is_real) else complex(out)
-
-
-def parseval_coefficient_norm(grid: Grid, coeffs: np.ndarray) -> float:
-    """Coefficient-side L^2 norm: sqrt(sum |F|^2 * L^-dim).  Equals lp_norm(f, 2)."""
-    return float(np.sqrt(np.sum(np.abs(coeffs) ** 2) / grid.box_length**grid.dim))
+    return float(np.sum(prod) * f.grid.cell_measure)
 
 
 def spectral_mass_fraction_above(f: GridFunction, mode_cut: float) -> float:
     """Fraction of spectral L^2 mass carried by modes with max-norm > mode_cut."""
     F = transform_forward(f)
-    modes = f.grid.mode_numbers()
+    N = f.grid.points_per_axis
+    m = (np.fft.fftfreq(N) * N).astype(np.int64)
     hi = np.zeros(f.grid.shape, dtype=bool)
-    for m in modes:
-        hi |= np.abs(m) > mode_cut
+    for m_a in per_axis([m] * f.grid.dim):
+        hi |= np.abs(m_a) > mode_cut
     total = np.sum(np.abs(F) ** 2)
     if total == 0:
         return 0.0

@@ -77,33 +77,6 @@ class AnnulusSequence:
         return float(np.sum(2.0 ** (gamma * (ks - N)) * self.values[: hi - self.k_min + 1]))
 
 
-def sequence_to_csv(a: AnnulusSequence, path) -> None:
-    """Write (k, a_k) rows."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k", "a_k"])
-        for i, v in enumerate(a.values):
-            w.writerow([a.k_min + i, repr(float(v))])
-
-
-def sequence_from_csv(path) -> AnnulusSequence:
-    """Read a (k, a_k) table; indices must be consecutive."""
-    import csv
-
-    ks, vals = [], []
-    with open(path) as fh:
-        for row in csv.DictReader(fh):
-            ks.append(int(row["k"]))
-            vals.append(float(row["a_k"]))
-    if not ks:
-        raise GrowthError("empty sequence file")
-    if ks != list(range(ks[0], ks[0] + len(ks))):
-        raise GrowthError("sequence indices must be consecutive")
-    return AnnulusSequence(ks[0], np.asarray(vals))
-
-
 @dataclass
 class GrowthReport:
     beta: float

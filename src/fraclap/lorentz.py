@@ -14,7 +14,6 @@ inequalities exactly assertable.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -75,13 +74,6 @@ class RearrangementProfile:
         if a == 0:
             return RearrangementProfile(np.array([]), np.array([]), self.total_measure)
         return RearrangementProfile(a * self.heights, self.breakpoints, self.total_measure)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "value"])
-            for t, v in zip(self.breakpoints, self.heights):
-                w.writerow([repr(float(t)), repr(float(v))])
 
 
 def profile_from_values(values: np.ndarray, cell_measure: float) -> RearrangementProfile:
@@ -179,10 +171,7 @@ def periodic_convolution(f: GridFunction, g: GridFunction) -> GridFunction:
     if f.grid != g.grid:
         raise GridError("grids differ")
     F = np.fft.fftn(f.values) * np.fft.fftn(g.values)
-    vals = np.fft.ifftn(F) * f.grid.cell_measure
-    if f.is_real and g.is_real:
-        vals = vals.real
-    return GridFunction(f.grid, vals)
+    return GridFunction(f.grid, (np.fft.ifftn(F) * f.grid.cell_measure).real)
 
 
 def holder_product_ratio(f, g, p1, q1, p2, q2) -> float:

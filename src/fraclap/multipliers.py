@@ -21,14 +21,14 @@ return an array that broadcasts to the lattice shape; tables are broadcast
 to shape only at the end, so no meshgrid is ever built.  The arithmetic per
 lattice entry is the same as on full meshgrids.
 
-apply_symbol on real input with a real-flagged symbol (m(-xi) = conj(m(xi)))
-runs on rfftn/irfftn, so its output is real by construction.  Its table is
-evaluated per call on the rfftn half lattice and on its mirror -xi, and
-conjugate symmetrized there (which zeroes the odd part of the symbol on the
-Nyquist planes) and checked finite off the zero mode.  Complex input, or
-a symbol without the reality flag, takes the complex fftn/ifftn path.
-apply_table stays a complex-FFT fast path on raw arrays for the iterative
-solvers.
+Fields are real and every symbol satisfies m(-xi) = conj(m(xi)) (checked at
+construction), so apply_symbol has one path: rfftn, a table evaluated per
+call on the rfftn half lattice and on its mirror -xi and conjugate
+symmetrized there (which zeroes the odd part of the symbol on the Nyquist
+planes) and checked finite off the zero mode, then irfftn, whose output is
+real by construction.  Spectral derivatives are apply_symbol with the symbol
+(2 pi i xi)^alpha.  apply_table stays a complex-FFT fast path on raw arrays
+for the iterative solvers.
 """
 
 from __future__ import annotations
@@ -41,15 +41,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .grid import (
-    DomainMask,
-    Grid,
-    GridFunction,
-    lp_norm,
-    per_axis,
-    transform_forward,
-    transform_inverse,
-)
+from .grid import DomainMask, Grid, GridFunction, lp_norm, per_axis
 
 
 class ZeroModePolicy(Enum):
@@ -78,8 +70,9 @@ class FrequencySymbol:
     evaluator maps a list of per-axis frequency arrays to a complex array.
     The arrays broadcast against each other (on the lattice, axis a varies
     along axis a only) and the result must broadcast to their common shape,
-    entry by entry the value at that frequency.  reality_flag asserts
-    m(-xi) = conj(m(xi)); homogeneity_degree delta asserts
+    entry by entry the value at that frequency.  Every symbol must satisfy
+    m(-xi) = conj(m(xi)), so that it maps real fields to real fields;
+    homogeneity_degree delta, when given, asserts
     m(lambda xi) = lambda^delta m(xi).  Both are spot-checked at
     construction on sampled frequencies (lambda in {2, 4}).
     """
@@ -88,7 +81,6 @@ class FrequencySymbol:
     dim: int
     evaluator: Callable[[Sequence[np.ndarray]], np.ndarray]
     homogeneity_degree: Optional[float] = None
-    reality_flag: bool = False
 
     def __post_init__(self):
         pts = _sample_points(self.dim)
@@ -96,10 +88,9 @@ class FrequencySymbol:
         if not np.all(np.isfinite(vals)):
             raise SymbolError(f"symbol {self.name} not finite at sample frequencies")
         scale = np.max(np.abs(vals)) + 1e-300
-        if self.reality_flag:
-            neg = self._eval_points(-pts)
-            if np.max(np.abs(neg - np.conjugate(vals))) > 1e-12 * scale:
-                raise SymbolError(f"symbol {self.name} violates m(-xi) = conj(m(xi))")
+        neg = self._eval_points(-pts)
+        if np.max(np.abs(neg - np.conjugate(vals))) > 1e-12 * scale:
+            raise SymbolError(f"symbol {self.name} violates m(-xi) = conj(m(xi))")
         if self.homogeneity_degree is not None:
             for lam in (2.0, 4.0):
                 scaled = self._eval_points(lam * pts)
@@ -126,15 +117,10 @@ class FrequencySymbol:
         if grid.dim != self.dim:
             raise SymbolError(f"symbol is {self.dim}-dimensional, grid is {grid.dim}")
 
-    def on_lattice(self, grid: Grid) -> np.ndarray:
-        """Read-only table on the full frequency lattice."""
-        self.check_grid(grid)
-        return self.on_axes(per_axis([grid.axis_frequencies()] * grid.dim))
-
 
 def identity_symbol(dim: int) -> FrequencySymbol:
     return FrequencySymbol(
-        "identity", dim, lambda xs: np.ones_like(xs[0], dtype=complex), 0.0, True
+        "identity", dim, lambda xs: np.ones_like(xs[0], dtype=complex), 0.0
     )
 
 
@@ -145,7 +131,7 @@ def abs_power_symbol(dim: int, s: float) -> FrequencySymbol:
             out = mag**s
         return out.astype(complex)
 
-    return FrequencySymbol(f"abs_pow:{s:g}", dim, ev, float(s), True)
+    return FrequencySymbol(f"abs_pow:{s:g}", dim, ev, float(s))
 
 
 def riesz_symbol(dim: int, j: int) -> FrequencySymbol:
@@ -158,7 +144,7 @@ def riesz_symbol(dim: int, j: int) -> FrequencySymbol:
             out = 1j * np.asarray(xs[j], dtype=float) / mag
         return np.where(mag == 0, 0.0, out)
 
-    return FrequencySymbol(f"riesz:{j}", dim, ev, 0.0, True)
+    return FrequencySymbol(f"riesz:{j}", dim, ev, 0.0)
 
 
 def _conjugate_symmetrize(grid: Grid, symbol: FrequencySymbol) -> np.ndarray:
@@ -190,24 +176,18 @@ def apply_symbol(
 ) -> GridFunction:
     """Inverse transform of m(xi) * F(xi), zero mode handled per policy.
 
-    Real input with a real-flagged symbol takes the real path: rfftn, the
-    conjugate-symmetrized half-lattice table, irfftn, whose output is real by
-    construction.  Anything else takes the complex fftn/ifftn path.
+    rfftn, the conjugate-symmetrized half-lattice table, irfftn, whose output
+    is real by construction.
     """
     grid = f.grid
-    real = f.is_real and symbol.reality_flag
-    if real:
-        axes = tuple(range(grid.dim))
-        F = np.fft.rfftn(f.values, axes=axes)
-        table = _conjugate_symmetrize(grid, symbol)
-    else:
-        F = transform_forward(f)
-        table = symbol.on_lattice(grid)
+    axes = tuple(range(grid.dim))
+    F = np.fft.rfftn(f.values, axes=axes)
+    table = _conjugate_symmetrize(grid, symbol)
     zero = (0,) * grid.dim
     if policy is ZeroModePolicy.PROJECT_MEAN_FIRST:
         F[zero] = 0.0
-    # on the real path this checks the whole lattice: symmetrization makes an
-    # entry and its mirror non-finite together, and each pair meets the half
+    # this checks the whole lattice: symmetrization makes an entry and its
+    # mirror non-finite together, and each pair meets the half lattice
     bad = ~np.isfinite(table)
     bad[zero] = False
     if np.any(bad):
@@ -221,9 +201,7 @@ def apply_symbol(
             out[zero] = 0.0
         elif policy is ZeroModePolicy.ANNIHILATE:
             out[zero] = 0.0
-    if real:
-        return GridFunction(grid, np.fft.irfftn(out, s=grid.shape, axes=axes))
-    return transform_inverse(grid, out, real=False)
+    return GridFunction(grid, np.fft.irfftn(out, s=grid.shape, axes=axes))
 
 
 def frac_laplacian(f: GridFunction, s: float) -> GridFunction:
@@ -273,23 +251,27 @@ def apply_table(values: np.ndarray, table: np.ndarray) -> np.ndarray:
     return np.fft.ifftn(np.fft.fftn(values) * table).real
 
 
-def gradient(f: GridFunction) -> list:
-    """Spectral gradient components (d_j f via multiplier 2 pi i xi_j)."""
-    F = transform_forward(f)
-    out = []
-    for xi in f.grid.frequencies():
-        out.append(transform_inverse(f.grid, 2j * np.pi * xi * F, real=f.is_real))
-    return out
+def derivative_symbol(dim: int, alpha) -> FrequencySymbol:
+    """The symbol (2 pi i xi)^alpha of d^alpha, homogeneous of order |alpha|."""
+    alpha = _multiindex(alpha)
+    if len(alpha) != dim:
+        raise SymbolError(f"multiindex length {len(alpha)} does not match dim {dim}")
+
+    def ev(xs):
+        out = np.ones((), dtype=complex)
+        for x, k in zip(xs, alpha):
+            if k:
+                out = out * (2j * np.pi * np.asarray(x, dtype=float)) ** k
+        return out
+
+    return FrequencySymbol(f"d:{','.join(map(str, alpha))}", dim, ev, float(sum(alpha)))
 
 
 def derivative(f: GridFunction, alpha: Sequence[int]) -> GridFunction:
-    """Spectral partial derivative d^alpha f."""
-    F = transform_forward(f)
-    mult = np.ones(f.grid.shape, dtype=complex)
-    for a, (xi, k) in enumerate(zip(f.grid.frequencies(), alpha)):
-        if k:
-            mult = mult * (2j * np.pi * xi) ** k
-    return transform_inverse(f.grid, mult * F, real=f.is_real)
+    """Spectral partial derivative d^alpha f (f itself for alpha = 0)."""
+    if not any(alpha):
+        return f
+    return apply_symbol(f, derivative_symbol(f.grid.dim, alpha))
 
 
 def derivative_tensor(f: GridFunction, order: int) -> list:
@@ -428,7 +410,7 @@ def derived_symbol(m: FrequencySymbol, alpha, s: float) -> FrequencySymbol:
 
     hom = m.homogeneity_degree
     name = f"derived:{m.name}:{','.join(map(str, alpha))}:{s:g}"
-    return FrequencySymbol(name, m.dim, ev, hom, m.reality_flag)
+    return FrequencySymbol(name, m.dim, ev, hom)
 
 
 # -- monomials and the product rule -----------------------------------------

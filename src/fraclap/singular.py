@@ -211,7 +211,7 @@ def _masked_pair_data(f_comps, grid: Grid, mask: Optional[DomainMask]):
 
 def gagliardo_seminorm(f: GridFunction, D: Optional[DomainMask], s: float) -> float:
     """[f]_{D,s}: double-sum seminorm of the floor(s)-jet for fractional s,
-    the spectral-gradient L^2 norm for integer s.
+    the L^2 norm of the spectral derivative tensor for integer s.
 
     Fractional case: sqrt of sum over D x D (diagonal excluded) of
     |grad^k f(z1) - grad^k f(z2)|^2 / |z1-z2|^(n + 2(s-k)) h^(2n), k = floor(s),

@@ -35,7 +35,9 @@ def test_band_limit_respected():
 def _meshgrid_band_limited_values(grid, seed, cutoff, envelope):
     """band_limited_field's values computed on full integer-mode meshgrids."""
     W = np.fft.fftn(np.random.default_rng(seed).standard_normal(grid.shape))
-    mag = np.sqrt(sum(m.astype(float) ** 2 for m in grid.mode_numbers()))
+    m = (np.fft.fftfreq(grid.points_per_axis) * grid.points_per_axis).astype(np.int64)
+    modes = np.meshgrid(*([m] * grid.dim), indexing="ij")
+    mag = np.sqrt(sum(m.astype(float) ** 2 for m in modes))
     W = np.where(mag <= cutoff, W, 0.0) * np.exp(-((mag / envelope) ** 2))
     W[(0,) * grid.dim] = 0.0
     vals = np.fft.ifftn(W).real

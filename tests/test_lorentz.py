@@ -198,13 +198,3 @@ def test_periodic_convolution_identity():
     conv = periodic_convolution(f, h)
     # cos_1 * cos_1 on the unit torus = cos(2 pi x)/2
     assert np.max(np.abs(conv.values - 0.5 * np.cos(2 * np.pi * x))) < 1e-12
-
-
-def test_profile_csv_roundtrip(tmp_path):
-    g = Grid(1, 128, 1.0)
-    prof = decreasing_rearrangement(band_limited_field(g, 3))
-    path = tmp_path / "prof.csv"
-    prof.to_csv(path)
-    rows = path.read_text().strip().splitlines()
-    assert rows[0] == "t,value"
-    assert len(rows) == 1 + len(prof.heights)

@@ -14,7 +14,7 @@ from fraclap.meanvalue import (
     poincare_constant,
     polynomial_gap_scan,
 )
-from fraclap.multipliers import gradient
+from fraclap.multipliers import derivative
 
 
 @pytest.fixture(scope="module")
@@ -242,7 +242,7 @@ def test_convex_set_gradient_estimate():
     def ratio(v, gamma):
         num = _kernels.pair_sum_sq_diff(points, v.values[D.values], gamma, g)
         num *= g.cell_measure**2
-        den = lp_norm(gradient(v)[0], 2, D) ** 2
+        den = lp_norm(derivative(v, (1,)), 2, D) ** 2
         return num / den
 
     for gamma in (0.0, 2.0):

@@ -11,8 +11,6 @@ from fraclap.grid import (
     ball_mask,
     l2_inner,
     lp_norm,
-    transform_forward,
-    transform_inverse,
 )
 from fraclap.multipliers import (
     SymbolError,
@@ -146,10 +144,15 @@ def test_riesz_l2_bounded(g1):
 
 
 def test_reality_of_flagged_symbols(g1):
+    # m(-xi) = conj(m(xi)): conjugate symmetrization changes an odd or even
+    # symbol only on the self-mirrored Nyquist entry, and the output is float
     f = band_limited_field(g1, 9)
-    for sym in (riesz_symbol(1, 0), abs_power_symbol(1, 0.5)):
-        out = apply_symbol(f, sym)
-        assert out.is_real
+    N = g1.points_per_axis
+    for sym in (riesz_symbol(1, 0), abs_power_symbol(1, 0.5), multipliers.derivative_symbol(1, (3,))):
+        half = multipliers._conjugate_symmetrize(g1, sym)
+        table = sym.on_axes([g1.axis_frequencies()[: N // 2 + 1]])
+        assert np.max(np.abs(half[1 : N // 2] - table[1 : N // 2])) <= 1e-12 * np.max(np.abs(table[1:]))
+        assert apply_symbol(f, sym).values.dtype == np.float64
 
 
 def test_symbol_singular_off_zero_rejected_at_application(g1):
@@ -160,20 +163,35 @@ def test_symbol_singular_off_zero_rejected_at_application(g1):
         with np.errstate(divide="ignore"):
             return (1.0 / (np.abs(xi) - 10.0)).astype(complex)
 
-    sym = FrequencySymbol("pole", 1, pole)
+    def even_pole(xs):
+        xi = np.asarray(xs[0], dtype=float)
+        with np.errstate(divide="ignore"):
+            return (1.0 / (xi * xi - 100.0)).astype(complex)
+
     f = band_limited_field(g1, 0)
-    with pytest.raises(SymbolError, match="NaN/Inf"):
-        apply_symbol(f, sym)
+    for ev in (pole, even_pole):
+        with pytest.raises(SymbolError, match="NaN/Inf"):
+            apply_symbol(f, FrequencySymbol(ev.__name__, 1, ev))
 
 
 # -- real path against the full complex path ---------------------------------
+
+def _meshgrid_frequencies(grid):
+    return np.meshgrid(*([grid.axis_frequencies()] * grid.dim), indexing="ij")
+
+
+def _full_lattice_table(grid, symbol):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        table = np.asarray(symbol.evaluator(_meshgrid_frequencies(grid)), dtype=complex)
+    return np.broadcast_to(table, grid.shape)
+
 
 def _reference_apply(f, symbol, policy):
     """Full-lattice complex path: conjugate-symmetrize the table, fftn, apply,
     ifftn, check the imaginary residue, take the real part."""
     grid = f.grid
-    F = transform_forward(f)
-    table = symbol.on_lattice(grid)
+    F = np.fft.fftn(f.values)
+    table = _full_lattice_table(grid, symbol)
     rev = (-np.arange(grid.points_per_axis)) % grid.points_per_axis
     with np.errstate(invalid="ignore"):
         table = 0.5 * (table + np.conjugate(table[np.ix_(*([rev] * grid.dim))]))
@@ -189,10 +207,28 @@ def _reference_apply(f, symbol, policy):
         out[zero] = F[zero]
     elif not np.isfinite(table[zero]) or policy is ZeroModePolicy.ANNIHILATE:
         out[zero] = 0.0
-    g = transform_inverse(grid, out, real=False).values
+    g = np.fft.ifftn(out)
     amp = max(1.0, float(np.max(np.abs(table[np.isfinite(table)]))))
     assert np.max(np.abs(g.imag)) <= 1e-12 * amp * lp_norm(f, 2)
     return g.real
+
+
+def _meshgrid_derivative(f, alpha):
+    """d^alpha f by the former full-lattice formula: fftn, the multiplier
+    prod_a (2 pi i xi_a)^alpha_a on meshgrid frequencies, ifftn, real part."""
+    F = np.fft.fftn(f.values)
+    mult = np.ones(f.grid.shape, dtype=complex)
+    for xi, k in zip(_meshgrid_frequencies(f.grid), alpha):
+        if k:
+            mult = mult * (2j * np.pi * xi) ** k
+    return np.fft.ifftn(mult * F).real
+
+
+def _multiindex_from_axes(dim, axes):
+    alpha = [0] * dim
+    for a in axes:
+        alpha[a % dim] += 1
+    return alpha
 
 
 def _oracle_symbol(dim, kind, j, alpha_axes, s):
@@ -200,9 +236,7 @@ def _oracle_symbol(dim, kind, j, alpha_axes, s):
         return abs_power_symbol(dim, s)
     if kind == "riesz":
         return riesz_symbol(dim, j % dim)
-    alpha = [0] * dim
-    for a in alpha_axes:
-        alpha[a % dim] += 1
+    alpha = _multiindex_from_axes(dim, alpha_axes[:2] or [0])
     base = identity_symbol(dim) if kind == "derived:identity" else riesz_symbol(dim, j % dim)
     return derived_symbol(base, alpha, 1.5)
 
@@ -213,10 +247,10 @@ def _oracle_symbol(dim, kind, j, alpha_axes, s):
     n_pts=st.sampled_from([8, 16]),
     box=st.sampled_from([1.0, 3.0]),
     seed=st.integers(0, 2**16),
-    kind=st.sampled_from(["abs_pow", "riesz", "derived:identity", "derived:riesz"]),
+    kind=st.sampled_from(["abs_pow", "riesz", "derived:identity", "derived:riesz", "derivative"]),
     s=st.sampled_from([0.5, 1.0, 1.5, -0.5]),
     j=st.integers(0, 2),
-    alpha_axes=st.lists(st.integers(0, 2), min_size=1, max_size=2),
+    alpha_axes=st.lists(st.integers(0, 2), min_size=0, max_size=3),
     policy=st.sampled_from(list(ZeroModePolicy)),
 )
 @example(dim=2, n_pts=8, box=1.0, seed=0, kind="riesz", s=1.0, j=1, alpha_axes=[0],
@@ -225,6 +259,14 @@ def _oracle_symbol(dim, kind, j, alpha_axes, s):
          policy=ZeroModePolicy.IDENTITY_FOR_S_ZERO)
 @example(dim=1, n_pts=16, box=1.0, seed=2, kind="abs_pow", s=-0.5, j=0, alpha_axes=[0],
          policy=ZeroModePolicy.PROJECT_MEAN_FIRST)
+@example(dim=1, n_pts=8, box=3.0, seed=3, kind="derivative", s=1.0, j=0, alpha_axes=[0, 0, 0],
+         policy=ZeroModePolicy.ANNIHILATE)
+@example(dim=2, n_pts=8, box=1.0, seed=4, kind="derivative", s=1.0, j=0, alpha_axes=[1, 1],
+         policy=ZeroModePolicy.ANNIHILATE)
+@example(dim=3, n_pts=8, box=3.0, seed=5, kind="derivative", s=1.0, j=0, alpha_axes=[0, 1, 2],
+         policy=ZeroModePolicy.ANNIHILATE)
+@example(dim=3, n_pts=16, box=1.0, seed=6, kind="derivative", s=1.0, j=0, alpha_axes=[2, 0, 2],
+         policy=ZeroModePolicy.ANNIHILATE)
 def test_real_path_matches_full_complex_reference(dim, n_pts, box, seed, kind, s, j, alpha_axes, policy):
     # white noise carries content on every Nyquist plane
     g = Grid(dim, n_pts, box)
@@ -232,10 +274,14 @@ def test_real_path_matches_full_complex_reference(dim, n_pts, box, seed, kind, s
     if kind == "abs_pow" and s < 0:
         values -= np.mean(values)
     f = GridFunction(g, values)
-    sym = _oracle_symbol(dim, kind, j, alpha_axes, s)
-    ref = _reference_apply(f, sym, policy)
-    got = apply_symbol(f, sym, policy)
-    assert got.is_real
+    if kind == "derivative":
+        alpha = _multiindex_from_axes(dim, alpha_axes)
+        ref = _meshgrid_derivative(f, alpha)
+        got = multipliers.derivative(f, alpha)
+    else:
+        sym = _oracle_symbol(dim, kind, j, alpha_axes, s)
+        ref = _reference_apply(f, sym, policy)
+        got = apply_symbol(f, sym, policy)
     assert np.max(np.abs(got.values - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -253,13 +299,12 @@ def test_half_lattice_table():
 def _full_lattice_half_table(grid, symbol):
     """(m(xi) + conj(m(-xi)))/2 on the rfftn half lattice, from the table on
     full meshgrids and its mirror gathered with np.ix_."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        table = np.asarray(symbol.evaluator(grid.frequencies()), dtype=complex)
+    table = _full_lattice_table(grid, symbol)
     N = grid.points_per_axis
     rev = (-np.arange(N)) % N
     neg = table[np.ix_(*([rev] * (grid.dim - 1)), rev[: N // 2 + 1])]
     with np.errstate(invalid="ignore"):
-        return table, 0.5 * (table[..., : N // 2 + 1] + np.conjugate(neg))
+        return 0.5 * (table[..., : N // 2 + 1] + np.conjugate(neg))
 
 
 def _table_symbols(dim):
@@ -269,6 +314,8 @@ def _table_symbols(dim):
     for alpha in multipliers._multi_indices_upto(dim, 2):
         if sum(alpha):
             syms += [derived_symbol(base, alpha, 1.5) for base in bases]
+    for alpha in multipliers._multi_indices_upto(dim, 3):
+        syms.append(multipliers.derivative_symbol(dim, alpha))
     return syms
 
 
@@ -278,24 +325,9 @@ def test_half_lattice_table_matches_full_lattice_reference(dim, n_pts):
     # meshgrids, so half tables and full tables agree bit for bit
     g = Grid(dim, n_pts, 3.0)
     for sym in _table_symbols(dim):
-        full, half = _full_lattice_half_table(g, sym)
+        half = _full_lattice_half_table(g, sym)
         got = multipliers._conjugate_symmetrize(g, sym)
         assert got.shape == half.shape and got.tobytes() == half.tobytes(), sym.name
-        lattice = sym.on_lattice(g)
-        assert lattice.shape == full.shape and np.ascontiguousarray(lattice).tobytes() == full.tobytes()
-
-
-def test_real_flagged_symbol_singular_off_zero_rejected_on_real_path(g1):
-    def pole(xs):
-        xi = np.asarray(xs[0], dtype=float)
-        with np.errstate(divide="ignore"):
-            return (1.0 / (xi * xi - 100.0)).astype(complex)
-
-    sym = FrequencySymbol("even-pole", 1, pole, reality_flag=True)
-    f = band_limited_field(g1, 0)
-    assert f.is_real
-    with pytest.raises(SymbolError, match="NaN/Inf"):
-        apply_symbol(f, sym)
 
 
 def test_symbol_invariant_violations():
@@ -305,7 +337,7 @@ def test_symbol_invariant_violations():
     # reality violation: m(-xi) != conj(m(xi))
     skew = lambda xs: 1j * np.ones_like(np.asarray(xs[0], dtype=float))
     with pytest.raises(SymbolError, match="conj"):
-        FrequencySymbol("skew", 1, skew, reality_flag=True)
+        FrequencySymbol("skew", 1, skew)
 
 
 # -- derived symbols ----------------------------------------------------------
@@ -340,7 +372,10 @@ def test_derived_symbol_composition_identity():
 def test_derived_symbol_homogeneity_and_reality_metadata():
     ds = derived_symbol(riesz_symbol(2, 0), (1, 1), 1.5)
     assert ds.homogeneity_degree == 0.0
-    assert ds.reality_flag
+    xs = [np.array([0.5, -3.0, 2.0]), np.array([1.0, 0.25, -7.0])]
+    pos = np.asarray(ds.evaluator(xs))
+    neg = np.asarray(ds.evaluator([-x for x in xs]))
+    assert np.max(np.abs(neg - np.conjugate(pos))) <= 1e-12 * np.max(np.abs(pos))
     with pytest.raises(SymbolError, match="<= 2"):
         derived_symbol(identity_symbol(1), (3,), 3.5)
 

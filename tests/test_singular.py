@@ -139,7 +139,7 @@ def test_seminorm_constant_vanishes():
 def test_seminorm_polynomial_shift_invariance():
     # [v + P]_{D,s} = [v]_{D,s} for deg P < s, tested with linear P at s = 1.5;
     # the monomial is windowed (identically 1 well beyond D) so it is smooth
-    # on the torus before the spectral gradient is taken
+    # on the torus before the spectral derivative is taken
     from fraclap.cutoffs import base_profile_values
 
     g = Grid(1, 512, 1.0)
@@ -165,9 +165,9 @@ def test_seminorm_integer_order_is_gradient_norm():
     g = Grid(1, 512, 1.0)
     v = band_limited_field(g, 3, cutoff=32)
     D = ball_mask(g, g.center, 0.2)
-    from fraclap.multipliers import gradient
+    from fraclap.multipliers import derivative
 
-    grad = gradient(v)[0]
+    grad = derivative(v, (1,))
     assert abs(gagliardo_seminorm(v, D, 1.0) - lp_norm(grad, 2, D)) < 1e-12
 
 
