@@ -166,15 +166,17 @@ def run_definition_equivalence(cfg) -> Report:
 @experiment("equivalence-ratio", reads=("grid", "box", "s"))
 def run_equivalence_ratio(cfg) -> Report:
     from .fields import confined_field
-    from .singular import equivalence_ratio
+    from .singular import SingularQuadratureScheme, equivalence_ratio, periodized_kernel
 
     g = _grid(cfg, dim=1, n=cfg.get("grid") or 2048)
     s = cfg.get("s") or 0.25
     rep = Report("equivalence-ratio", {**cfg, "dim": 1, "grid": g.points_per_axis, "s": s})
+    scheme = SingularQuadratureScheme()
+    kernel = periodized_kernel(g, 2.0 * s, scheme)
     ratios = []
     for k in range(10):
         f = confined_field(g, cfg["seed"] + k, radius=g.box_length / 6, cutoff=48, envelope=24)
-        ratios.append(equivalence_ratio(f, s))
+        ratios.append(equivalence_ratio(f, s, scheme, kernel))
     spread = max(ratios) / min(ratios)
     rep.add_verdict("max_over_min", spread <= 1.02, spread, 1.02)
     rep.add_table("ratios", [{"seed": cfg["seed"] + k, "ratio": r} for k, r in enumerate(ratios)])

@@ -67,7 +67,8 @@ def _sample_points(dim: int) -> np.ndarray:
 class FrequencySymbol:
     """Multiplier m(xi) with homogeneity metadata.
 
-    evaluator maps a list of per-axis frequency arrays to a complex array.
+    evaluator maps a list of per-axis frequency arrays to a real or complex
+    array; callers convert it to complex once.
     The arrays broadcast against each other (on the lattice, axis a varies
     along axis a only) and the result must broadcast to their common shape,
     entry by entry the value at that frequency.  Every symbol must satisfy
@@ -128,8 +129,7 @@ def abs_power_symbol(dim: int, s: float) -> FrequencySymbol:
     def ev(xs):
         mag = np.sqrt(sum(np.asarray(x, dtype=float) ** 2 for x in xs))
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = mag**s
-        return out.astype(complex)
+            return mag**s
 
     return FrequencySymbol(f"abs_pow:{s:g}", dim, ev, float(s))
 

@@ -4,8 +4,8 @@ The pointwise quadrature uses the symmetric second-difference form
 
     Lap^s f(x) ~ c_{n,s} * 1/2 * sum_z (2 f(x) - f(x+z) - f(x-z)) K(z) h^n
 
-with K the image-periodized kernel |z|^(-n-s) (offsets taken once per
-lattice vector, kernel summed over periodic images plus an analytic tail).
+with K the periodized kernel sum_k |z + L k|^(-n-s), summed exactly over
+the whole lattice by an Ewald split (see ``periodized_kernel``).
 The constant c_{n,s} is never taken from a formula: it is calibrated once
 against the spectral operator on the reference eigenfunction cos(2 pi x_1/L)
 and must then transfer to other functions, which is what the tests check.
@@ -19,6 +19,7 @@ tests via ``raw_second_difference``.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -26,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .grid import DomainMask, Grid, GridFunction, l2_inner, lp_norm
+from .grid import DomainMask, Grid, GridFunction, l2_inner, lp_norm, per_axis
 from .multipliers import derivative_tensor, frac_laplacian
 
 # Pair sums are exact over every masked point and no longer use these caps;
@@ -40,13 +41,11 @@ class SingularError(ValueError):
 
 @dataclass(frozen=True)
 class SingularQuadratureScheme:
-    """Quadrature parameters: exclusion radius (multiples of h), the
-    symmetrization variant, truncation and kernel image count."""
+    """Quadrature parameters: exclusion radius (multiples of h) and the
+    symmetrization variant."""
 
     exclusion_factor: float = 0.5
     symmetrization: str = "second-difference"
-    truncation: str = "box"
-    images: int = 64
 
     def __post_init__(self):
         if self.exclusion_factor <= 0:
@@ -74,41 +73,104 @@ class CalibratedConstant:
             raise SingularError(f"calibrated constant {self.name} must be finite positive")
 
 
-def periodized_kernel(grid: Grid, s: float, scheme: SingularQuadratureScheme) -> np.ndarray:
-    """Kernel table K(z) h^dim over lattice offsets, periodic images summed.
+# Ewald splitting parameter eta = _EWALD_ETA_L / L.  Both parts of the split
+# are dropped where their incomplete-gamma argument reaches _EWALD_CUT
+# (e^-40 ~ 4e-18); at eta L = 8 the real-space part then needs only the 3^n
+# nearest images and the Fourier part |k_j| <= 17.  A larger eta L moves work
+# from real to Fourier space but loses accuracy at far offsets, where the
+# Fourier part carries the value (1D, s = 1.9: 2e-14 relative at eta L = 8,
+# 5e-13 at 16).
+_EWALD_ETA_L = 8.0
+_EWALD_CUT = 40.0
+_CF_TERMS = 50
+_SERIES_TERMS = 40
 
+
+def upper_gamma(a: float, x) -> np.ndarray:
+    """Upper incomplete gamma Gamma(a, x) for a in (-1, 0) or (0, 3) and x > 0,
+    elementwise.
+
+    A power series for x < max(a, 0) + 1.5, a fixed-length modified Lentz
+    continued fraction beyond; for a < 0 the series side uses the recurrence
+    Gamma(a, x) = (Gamma(a+1, x) - x^a e^-x) / a.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    big = x >= max(a, 0.0) + 1.5
+    xb = x[big]
+    b = xb + (1.0 - a)
+    c = np.full_like(xb, 1e300)
+    d = 1.0 / b
+    cf = d.copy()
+    for i in range(1, _CF_TERMS):  # in place: these arrays span the whole grid
+        an = -i * (i - a)
+        b += 2.0
+        d *= an
+        d += b
+        np.reciprocal(d, out=d)  # d = 1 / (an d + b)
+        np.divide(an, c, out=c)
+        c += b  # c = b + an / c
+        cf *= d
+        cf *= c
+    cf *= xb**a
+    cf *= np.exp(-xb)
+    out[big] = cf
+    xs = x[~big]
+    a_s = a if a > 0 else a + 1.0
+    term = np.full_like(xs, 1.0 / a_s)
+    series = term.copy()
+    for k in range(1, _SERIES_TERMS):
+        term *= xs / (a_s + k)
+        series += term
+    lower = series * xs**a_s * np.exp(-xs)  # gamma(a_s, x)
+    if a > 0:
+        out[~big] = math.gamma(a) - lower
+    else:
+        out[~big] = (math.gamma(a_s) - lower - xs**a * np.exp(-xs)) / a
+    return out
+
+
+def periodized_kernel(grid: Grid, s: float, scheme: SingularQuadratureScheme) -> np.ndarray:
+    """Kernel table K(z) h^dim with K(z) = sum_k |z + L k|^(-p), p = dim + s.
+
+    The lattice sum is exact to roundoff, by the Ewald split of
+    Gamma(p/2) |x|^-p = int_0^inf t^(p/2-1) e^(-t|x|^2) dt at t = eta^2:
+    the short-range part Gamma(p/2, eta^2 |x|^2) |x|^-p is summed in real
+    space over the 3^dim nearest images, and the lattice sum of the
+    long-range part is, by Poisson summation, the Fourier series
+    sum_xi F(xi) e^(2 pi i xi.z) over xi = k/L with
+    F(xi) = pi^(dim/2) eta^s L^-dim y^(s/2) Gamma(-s/2, y), y = pi^2 |xi|^2 / eta^2
+    (2/s at xi = 0).  Frequencies are folded onto the grid modulo N, so one
+    inverse FFT sums them exactly on any grid size.
     The z = 0 cell and offsets with |z| below the exclusion radius carry 0.
-    The image tail beyond `scheme.images` is added as an integral estimate.
     """
     scheme.validate_order(s)
     n, N, L, h = grid.dim, grid.points_per_axis, grid.box_length, grid.spacing
-    J = scheme.images if n == 1 else max(8, scheme.images // 4)
-    axes = []
+    p = n + s
+    eta = _EWALD_ETA_L / L
     ax = np.arange(N) * h
     ax = np.where(ax > 0.5 * L, ax - L, ax)  # minimum-image representative
-    for _ in range(n):
-        axes.append(ax)
-    mesh = np.meshgrid(*axes, indexing="ij")
     K = np.zeros(grid.shape)
-    ranges = [np.arange(-J, J + 1)] * n
-    for offs in np.ndindex(*[2 * J + 1] * n):
-        jvec = [ranges[a][offs[a]] for a in range(n)]
-        d2 = sum((m + j * L) ** 2 for m, j in zip(mesh, jvec))
-        with np.errstate(divide="ignore"):
-            K += d2 ** (-0.5 * (n + s))
-    # analytic tail of the image sum (radial integral beyond J + 1/2 boxes)
-    if n == 1:
-        K += 2.0 * L ** (-1 - s) * (J + 0.5) ** (-s) / s
-    elif n == 2:
-        K += 2.0 * math.pi * L ** (-2 - s) * (J + 0.5) ** (-s) / s
-    else:
-        K += 4.0 * math.pi * L ** (-3 - s) * (J + 0.5) ** (-s) / s
-    zero = (0,) * n
-    K[zero] = 0.0
-    excl = scheme.exclusion_factor * h
-    dist = np.sqrt(sum(m * m for m in mesh))
-    K[dist < excl] = 0.0
-    K[zero] = 0.0
+    for image in itertools.product((-L, 0.0, L), repeat=n):
+        r2 = sum(d * d for d in per_axis([ax + o for o in image]))
+        near = (eta * eta * r2 < _EWALD_CUT) & (r2 > 0)
+        r2 = r2[near]
+        K[near] += upper_gamma(0.5 * p, eta * eta * r2) / r2 ** (0.5 * p)
+    kmax = math.ceil(math.sqrt(_EWALD_CUT) * _EWALD_ETA_L / math.pi)
+    k = np.arange(-kmax, kmax + 1)
+    y = (math.pi / _EWALD_ETA_L) ** 2 * sum(per_axis([k * k] * n))
+    F = np.zeros(y.shape)
+    far = (y > 0) & (y < _EWALD_CUT)
+    F[far] = y[far] ** (0.5 * s) * upper_gamma(-0.5 * s, y[far])
+    F[(kmax,) * n] = 2.0 / s
+    folded = np.zeros(grid.shape)
+    np.add.at(folded, tuple(per_axis([k % N] * n)), F)
+    # folded is real and even, so its inverse transform is real
+    series = np.fft.irfftn(folded[..., : N // 2 + 1], s=grid.shape, axes=tuple(range(n)))
+    K += math.pi ** (0.5 * n) * eta**s / L**n * grid.npoints * series
+    K /= math.gamma(0.5 * p)
+    excl = scheme.exclusion_factor * h  # positive, so z = 0 is excluded too
+    K[np.sqrt(sum(d * d for d in per_axis([ax] * n))) < excl] = 0.0
     return K * grid.cell_measure
 
 
@@ -179,8 +241,8 @@ def calibrate_cns(
             "scheme": {
                 "exclusion_factor": scheme.exclusion_factor,
                 "symmetrization": scheme.symmetrization,
-                "images": scheme.images,
             },
+            "kernel": "exact periodic lattice sum (Ewald split)",
         },
     )
 
@@ -255,22 +317,27 @@ def bilinear_form(
 
 
 def equivalence_ratio(
-    f: GridFunction, s: float, scheme: Optional[SingularQuadratureScheme] = None
+    f: GridFunction,
+    s: float,
+    scheme: Optional[SingularQuadratureScheme] = None,
+    kernel: Optional[np.ndarray] = None,
 ) -> float:
     """||Lap^s f||_2^2 divided by the raw Gagliardo double sum (exponent n+2s).
 
     f-independence of this ratio is the numerical content of the spectral /
     integral equivalence; the ratio itself plays the role of the unspecified
-    normalization constant.  The whole-box double sum uses the image-
-    periodized kernel (the |z|^(-n-2s) tail is long-range, so a truncated
-    kernel would leak an f-dependent error) and is evaluated through the
+    normalization constant.  The whole-box double sum uses the exact
+    periodized kernel of order 2s (the |z|^(-n-2s) tail is long-range, so a
+    truncated kernel would leak an f-dependent error); pass it as `kernel`
+    to reuse one table across fields.  The sum is evaluated through the
     exact rearrangement  sumsum |f(x)-f(y)|^2 K = 2 <f S - f conv K, f>.
     """
     if not (0 < s < 1):
         raise SingularError(f"equivalence ratio needs s in (0,1), got {s}")
     scheme = scheme or SingularQuadratureScheme()
     num = lp_norm(frac_laplacian(f, s), 2) ** 2
-    kernel = periodized_kernel(f.grid, 2.0 * s, scheme)
+    if kernel is None:
+        kernel = periodized_kernel(f.grid, 2.0 * s, scheme)
     raw = raw_operator_field(f, 2.0 * s, scheme, kernel)
     denom = 2.0 * l2_inner(raw, f)
     floor = 1e-12 * float(np.sum(kernel)) * lp_norm(f, 2) ** 2

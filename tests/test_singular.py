@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -16,6 +20,7 @@ from fraclap.singular import (
     periodized_kernel,
     raw_operator_field,
     raw_second_difference,
+    upper_gamma,
 )
 
 
@@ -124,6 +129,75 @@ def test_refinement_convergence():
         errs.append(np.max(np.abs(vals - spectral.values[pts])) / np.max(np.abs(spectral.values)))
     assert errs[1] <= errs[0] * 1.1
     assert errs[2] <= errs[1] * 1.1
+
+
+# -- exact periodized kernel -------------------------------------------------------
+
+GAMMA_X = np.geomspace(1e-3, 40.0, 80)
+
+
+@pytest.mark.parametrize("a", [0.05, 0.5, 0.75, 1.0, 1.45, 2.2, 2.95])
+def test_upper_gamma_matches_scipy(a):
+    special = pytest.importorskip("scipy.special")
+    ref = special.gammaincc(a, GAMMA_X) * special.gamma(a)
+    assert np.max(np.abs(upper_gamma(a, GAMMA_X) / ref - 1)) <= 1e-12
+
+
+@pytest.mark.parametrize("a", [-0.95, -0.75, -0.5, -0.25, -0.125, -0.05])
+def test_upper_gamma_negative_order_matches_mpmath(a):
+    mpmath = pytest.importorskip("mpmath")
+    ref = np.array([float(mpmath.gammainc(a, x)) for x in GAMMA_X])
+    assert np.max(np.abs(upper_gamma(a, GAMMA_X) / ref - 1)) <= 1e-12
+
+
+def test_package_import_does_not_load_scipy():
+    # scipy serves the oracles above only; it is not a runtime dependency
+    code = "import sys, fraclap, fraclap.cli; sys.exit(int('scipy' in sys.modules))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+@pytest.mark.parametrize("N", [8, 64, 2048])
+@pytest.mark.parametrize("s", [0.25, 0.5, 1.0, 1.9])
+def test_kernel_1d_matches_hurwitz_zeta(N, s):
+    # sum_k |x + L k|^-p = L^-p [zeta(p, x/L) + zeta(p, 1 - x/L)] for 0 < x < L
+    special = pytest.importorskip("scipy.special")
+    g = Grid(1, N, 2.0)
+    p = 1 + s
+    u = np.arange(1, N) / N
+    ref = g.box_length**-p * (special.zeta(p, u) + special.zeta(p, 1 - u))
+    K = periodized_kernel(g, s, SingularQuadratureScheme()) / g.cell_measure
+    assert K[0] == 0.0
+    assert np.max(np.abs(K[1:] / ref - 1)) <= 1e-12
+
+
+@pytest.mark.parametrize("N", [8, 32, 256])
+@pytest.mark.parametrize("s", [0.25, 0.5, 1.0, 1.9])
+def test_kernel_2d_sum_matches_lattice_zeta(N, s):
+    # sum over x != 0 of sum_k |x + L k|^-p counts every nonzero point h m of
+    # the fine lattice except the multiples of L, and sum_{m != 0} |m|^-2t =
+    # 4 zeta(t) beta(t) on Z^2 with beta(t) = 4^-t (zeta(t, 1/4) - zeta(t, 3/4))
+    special = pytest.importorskip("scipy.special")
+    g = Grid(2, N, 1.5)
+    p, t = 2 + s, 1 + s / 2
+    beta = 4.0**-t * (special.zeta(t, 0.25) - special.zeta(t, 0.75))
+    ref = (g.spacing**-p - g.box_length**-p) * 4.0 * special.zeta(t) * beta
+    K = periodized_kernel(g, s, SingularQuadratureScheme())
+    assert abs(np.sum(K) / g.cell_measure / ref - 1) <= 1e-12
+
+
+@pytest.mark.parametrize("dim,N", [(2, 8), (2, 32), (3, 8)])
+@pytest.mark.parametrize("s", [0.1, 0.5, 1.9])
+def test_kernel_restriction_to_coarse_grid(dim, N, s):
+    # the lattice sum at a point does not depend on the grid it is tabulated on
+    scheme = SingularQuadratureScheme()
+    coarse, fine = Grid(dim, N, 1.0), Grid(dim, 2 * N, 1.0)
+    Kc = periodized_kernel(coarse, s, scheme) / coarse.cell_measure
+    Kf = periodized_kernel(fine, s, scheme)[(slice(None, None, 2),) * dim] / fine.cell_measure
+    off = np.ones(coarse.shape, dtype=bool)
+    off[(0,) * dim] = False
+    assert Kc[(0,) * dim] == Kf[(0,) * dim] == 0.0
+    assert np.max(np.abs(Kf[off] / Kc[off] - 1)) <= 1e-12
 
 
 # -- Gagliardo seminorm --------------------------------------------------------
