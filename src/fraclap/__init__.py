@@ -20,7 +20,6 @@ from .grid import (
 )
 from .multipliers import (
     FrequencySymbol,
-    ZeroModePolicy,
     apply_symbol,
     derived_symbol,
     frac_laplacian,
@@ -28,7 +27,6 @@ from .multipliers import (
 )
 from .singular import (
     CalibratedConstant,
-    SingularQuadratureScheme,
     bilinear_form,
     calibrate_cns,
     equivalence_ratio,
@@ -62,9 +60,7 @@ __all__ = [
     "HodgeDecomposition",
     "MeanValuePolynomial",
     "RearrangementProfile",
-    "SingularQuadratureScheme",
     "SphereValuedMap",
-    "ZeroModePolicy",
     "annulus_mask",
     "apply_symbol",
     "ball_mask",

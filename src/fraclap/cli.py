@@ -6,8 +6,9 @@ deterministic, and emits a JSON report plus CSV tables.
                               --out DIR --constants FILE --m1 ID --m2 ID]
     fraclap calibrate <suite> --out constants.json [--seed K]
 
-Each experiment reads only some of the run options (`fraclap run` refuses
-the others, since a report echoes its config); --seed and --out apply to all.
+Each experiment reads only some of the run options and declares their
+defaults where it is registered (`fraclap run` refuses the others, since a
+report echoes its config); --seed and --out apply to all.
 
 Exit codes: 0 when every verdict in the report passed, 1 when a verdict
 failed, 2 for a config error (including an option the experiment does not
@@ -41,12 +42,13 @@ REGISTRY: dict = {}
 RUN_OPTIONS = ("grid", "box", "s", "scales", "constants", "m1", "m2")
 
 
-def experiment(name: str, reads=()):
-    """Register an experiment under `name`; `reads` lists the RUN_OPTIONS it
-    reads, and `main` refuses any other option given on the command line."""
+def experiment(name: str, **defaults):
+    """Register an experiment under `name`; `defaults` maps each RUN_OPTIONS
+    key it reads to the value that runs when the option is not given, and
+    `main` refuses any other option given on the command line."""
 
     def wrap(fn):
-        fn.reads = frozenset(reads)
+        fn.defaults = defaults
         REGISTRY[name] = fn
         return fn
 
@@ -91,11 +93,11 @@ def split_seed_regression(rep, sample, cal_seeds, fresh_seeds, verdicts, floor=0
 
 # -- acceptance experiments ---------------------------------------------------
 
-@experiment("partition-of-unity", reads=("scales",))
+@experiment("partition-of-unity", scales=(10,))
 def run_partition(cfg) -> Report:
     from .cutoffs import build_family
 
-    depth = int(cfg["scales"][0]) if cfg.get("scales") else 10
+    depth = int(cfg["scales"][0])
     rep = Report("partition-of-unity", {**cfg, "depth": depth})
     fam = build_family(depth)  # build_family already asserts the invariants
     rho = np.linspace(0.0, 2.0**depth, 200001)
@@ -112,7 +114,7 @@ def run_partition(cfg) -> Report:
     return rep
 
 
-@experiment("cutoff-norm-scaling", reads=("box",))
+@experiment("cutoff-norm-scaling", box=1.0)
 def run_cutoff_scaling(cfg) -> Report:
     from .cutoffs import build_family, norm_scaling_experiment
 
@@ -137,23 +139,22 @@ def run_cutoff_scaling(cfg) -> Report:
     return rep
 
 
-@experiment("definition-equivalence", reads=("grid", "box", "s"))
+@experiment("definition-equivalence", grid=4096, box=1.0, s=0.5)
 def run_definition_equivalence(cfg) -> Report:
     from .fields import confined_field
     from .multipliers import frac_laplacian
-    from .singular import SingularQuadratureScheme, calibrate_cns, frac_lap_pointwise, periodized_kernel
+    from .singular import calibrate_cns, frac_lap_pointwise, periodized_kernel
 
     t0 = time.time()
-    g = _grid(cfg, dim=1, n=cfg.get("grid") or 4096)
-    s = cfg.get("s") or 0.5
-    rep = Report("definition-equivalence", {**cfg, "dim": 1, "grid": g.points_per_axis, "s": s})
-    scheme = SingularQuadratureScheme()
-    const = calibrate_cns(g, s, scheme)
-    kernel = periodized_kernel(g, s, scheme)
+    g = _grid(cfg, dim=1, n=cfg["grid"])
+    s = cfg["s"]
+    rep = Report("definition-equivalence", {**cfg, "dim": 1})
+    kernel = periodized_kernel(g, s)
+    const = calibrate_cns(g, s, kernel)
     bump = confined_field(g, cfg["seed"] + 11, radius=g.box_length / 6, cutoff=40, envelope=20)
     spectral = frac_laplacian(bump, s)
     inner = np.nonzero(ball_mask(g, g.center, g.box_length / 5).values)[0]
-    vals = frac_lap_pointwise(bump, s, (inner,), scheme, const, kernel)
+    vals = frac_lap_pointwise(bump, s, (inner,), const, kernel)
     err = float(np.max(np.abs(vals - spectral.values[inner])) / np.max(np.abs(spectral.values)))
     elapsed = time.time() - t0
     rep.add_verdict("interior_linf_relative", err <= 1e-3, err, 1e-3)
@@ -163,34 +164,33 @@ def run_definition_equivalence(cfg) -> Report:
     return rep
 
 
-@experiment("equivalence-ratio", reads=("grid", "box", "s"))
+@experiment("equivalence-ratio", grid=2048, box=1.0, s=0.25)
 def run_equivalence_ratio(cfg) -> Report:
     from .fields import confined_field
-    from .singular import SingularQuadratureScheme, equivalence_ratio, periodized_kernel
+    from .singular import equivalence_ratio, periodized_kernel
 
-    g = _grid(cfg, dim=1, n=cfg.get("grid") or 2048)
-    s = cfg.get("s") or 0.25
-    rep = Report("equivalence-ratio", {**cfg, "dim": 1, "grid": g.points_per_axis, "s": s})
-    scheme = SingularQuadratureScheme()
-    kernel = periodized_kernel(g, 2.0 * s, scheme)
+    g = _grid(cfg, dim=1, n=cfg["grid"])
+    s = cfg["s"]
+    rep = Report("equivalence-ratio", {**cfg, "dim": 1})
+    kernel = periodized_kernel(g, 2.0 * s)
     ratios = []
     for k in range(10):
         f = confined_field(g, cfg["seed"] + k, radius=g.box_length / 6, cutoff=48, envelope=24)
-        ratios.append(equivalence_ratio(f, s, scheme, kernel))
+        ratios.append(equivalence_ratio(f, s, kernel))
     spread = max(ratios) / min(ratios)
     rep.add_verdict("max_over_min", spread <= 1.02, spread, 1.02)
     rep.add_table("ratios", [{"seed": cfg["seed"] + k, "ratio": r} for k, r in enumerate(ratios)])
     return rep
 
 
-@experiment("hodge", reads=("grid", "box", "s"))
+@experiment("hodge", grid=1024, box=1.0, s=0.5)
 def run_hodge(cfg) -> Report:
     from .fields import band_limited_field
     from .hodge import hodge_decompose
 
-    g = _grid(cfg, dim=1, n=cfg.get("grid") or 1024)
-    s = cfg.get("s") or 0.5
-    rep = Report("hodge", {**cfg, "dim": 1, "grid": g.points_per_axis, "s": s})
+    g = _grid(cfg, dim=1, n=cfg["grid"])
+    s = cfg["s"]
+    rep = Report("hodge", {**cfg, "dim": 1})
     D = ball_mask(g, g.center, g.box_length / 6)
     rows = []
     worst = {"residual": 0.0, "orthogonality": 0.0, "factor": 0.0, "iterations": 0}
@@ -214,14 +214,14 @@ def run_hodge(cfg) -> Report:
     return rep
 
 
-@experiment("harmonic-decay", reads=("grid", "box", "s"))
+@experiment("harmonic-decay", grid=4096, box=1.0, s=0.5)
 def run_harmonic_decay(cfg) -> Report:
     from .fields import band_limited_field
     from .hodge import harmonic_decay_check
 
-    g = _grid(cfg, dim=1, n=cfg.get("grid") or 4096)
-    s = cfg.get("s") or 0.5
-    rep = Report("harmonic-decay", {**cfg, "dim": 1, "grid": g.points_per_axis, "s": s})
+    g = _grid(cfg, dim=1, n=cfg["grid"])
+    s = cfg["s"]
+    rep = Report("harmonic-decay", {**cfg, "dim": 1})
     f = band_limited_field(g, cfg["seed"] + 42, cutoff=g.points_per_axis / 16)
     out = harmonic_decay_check(f, g.box_length / 128, g.center, [8, 16, 32], s)
     rep.add_verdict("quarter_power_decay", out["decay_ratio"] <= out["bound"],
@@ -233,7 +233,7 @@ def run_harmonic_decay(cfg) -> Report:
     return rep
 
 
-@experiment("disjoint-support-decay", reads=("box",))
+@experiment("disjoint-support-decay", box=1.0)
 def run_disjoint_decay(cfg) -> Report:
     from .hodge import disjoint_pairing_decay
 
@@ -247,8 +247,7 @@ def run_disjoint_decay(cfg) -> Report:
         g = _grid(cfg, dim=case["dim"], n=case["grid"])
         gamma = case["gamma_cells"] * g.spacing
         d_list = [m * case["r"] * g.box_length for m in (4, 8, 16, 32)]
-        out = disjoint_pairing_decay(g, case["s"], case["t"], gamma, d_list,
-                                     b_width=gamma, modulation=0)
+        out = disjoint_pairing_decay(g, case["s"], case["t"], gamma, d_list)
         target = out["target"]
         ok = abs(out["slope"] - target) <= 0.15 * abs(target)
         rep.add_verdict(f"slope_n{case['dim']}", ok, out["slope"], target)
@@ -257,12 +256,12 @@ def run_disjoint_decay(cfg) -> Report:
     return rep
 
 
-@experiment("poincare-scaling", reads=("grid", "box"))
+@experiment("poincare-scaling", grid=1024, box=1.0)
 def run_poincare_scaling(cfg) -> Report:
     from .meanvalue import poincare_constant
 
-    g = _grid(cfg, dim=1, n=cfg.get("grid") or 1024)
-    rep = Report("poincare-scaling", {**cfg, "dim": 1, "grid": g.points_per_axis})
+    g = _grid(cfg, dim=1, n=cfg["grid"])
+    rep = Report("poincare-scaling", {**cfg, "dim": 1})
     radii = [g.box_length / 64, g.box_length / 32, g.box_length / 16]
     rows = []
     for s in (0.5, 1.0):
@@ -275,7 +274,7 @@ def run_poincare_scaling(cfg) -> Report:
     return rep
 
 
-@experiment("lorentz-algebra", reads=("grid", "box"))
+@experiment("lorentz-algebra", grid=512, box=1.0)
 def run_lorentz_algebra(cfg) -> Report:
     from .fields import band_limited_field
     from .lorentz import (
@@ -285,8 +284,8 @@ def run_lorentz_algebra(cfg) -> Report:
         weak_norm_bound_margin,
     )
 
-    g = _grid(cfg, dim=1, n=cfg.get("grid") or 512)
-    rep = Report("lorentz-algebra", {**cfg, "dim": 1, "grid": g.points_per_axis})
+    g = _grid(cfg, dim=1, n=cfg["grid"])
+    rep = Report("lorentz-algebra", {**cfg, "dim": 1})
     f = band_limited_field(g, cfg["seed"], cutoff=32)
     h = band_limited_field(g, cfg["seed"] + 1, cutoff=32)
     gaps = product_rearrangement_gaps(f, h)
@@ -347,16 +346,16 @@ def _defect_sample(seed) -> dict:
     return {"defect_p0.5": defect_scan(1, 0.5, samples=200000, seed=seed)["sup"]}
 
 
-@experiment("compensation", reads=("grid", "box", "constants"))
+@experiment("compensation", grid=512, box=1.0, constants=None)
 def run_compensation(cfg) -> Report:
     from .compensation import SphereValuedMap, structure_identity_residual
     from .cutoffs import build_family, evaluate
     from .fields import sphere_valued_map
 
-    g = _grid(cfg, dim=1, n=cfg.get("grid") or 512)
-    rep = Report("compensation", {**cfg, "dim": 1, "grid": g.points_per_axis})
+    g = _grid(cfg, dim=1, n=cfg["grid"])
+    rep = Report("compensation", {**cfg, "dim": 1})
     fam = build_family(4)
-    eta = evaluate(fam, 0, g.box_length / 8, g.center, g, attach_mask=False)
+    eta = evaluate(fam, 0, g.box_length / 8, g.center, g)
     worst_resid = 0.0
     for k in range(10):
         umap = SphereValuedMap(tuple(sphere_valued_map(g, 2, cfg["seed"] + k, cutoff=24)))
@@ -367,7 +366,7 @@ def run_compensation(cfg) -> Report:
     # calibrated regressions: constants file if given, else split-seed protocol
     # (the family mixes independent and diagonal pairs; the diagonal u = v
     # cases are the extremal ones)
-    payload = load_constants(cfg["constants"], expect_grid=g) if cfg.get("constants") else None
+    payload = load_constants(cfg["constants"], expect_grid=g) if cfg["constants"] else None
     seed = cfg["seed"]
     _, h = split_seed_regression(rep, lambda k: _h_ratio_sample(g, k), range(seed, seed + 50, 2),
                                  range(seed + 1000, seed + 1020, 2), {"h_norm_regression": "h_l2"},
@@ -413,20 +412,20 @@ def run_iteration(cfg) -> Report:
     return rep
 
 
-@experiment("dirichlet-growth", reads=("grid", "box"))
+@experiment("dirichlet-growth", grid=16384, box=1.0)
 def run_dirichlet_growth(cfg) -> Report:
     from .cutoffs import base_profile_values
     from .growth import holder_exponent_estimate
 
-    g = _grid(cfg, dim=1, n=cfg.get("grid") or 16384)
-    rep = Report("dirichlet-growth", {**cfg, "dim": 1, "grid": g.points_per_axis})
+    g = _grid(cfg, dim=1, n=cfg["grid"])
+    rep = Report("dirichlet-growth", {**cfg, "dim": 1})
     rho = g.periodic_distance(g.center)
     window = base_profile_values(4.0 * rho / g.box_length)
     E = ball_mask(g, g.center, g.box_length / 6)
     rows = []
     for alpha in (0.25, 0.5):
         v = GridFunction(g, window * rho**alpha)
-        out = holder_exponent_estimate(v, E, R=g.box_length / 12, scales=4)
+        out = holder_exponent_estimate(v, E, R=g.box_length / 12)
         names = ("alpha_seminorm", "alpha_campanato", "alpha_modulus")
         for nm in names:
             ok = abs(out[nm] - alpha) <= 0.05
@@ -438,14 +437,14 @@ def run_dirichlet_growth(cfg) -> Report:
 
 # -- module-level extras -------------------------------------------------------
 
-@experiment("product-rule", reads=("box",))
+@experiment("product-rule", box=1.0)
 def run_product_rule(cfg) -> Report:
     from .fields import moment_free_bump
     from .multipliers import product_rule_residual
 
     rep = Report("product-rule", cfg)
     g2 = _grid(cfg, dim=2, n=512)
-    phi = moment_free_bump(g2, radius=g2.box_length / 6, order=2)
+    phi = moment_free_bump(g2, radius=g2.box_length / 6)
     win = ball_mask(g2, g2.center, g2.box_length / 8)
     out = product_rule_residual(phi, (1, 0), 1.0, win)
     rel = out["residual"] / out["reference"]
@@ -454,7 +453,7 @@ def run_product_rule(cfg) -> Report:
     prev = None
     for n in (128, 256, 512):
         gg = _grid(cfg, dim=1, n=n)
-        ph = moment_free_bump(gg, radius=gg.box_length / 8, order=2)
+        ph = moment_free_bump(gg, radius=gg.box_length / 8)
         w = ball_mask(gg, gg.center, gg.box_length / 8)
         r = product_rule_residual(ph, (2,), 2.0, w)
         val = r["residual"] / r["reference"]
@@ -465,32 +464,30 @@ def run_product_rule(cfg) -> Report:
     return rep
 
 
-@experiment("polynomial-annihilation", reads=("grid", "box"))
+@experiment("polynomial-annihilation", grid=2048, box=1.0)
 def run_poly_annihilation(cfg) -> Report:
     from .fields import smooth_bump
     from .multipliers import polynomial_annihilation
 
-    g = _grid(cfg, dim=1, n=cfg.get("grid") or 2048)
+    g = _grid(cfg, dim=1, n=cfg["grid"])
     rep = Report("polynomial-annihilation", {**cfg, "dim": 1})
     phi = smooth_bump(g, radius=g.box_length / 24)
-    out = polynomial_annihilation((0,), 0.75, phi,
-                                  [g.box_length / 32, g.box_length / 16, g.box_length / 8],
-                                  p_prime=2.0)
+    out = polynomial_annihilation((0,), 0.75, phi, [g.box_length / 32, g.box_length / 16, g.box_length / 8])
     rep.add_verdict("slope_below_bound", out["slope"] <= out["bound"], out["slope"], out["bound"])
     rep.add_table("decay", [{"R": R, "I": I} for R, I in zip(out["radii"], out["values"])])
     return rep
 
 
-@experiment("mv-poincare", reads=("grid", "box", "s"))
+@experiment("mv-poincare", grid=2048, box=1.0, s=0.5)
 def run_mv_poincare(cfg) -> Report:
     from .cutoffs import build_family
     from .fields import band_limited_field
     from .meanvalue import mv_poincare_ratio
 
-    g = _grid(cfg, dim=1, n=cfg.get("grid") or 2048)
+    g = _grid(cfg, dim=1, n=cfg["grid"])
     rep = Report("mv-poincare", {**cfg, "dim": 1})
     fam = build_family(4)
-    s, t = cfg.get("s") or 0.5, 0.0
+    s, t = cfg["s"], 0.0
     r = g.box_length / 32
 
     def sample(seed):
@@ -504,14 +501,14 @@ def run_mv_poincare(cfg) -> Report:
     return rep
 
 
-@experiment("homogeneous-norm-localization", reads=("grid", "box", "s"))
+@experiment("homogeneous-norm-localization", grid=2048, box=1.0, s=0.5)
 def run_homogloc(cfg) -> Report:
     from .fields import band_limited_field
     from .growth import homogeneous_norm_localization
 
-    g = _grid(cfg, dim=1, n=cfg.get("grid") or 2048)
+    g = _grid(cfg, dim=1, n=cfg["grid"])
     rep = Report("homogeneous-norm-localization", {**cfg, "dim": 1})
-    s = cfg.get("s") or 0.5
+    s = cfg["s"]
 
     def sample(seed):
         v = band_limited_field(g, seed, cutoff=64, envelope=32)
@@ -523,12 +520,12 @@ def run_homogloc(cfg) -> Report:
     return rep
 
 
-@experiment("local-norm-recovery", reads=("grid", "box"))
+@experiment("local-norm-recovery", grid=1024, box=1.0)
 def run_local_norm(cfg) -> Report:
     from .fields import confined_field
     from .hodge import local_norm_recovery
 
-    g = _grid(cfg, dim=1, n=cfg.get("grid") or 1024)
+    g = _grid(cfg, dim=1, n=cfg["grid"])
     rep = Report("local-norm-recovery", {**cfg, "dim": 1})
     r = g.box_length / 64
     ratios = {}  # seed -> Lambda = 8 ratio, kept for the stability check
@@ -545,7 +542,7 @@ def run_local_norm(cfg) -> Report:
     return rep
 
 
-@experiment("weighted-power-profile", reads=("box",))
+@experiment("weighted-power-profile", box=1.0)
 def run_weighted_power(cfg) -> Report:
     from .lorentz import lorentz_norm_profile, weighted_power_profile
 
@@ -570,16 +567,16 @@ def run_weighted_power(cfg) -> Report:
     return rep
 
 
-@experiment("annulus-mv-poincare", reads=("grid", "box", "s"))
+@experiment("annulus-mv-poincare", grid=2048, box=1.0, s=0.5)
 def run_annulus_mv(cfg) -> Report:
     from .cutoffs import build_family
     from .fields import band_limited_field
     from .meanvalue import annulus_mv_poincare_ratio
 
-    g = _grid(cfg, dim=1, n=cfg.get("grid") or 2048)
+    g = _grid(cfg, dim=1, n=cfg["grid"])
     rep = Report("annulus-mv-poincare", {**cfg, "dim": 1})
     fam = build_family(5)
-    s, t = cfg.get("s") or 0.5, 0.0
+    s, t = cfg["s"], 0.0
     r = g.box_length / 64
     per_k = {}
     for k in (1, 2, 3, 4):
@@ -594,13 +591,13 @@ def run_annulus_mv(cfg) -> Report:
     return rep
 
 
-@experiment("polynomial-gap", reads=("grid", "box"))
+@experiment("polynomial-gap", grid=2048, box=1.0)
 def run_polynomial_gap(cfg) -> Report:
     from .cutoffs import build_family
     from .fields import band_limited_field
     from .meanvalue import polynomial_gap_scan
 
-    g = _grid(cfg, dim=1, n=cfg.get("grid") or 2048)
+    g = _grid(cfg, dim=1, n=cfg["grid"])
     rep = Report("polynomial-gap", {**cfg, "dim": 1})
     fam = build_family(5)
     r = g.box_length / 64
@@ -616,12 +613,12 @@ def run_polynomial_gap(cfg) -> Report:
     return rep
 
 
-@experiment("fourier-domination", reads=("grid", "box"))
+@experiment("fourier-domination", grid=512, box=1.0)
 def run_fourier_domination(cfg) -> Report:
     from .compensation import fourier_domination_check
     from .fields import band_limited_field
 
-    g = _grid(cfg, dim=1, n=cfg.get("grid") or 512)
+    g = _grid(cfg, dim=1, n=cfg["grid"])
     rep = Report("fourier-domination", {**cfg, "dim": 1})
     cut = g.points_per_axis / 8
 
@@ -637,14 +634,14 @@ def run_fourier_domination(cfg) -> Report:
     return rep
 
 
-@experiment("localization", reads=("grid", "box"))
+@experiment("localization", grid=1024, box=1.0)
 def run_localization(cfg) -> Report:
     from .fields import smooth_bump
     from .grid import l2_inner
     from .hodge import localization_representative
     from .multipliers import frac_laplacian
 
-    g = _grid(cfg, dim=1, n=cfg.get("grid") or 1024)
+    g = _grid(cfg, dim=1, n=cfg["grid"])
     rep = Report("localization", {**cfg, "dim": 1})
     gamma = g.box_length / 32
     norms = []
@@ -654,7 +651,7 @@ def run_localization(cfg) -> Report:
         c_b = g.center.copy()
         c_b[0] += gamma + d + 2 * gamma
         b = smooth_bump(g, c_b, 2 * gamma, modulation_mode=1, seed=cfg["seed"])
-        a = localization_representative(b, gamma, d, g.center)
+        a = localization_representative(b, gamma, d)
         # representation identity against independently evaluated pairings
         worst = 0.0
         n = g.dim
@@ -676,18 +673,18 @@ def run_localization(cfg) -> Report:
     return rep
 
 
-@experiment("lower-order-product", reads=("grid", "box", "s", "m1", "m2"))
+@experiment("lower-order-product", grid=256, box=1.0, s=0.5, m1="riesz:0", m2="identity")
 def run_lower_order(cfg) -> Report:
     from .fields import band_limited_field
     from .hodge import lower_order_product_norm
     from .multipliers import parse_symbol_id
 
-    g = _grid(cfg, dim=2, n=cfg.get("grid") or 256)
+    g = _grid(cfg, dim=2, n=cfg["grid"])
     rep = Report("lower-order-product", {**cfg, "dim": 2})
-    s = cfg.get("s") or 0.5
+    s = cfg["s"]
     # zero-multiplier factors are nameable by symbol id ("identity", "riesz:j")
-    m1 = parse_symbol_id(cfg.get("m1") or "riesz:0", 2)
-    m2 = parse_symbol_id(cfg.get("m2") or "identity", 2)
+    m1 = parse_symbol_id(cfg["m1"], 2)
+    m2 = parse_symbol_id(cfg["m2"], 2)
 
     def sample(seed):
         u = band_limited_field(g, seed, cutoff=16)
@@ -700,12 +697,12 @@ def run_lower_order(cfg) -> Report:
     return rep
 
 
-@experiment("campanato", reads=("grid", "box"))
+@experiment("campanato", grid=2048, box=1.0)
 def run_campanato(cfg) -> Report:
     from .fields import band_limited_field
     from .growth import campanato_functionals
 
-    g = _grid(cfg, dim=1, n=cfg.get("grid") or 2048)
+    g = _grid(cfg, dim=1, n=cfg["grid"])
     rep = Report("campanato", {**cfg, "dim": 1})
     D = ball_mask(g, g.center, g.box_length / 8)
     v = band_limited_field(g, cfg["seed"], cutoff=64, envelope=32)
@@ -718,13 +715,13 @@ def run_campanato(cfg) -> Report:
     return rep
 
 
-@experiment("seminorm-comparison", reads=("grid", "box"))
+@experiment("seminorm-comparison", grid=4096, box=1.0)
 def run_seminorm_comparison(cfg) -> Report:
     from .cutoffs import build_family
     from .fields import band_limited_field
     from .growth import seminorm_comparison_terms
 
-    g = _grid(cfg, dim=1, n=cfg.get("grid") or 4096)
+    g = _grid(cfg, dim=1, n=cfg["grid"])
     rep = Report("seminorm-comparison", {**cfg, "dim": 1})
     fam = build_family(5)
     r = g.box_length / 128
@@ -795,11 +792,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list", help="list experiment ids")
     runp = sub.add_parser("run", help=f"run one experiment ({EXPERIMENTS_HELP})")
     runp.add_argument("experiment")
+    # run options default to None here; each experiment declares its defaults
     runp.add_argument("--grid", type=int, default=None, help="points per axis (power of two)")
-    runp.add_argument("--box", type=float, default=None, help="box length (default 1)")
+    runp.add_argument("--box", type=float, default=None, help="box length")
     runp.add_argument("--s", type=float, default=None, help="operator order")
     runp.add_argument("--seed", type=int, default=0)
-    runp.add_argument("--scales", type=float, nargs="*", default=None)
+    runp.add_argument("--scales", type=float, nargs="+", default=None)
     runp.add_argument("--out", default="reports")
     runp.add_argument("--constants", default=None)
     runp.add_argument("--m1", default=None, help="zero-multiplier id (identity, riesz:j, ...)")
@@ -825,21 +823,16 @@ def main(argv=None) -> int:
         print(f"unknown experiment {args.experiment!r}; ids: {EXPERIMENTS_HELP}", file=sys.stderr)
         return 2
     run = REGISTRY[args.experiment]
+    defaults = getattr(run, "defaults", {})  # a function put in REGISTRY directly reads no option
+    given = {opt: getattr(args, opt) for opt in RUN_OPTIONS if getattr(args, opt) is not None}
     # a report echoes its config, so an option the experiment ignores is refused
-    ignored = [f"--{opt}" for opt in RUN_OPTIONS if getattr(args, opt) is not None and opt not in run.reads]
+    ignored = [f"--{opt}" for opt in given if opt not in defaults]
     if ignored:
         print(f"config error: {args.experiment} does not read {', '.join(ignored)}", file=sys.stderr)
         return 2
-    cfg = {
-        "grid": args.grid,
-        "box": 1.0 if args.box is None else args.box,
-        "s": args.s,
-        "seed": args.seed,
-        "scales": args.scales,
-        "constants": args.constants,
-        "m1": args.m1,
-        "m2": args.m2,
-    }
+    # the config echoes every run option: the value that ran, None where the
+    # experiment reads none (box 1.0)
+    cfg = {**dict.fromkeys(RUN_OPTIONS), "box": 1.0, **defaults, **given, "seed": args.seed}
     try:
         t0 = time.time()
         report = run(cfg)

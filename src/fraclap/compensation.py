@@ -92,10 +92,10 @@ def _commutator_from(
 
 # -- elementary defect inequalities -----------------------------------------
 
-def defect_ratio(x: np.ndarray, xi: np.ndarray, p: float, theta: float = 0.5) -> np.ndarray:
+def defect_ratio(x: np.ndarray, xi: np.ndarray, p: float) -> np.ndarray:
     """| |x-xi|^p - |xi|^p - |x|^p | over the compensation majorant.
 
-    Majorant: |x|^(p theta) |xi|^(p(1-theta)) for p <= 1, else
+    Majorant: |x|^(p/2) |xi|^(p/2) for p <= 1, else
     |x|^(p-1)|xi| + |xi|^(p-1)|x|.  Vectorized over rows of x, xi.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -106,15 +106,13 @@ def defect_ratio(x: np.ndarray, xi: np.ndarray, p: float, theta: float = 0.5) ->
         raise CompensationError("defect samples must avoid the origin")
     num = np.abs(np.linalg.norm(x - xi, axis=-1) ** p - axi**p - ax**p)
     if p <= 1:
-        den = ax ** (p * theta) * axi ** (p * (1.0 - theta))
+        den = ax ** (0.5 * p) * axi ** (0.5 * p)
     else:
         den = ax ** (p - 1) * axi + axi ** (p - 1) * ax
     return num / den
 
 
-def defect_scan(
-    dim: int, p: float, theta: float = 0.5, samples: int = 1_000_000, seed: int = 0
-) -> dict:
+def defect_scan(dim: int, p: float, samples: int = 1_000_000, seed: int = 0) -> dict:
     """Sup of defect_ratio over seeded samples with |xi| = 1 (homogeneity
     reduction: both sides are p-homogeneous under (x,xi) -> (t x, t xi))."""
     rng = np.random.default_rng(seed)
@@ -124,8 +122,8 @@ def defect_scan(
     x = xdir * radius[:, None]
     xi = rng.standard_normal((samples, dim))
     xi /= np.linalg.norm(xi, axis=1, keepdims=True)
-    ratios = defect_ratio(x, xi, p, theta)
-    return {"sup": float(np.max(ratios)), "samples": samples, "p": p, "theta": theta}
+    ratios = defect_ratio(x, xi, p)
+    return {"sup": float(np.max(ratios)), "samples": samples, "p": p}
 
 
 def triangle_defect_scan(
@@ -166,12 +164,10 @@ def mode_convolution(grid: Grid, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.fft.ifftshift(out) / grid.box_length**grid.dim
 
 
-def fourier_domination_check(
-    u: GridFunction, v: GridFunction, threshold: float = 1e-12
-) -> dict:
+def fourier_domination_check(u: GridFunction, v: GridFunction) -> dict:
     """Pointwise |H(u,v)^| against the dominating convolution of half-order
-    coefficient magnitudes; returns the max ratio where the majorant is
-    non-negligible.
+    coefficient magnitudes; returns the max ratio where the majorant exceeds
+    1e-12 of its maximum.
 
     dims 1, 2: |(Lap^{n/4} u)^| * |(Lap^{n/4} v)^|;
     dim 3: the two-term version with orders (n-2)/2 and 1.
@@ -195,7 +191,7 @@ def fourier_domination_check(
         if float(np.max(H_hat)) <= 1e-300:
             return {"max_ratio": 0.0, "points": 0}
         raise CompensationError("dominating convolution is identically negligible")
-    floor = threshold * float(np.max(dom))
+    floor = 1e-12 * float(np.max(dom))
     sel = dom > floor
     ratios = H_hat[sel] / dom[sel]
     return {"max_ratio": float(np.max(ratios)), "points": int(sel.sum())}

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid, GridError, GridFunction, annulus_mask, ball_mask, lp_norm
+from .grid import Grid, GridError, GridFunction, lp_norm
 from .multipliers import frac_laplacian
 
 
@@ -125,12 +125,13 @@ class DyadicCutoffFamily:
         vp, dp, sp = self.partial(k - 1, rho)
         return vk - vp, dk - dp, sk - sp
 
-    def measured_gradient_sup(self, k: int, order: int, samples: int = 8192) -> float:
-        """sup over the support annulus of |d^order eta^k| (radial closed form,
-        tangential curvature term |eta'|/rho included for order 2)."""
+    def measured_gradient_sup(self, k: int, order: int) -> float:
+        """sup over 8192 radii of the support annulus of |d^order eta^k|
+        (radial closed form, tangential curvature term |eta'|/rho included
+        for order 2)."""
         lo = 0.0 if k == 0 else 2.0 ** (k - 1)
         hi = 2.0 ** (k + 1)
-        rho = np.linspace(max(lo, 1e-9), hi, samples)
+        rho = np.linspace(max(lo, 1e-9), hi, 8192)
         _, d1, d2 = self.ring(k, rho)
         if order == 1:
             return float(np.max(np.abs(d1)))
@@ -172,15 +173,8 @@ def build_family(depth: int, profile=base_profile) -> DyadicCutoffFamily:
     return fam
 
 
-def evaluate(
-    family: DyadicCutoffFamily,
-    k: int,
-    r: float,
-    x,
-    grid: Grid,
-    attach_mask: bool = True,
-) -> GridFunction:
-    """Sample eta^k((. - x)/r) on the grid, with its annulus support mask."""
+def evaluate(family: DyadicCutoffFamily, k: int, r: float, x, grid: Grid) -> GridFunction:
+    """Sample eta^k((. - x)/r) on the grid."""
     if k > family.depth:
         raise GridError(f"k = {k} exceeds family depth {family.depth}")
     if 2.0 ** (k + 1) * r > 0.5 * grid.box_length:
@@ -189,14 +183,7 @@ def evaluate(
             f"{0.5 * grid.box_length:g}"
         )
     rho = grid.periodic_distance(x)
-    vals = family.ring(k, rho / r)[0]
-    mask = None
-    if attach_mask:
-        if k == 0:
-            mask = ball_mask(grid, x, 2.0 * r)
-        else:
-            mask = annulus_mask(grid, x, 2.0 ** (k - 1) * r, 2.0 ** (k + 1) * r)
-    return GridFunction(grid, vals, mask)
+    return GridFunction(grid, family.ring(k, rho / r)[0])
 
 
 def norm_scaling_experiment(
@@ -206,9 +193,8 @@ def norm_scaling_experiment(
     p_prime: float,
     k_range,
     r: float,
-    x=None,
 ) -> dict:
-    """Regress log2 ||Lap^s eta^k_{r,x}||_{p'} on k.
+    """Regress log2 ||Lap^s eta^k_{r,x}||_{p'} on k, x the box center.
 
     The fitted slope tracks -s + n/p' (eta^k lives at scale 2^k r and the
     operator/norm scalings combine to that exponent).
@@ -218,11 +204,9 @@ def norm_scaling_experiment(
         raise GridError("need at least 4 values of k")
     if p_prime not in (2.0, 4.0, float("inf"), 2, 4):
         raise GridError("p_prime restricted to {2, 4, inf}")
-    if x is None:
-        x = grid.center
     norms = []
     for k in k_range:
-        eta = evaluate(family, k, r, x, grid, attach_mask=False)
+        eta = evaluate(family, k, r, grid.center, grid)
         norms.append(lp_norm(frac_laplacian(eta, s), float(p_prime)))
     logs = np.log2(np.asarray(norms))
     slope = float(np.polyfit(np.asarray(k_range, dtype=float), logs, 1)[0])

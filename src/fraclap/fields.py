@@ -19,9 +19,9 @@ def band_limited_field(
     seed: int,
     cutoff: float | None = None,
     envelope: float | None = None,
-    mean_zero: bool = True,
 ) -> GridFunction:
-    """Real Gaussian field with spectral support |mode| <= cutoff, unit L^2 norm.
+    """Real Gaussian field with spectral support |mode| <= cutoff, zero mean
+    and unit L^2 norm.
 
     envelope, when given, multiplies coefficients by exp(-(|m|/envelope)^2)
     for a smoother family (used where quadrature floors must stay small).
@@ -36,8 +36,7 @@ def band_limited_field(
     W = np.where(mag <= cutoff, W, 0.0)
     if envelope is not None:
         W = W * np.exp(-((mag / envelope) ** 2))
-    if mean_zero:
-        W[(0,) * grid.dim] = 0.0
+    W[(0,) * grid.dim] = 0.0
     vals = np.fft.ifftn(W).real
     norm = np.sqrt(np.sum(vals**2) * grid.cell_measure)
     if norm == 0:
@@ -82,18 +81,14 @@ def smooth_bump(
 def confined_field(
     grid: Grid,
     seed: int,
-    center=None,
-    radius: float | None = None,
+    radius: float,
     cutoff: float | None = None,
     envelope: float | None = None,
     mean_zero: bool = False,
 ) -> GridFunction:
-    """Band-limited field times the smooth bump window: compact support with
-    rapidly decaying spectrum.  Normalized to unit L^2."""
-    if center is None:
-        center = grid.center
-    if radius is None:
-        radius = grid.box_length / 6.0
+    """Band-limited field times the smooth bump window about the box center:
+    compact support with rapidly decaying spectrum.  Normalized to unit L^2."""
+    center = grid.center
     f = band_limited_field(grid, seed, cutoff=cutoff, envelope=envelope)
     rho = grid.periodic_distance(center)
     window = base_profile_values(2.0 * rho / radius)
@@ -106,20 +101,16 @@ def confined_field(
     return GridFunction(grid, vals / norm, ball_mask(grid, center, radius))
 
 
-def moment_free_bump(
-    grid: Grid,
-    center=None,
-    radius: float | None = None,
-    order: int = 2,
-) -> GridFunction:
-    """Axis-derivative of the smooth bump: moments below `order` vanish, so
-    tails of nonlocal operators applied to it decay fast enough for interior
-    product-rule and decay studies.  Unit L^2 norm."""
+def moment_free_bump(grid: Grid, radius: float) -> GridFunction:
+    """Second axis-derivative of the smooth bump about the box center: moments
+    of order 0 and 1 vanish, so tails of nonlocal operators applied to it
+    decay fast enough for interior product-rule and decay studies.  Unit L^2
+    norm."""
     from .multipliers import derivative
 
-    b = smooth_bump(grid, center=center, radius=radius)
+    b = smooth_bump(grid, radius=radius)
     alpha = [0] * grid.dim
-    alpha[0] = order
+    alpha[0] = 2
     d = derivative(b, alpha)
     norm = np.sqrt(np.sum(d.values**2) * grid.cell_measure)
     return GridFunction(grid, d.values / norm)

@@ -160,19 +160,17 @@ def _check_same_grid(g1: Grid, g2: Grid):
         raise GridError("grids differ")
 
 
-def ball_mask(grid: Grid, center, radius: float, label: Optional[str] = None) -> DomainMask:
+def ball_mask(grid: Grid, center, radius: float) -> DomainMask:
     """Mask of B_radius(center): grid points with periodic distance < radius."""
     vals = grid.periodic_distance(center) < radius
-    return DomainMask(grid, vals, label or f"ball(r={radius:g})")
+    return DomainMask(grid, vals, f"ball(r={radius:g})")
 
 
-def annulus_mask(
-    grid: Grid, center, r_inner: float, r_outer: float, label: Optional[str] = None
-) -> DomainMask:
+def annulus_mask(grid: Grid, center, r_inner: float, r_outer: float) -> DomainMask:
     """Mask of B_r_outer \\ closure(B_r_inner): r_inner < dist < r_outer."""
     d = grid.periodic_distance(center)
     vals = (d > r_inner) & (d < r_outer)
-    return DomainMask(grid, vals, label or f"annulus({r_inner:g},{r_outer:g})")
+    return DomainMask(grid, vals, f"annulus({r_inner:g},{r_outer:g})")
 
 
 def full_mask(grid: Grid) -> DomainMask:

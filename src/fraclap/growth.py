@@ -192,38 +192,39 @@ def iteration_reduce(
 
 # -- generators ---------------------------------------------------------------
 
-def generate_driteration_input(
-    seed: int, gamma: float, alpha: float, k_min: int = -12, k_max: int = 4
-) -> tuple:
-    """Arbitrary nonnegative tail, then Lambda inflated to the minimal value
-    making the hypothesis hold (recorded); constructive, no rejection."""
+# index range [K_MIN, K_MAX] of the generated sequences
+K_MIN, K_MAX = -12, 4
+
+
+def generate_driteration_input(seed: int, gamma: float, alpha: float) -> tuple:
+    """Arbitrary nonnegative tail on [K_MIN, K_MAX], then Lambda inflated to
+    the minimal value making the hypothesis hold (recorded); constructive, no
+    rejection."""
     rng = np.random.default_rng(seed)
-    ks = np.arange(k_min, k_max + 1)
+    ks = np.arange(K_MIN, K_MAX + 1)
     theta = rng.uniform(0.2, 1.5)
     vals = np.abs(rng.standard_normal(ks.size)) * 2.0 ** (theta * np.minimum(ks, 0))
     vals[rng.random(ks.size) < 0.15] = 0.0
-    a = AnnulusSequence(k_min, vals)
+    a = AnnulusSequence(K_MIN, vals)
     lam_min = 0.0
-    for N in range(k_min, 1):
+    for N in range(K_MIN, 1):
         denom = a.weighted_tail(N, gamma, shift=1) + 2.0 ** (alpha * N)
         lam_min = max(lam_min, a.head_sum(N) / denom)
     lam = max(lam_min * (1.0 + 1e-9), 1e-6)
     return a, lam
 
 
-def generate_iteration_input(
-    seed: int, lam1: float, lam2: float, gamma: float, L: int, k_min: int = -12, k_max: int = 4
-) -> AnnulusSequence:
-    """Nonnegative tail rescaled to satisfy the four-term hypothesis: the
-    inequality is affine in the scale (the absolute 2^(gamma N) term is not),
-    so the minimal feasible downscale is explicit."""
+def generate_iteration_input(seed: int, lam1: float, lam2: float, gamma: float, L: int) -> AnnulusSequence:
+    """Nonnegative tail on [K_MIN, K_MAX] rescaled to satisfy the four-term
+    hypothesis: the inequality is affine in the scale (the absolute
+    2^(gamma N) term is not), so the minimal feasible downscale is explicit."""
     rng = np.random.default_rng(seed)
-    ks = np.arange(k_min, k_max + 1)
+    ks = np.arange(K_MIN, K_MAX + 1)
     theta = rng.uniform(0.2, 1.2)
     vals = np.abs(rng.standard_normal(ks.size)) * 2.0 ** (theta * np.minimum(ks, 0))
-    a = AnnulusSequence(k_min, vals)
+    a = AnnulusSequence(K_MIN, vals)
     c_max = math.inf
-    for N in range(k_min, 1):
+    for N in range(K_MIN, 1):
         linear = (
             0.5 * a.head_sum(N + L)
             + lam1 * a.weighted_head(N, gamma)
@@ -233,7 +234,7 @@ def generate_iteration_input(
         if deficit > 0:
             c_max = min(c_max, lam2 * 2.0 ** (gamma * N) / deficit)
     scale = 1.0 if math.isinf(c_max) else 0.9 * c_max
-    return AnnulusSequence(k_min, vals * min(1.0, scale))
+    return AnnulusSequence(K_MIN, vals * min(1.0, scale))
 
 
 def counterexample_driteration(witness: int, gamma: float, alpha: float, lam: float) -> AnnulusSequence:
@@ -282,12 +283,12 @@ def campanato_functionals(v: GridFunction, D: DomainMask, lam: float, R: float) 
     return {"J": best_J, "M": best_M, "at_J": at_J, "at_M": at_M, "scales": rhos}
 
 
-def _ball_seminorm_sup(v: GridFunction, E: DomainMask, r: float, s: float, n_centers: int = 9) -> float:
-    """sup over sampled centers in E of the Gagliardo seminorm on B_r."""
+def _ball_seminorm_sup(v: GridFunction, E: DomainMask, r: float, s: float) -> float:
+    """sup over 9 evenly spaced centers in E of the Gagliardo seminorm on B_r."""
     grid = v.grid
     sel = np.nonzero(E.values)
     count = sel[0].size
-    picks = np.unique(np.linspace(0, count - 1, n_centers).astype(int))
+    picks = np.unique(np.linspace(0, count - 1, 9).astype(int))
     best = 0.0
     for p in picks:
         center = [grid.axis_coords()[sel[a][p]] for a in range(grid.dim)]
@@ -295,14 +296,9 @@ def _ball_seminorm_sup(v: GridFunction, E: DomainMask, r: float, s: float, n_cen
     return best
 
 
-def holder_exponent_estimate(
-    v: GridFunction,
-    E: DomainMask,
-    R: float,
-    scales: int = 4,
-    n_centers: int = 9,
-) -> dict:
-    """Three routes to the Hoelder exponent of v on E.
+def holder_exponent_estimate(v: GridFunction, E: DomainMask, R: float) -> dict:
+    """Three routes to the Hoelder exponent of v on E, over the four dyadic
+    scales R, R/2, R/4, R/8.
 
     (a) log-log slope of sup_x [v]_{B_r(x), n/2} against r;
     (b) growth fit of the Campanato mass sup_x int_{B_rho} |v - mean|^2,
@@ -316,16 +312,16 @@ def holder_exponent_estimate(
     h = grid.spacing
     if R < 16 * h:
         raise GrowthError("R must resolve at least 4 dyadic scales (R >= 16h)")
-    radii = [R / 2.0**j for j in range(scales)]
+    radii = [R / 2.0**j for j in range(4)]
     if radii[-1] < 4 * h:
-        raise GrowthError("smallest scale under-resolved; reduce scales or refine")
+        raise GrowthError("smallest scale under-resolved; raise R or refine")
     sel = E.values
     spread = float(np.max(v.values[sel]) - np.min(v.values[sel]))
     if spread <= 1e-14 * (np.max(np.abs(v.values)) + 1e-300):
         return {"alpha_seminorm": None, "alpha_campanato": None, "alpha_modulus": None,
                 "flat": True}
 
-    sems = [_ball_seminorm_sup(v, E, r, grid.dim / 2.0, n_centers) for r in radii]
+    sems = [_ball_seminorm_sup(v, E, r, grid.dim / 2.0) for r in radii]
     alpha_a = float(np.polyfit(np.log(radii), np.log(np.maximum(sems, 1e-300)), 1)[0])
 
     points = np.argwhere(sel)
@@ -353,35 +349,28 @@ def holder_exponent_estimate(
     }
 
 
-def seminorm_comparison_terms(
-    v: GridFunction,
-    r: float,
-    x,
-    family,
-    eps: float = 0.5,
-    gamma_decay: float = 0.5,
-    k_terms: int = 4,
-) -> dict:
+def seminorm_comparison_terms(v: GridFunction, r: float, x, family) -> dict:
     """Terms of the ball-seminorm comparison: [v]_{B_r, n/2} against
     eps [v]_{B_8r, n/2} plus the bracket
 
-        ||Lap^{n/2} v||_{L2(B_16r)} + sum_k 2^(-n k) ||eta^k_{8r} Lap^{n/2} v||_2
+        ||Lap^{n/2} v||_{L2(B_16r)} + sum_{k=1..4} 2^(-n k) ||eta^k_{8r} Lap^{n/2} v||_2
         + sum_j 2^(-gamma |j|) [v]_{A~_j, n/2},
 
-    returning the constant the bracket needs to absorb the remainder."""
+    with eps = gamma = 1/2, returning the constant the bracket needs to
+    absorb the remainder."""
     from .cutoffs import evaluate as _eval_cutoff
 
     grid = v.grid
     n = grid.dim
     s = n / 2.0
     lhs = gagliardo_seminorm(v, ball_mask(grid, x, r), s)
-    first = eps * gagliardo_seminorm(v, ball_mask(grid, x, 8.0 * r), s)
+    first = 0.5 * gagliardo_seminorm(v, ball_mask(grid, x, 8.0 * r), s)
     lap = frac_laplacian(v, s)
     bracket = lp_norm(lap, 2, ball_mask(grid, x, 16.0 * r))
-    for k in range(1, k_terms + 1):
+    for k in range(1, 5):
         if 2.0 ** (k + 1) * 8.0 * r > 0.5 * grid.box_length:
             break
-        eta = _eval_cutoff(family, k, 8.0 * r, x, grid, attach_mask=False)
+        eta = _eval_cutoff(family, k, 8.0 * r, x, grid)
         bracket += 2.0 ** (-n * k) * lp_norm(GridFunction(grid, eta.values * lap.values), 2)
     h = grid.spacing
     j = 0
@@ -394,23 +383,21 @@ def seminorm_comparison_terms(
     ann_sum = 0.0
     for j in range(j_min, j_max + 1):
         A = annulus_mask(grid, x, 2.0 ** (j - 1) * r, 2.0 ** (j + 1) * r)
-        ann_sum += 2.0 ** (-gamma_decay * abs(j)) * gagliardo_seminorm(v, A, s)
+        ann_sum += 2.0 ** (-0.5 * abs(j)) * gagliardo_seminorm(v, A, s)
     bracket += ann_sum
     needed = (lhs - first) / bracket if bracket > 0 else 0.0
     return {"lhs": lhs, "eps_term": first, "bracket": bracket, "needed_constant": needed}
 
 
-def homogeneous_norm_localization(
-    v: GridFunction, r: float, x, s: float, min_radius_cells: int = 8
-) -> dict:
+def homogeneous_norm_localization(v: GridFunction, r: float, x, s: float) -> dict:
     """[v]^2_{B_r, s} against C sum_{k <= -1} [v]^2_{A_k, s} with the dyadic
     annuli A_k = B_{2^{k+1} r} minus closure(B_{2^{k-1} r}) resolved down to
-    min_radius_cells grid spacings."""
+    8 grid spacings."""
     grid = v.grid
     h = grid.spacing
     ks = []
     k = -1
-    while 2.0 ** (k + 1) * r >= min_radius_cells * h:
+    while 2.0 ** (k + 1) * r >= 8 * h:
         ks.append(k)
         k -= 1
     if len(ks) < 2:

@@ -72,14 +72,11 @@ class HodgeDecomposition:
         return (lp_norm(self.h, 2) + lp_norm(frac_laplacian(self.phi, self.s), 2)) / f_norm
 
 
-def hodge_decompose(
-    f: GridFunction,
-    D: DomainMask,
-    s: float,
-    tol: float = 1e-10,
-    maxiter: int = 500,
-) -> HodgeDecomposition:
-    """Minimize ||Lap^s phi - f||_2 over supp phi in D; h = f - Lap^s phi."""
+def hodge_decompose(f: GridFunction, D: DomainMask, s: float, maxiter: int = 500) -> HodgeDecomposition:
+    """Minimize ||Lap^s phi - f||_2 over supp phi in D; h = f - Lap^s phi.
+
+    CG stops at relative residual 1e-10 and raises after maxiter iterations.
+    """
     if s <= 0:
         raise HodgeError("order must be positive")
     grid = f.grid
@@ -95,7 +92,7 @@ def hodge_decompose(
     b = apply_table(np.asarray(f.values, dtype=float), table_s)
     b[~sel] = 0.0
     try:
-        phi_vals, iters, resid = restricted_cg(sel, apply_A, b, tol, maxiter)
+        phi_vals, iters, resid = restricted_cg(sel, apply_A, b, 1e-10, maxiter)
     except Exception as exc:
         raise HodgeError(str(exc)) from exc
     phi = GridFunction(grid, phi_vals, D)
@@ -103,17 +100,17 @@ def hodge_decompose(
     return HodgeDecomposition(phi, h, s, f, D, iterations=iters, cg_residual=resid)
 
 
-def minimizer_optimality_check(dec: HodgeDecomposition, directions: int = 10, seed: int = 0) -> float:
-    """Smallest energy increase E(phi + eps psi) - E(phi) over random interior
-    directions (nonnegative up to roundoff for the discrete minimizer)."""
+def minimizer_optimality_check(dec: HodgeDecomposition) -> float:
+    """Smallest energy increase E(phi + eps psi) - E(phi) over 10 seeded random
+    interior directions (nonnegative up to roundoff for the discrete minimizer)."""
     grid = dec.f.grid
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     table_s = abs_power_table(grid, dec.s)
     base = apply_table(np.asarray(dec.phi.values, dtype=float), table_s) - dec.f.values
     E0 = float(np.sum(base**2)) * grid.cell_measure
     worst = np.inf
     eps = 1e-3 * (lp_norm(dec.phi, 2) + 1.0)
-    for _ in range(directions):
+    for _ in range(10):
         psi = np.zeros(grid.shape)
         psi[dec.mask.values] = rng.standard_normal(dec.mask.npoints)
         psi /= math.sqrt(float(np.sum(psi**2)))
@@ -123,15 +120,7 @@ def minimizer_optimality_check(dec: HodgeDecomposition, directions: int = 10, se
     return worst
 
 
-def harmonic_decay_check(
-    f: GridFunction,
-    r: float,
-    x,
-    lambdas: Sequence[float],
-    s: float,
-    tol: float = 1e-10,
-    maxiter: int = 2000,
-) -> dict:
+def harmonic_decay_check(f: GridFunction, r: float, x, lambdas: Sequence[float], s: float) -> dict:
     """Decompose f on B_{Lambda r}(x) for each Lambda and track
     rho(Lambda) = ||h||_{L2(B_r)} / ||h||_2 against the Lambda^(-1/4) law."""
     grid = f.grid
@@ -142,7 +131,7 @@ def harmonic_decay_check(
     rhos = []
     margins = []
     for lam in lambdas:
-        dec = hodge_decompose(f, ball_mask(grid, x, lam * r), s, tol=tol, maxiter=maxiter)
+        dec = hodge_decompose(f, ball_mask(grid, x, lam * r), s, maxiter=2000)
         margins.append(dec.orthogonality_margin())
         h_norm = lp_norm(dec.h, 2)
         rhos.append(lp_norm(dec.h, 2, inner) / h_norm if h_norm > 0 else 0.0)
@@ -157,42 +146,31 @@ def harmonic_decay_check(
     }
 
 
-def disjoint_pairing_decay(
-    grid: Grid,
-    s: float,
-    t: float,
-    gamma: float,
-    d_list: Sequence[float],
-    b_width: Optional[float] = None,
-    x=None,
-    modulation: int = 2,
-) -> dict:
-    """|<Lap^s a, Lap^t b>| against the separation d, with a in B_gamma(x)
-    and b supported beyond B_{gamma+d}(x); fits the log-log slope whose
-    continuum value is -(n+s+t).
+def disjoint_pairing_decay(grid: Grid, s: float, t: float, gamma: float, d_list: Sequence[float]) -> dict:
+    """|<Lap^s a, Lap^t b>| against the separation d, with a the smooth bump
+    on B_gamma(x) about the box center x and b the same bump centered at
+    x + (gamma + d + gamma) e_1, so supported beyond B_{gamma+d}(x); fits the
+    log-log slope whose continuum value is -(n+s+t).
 
     Geometry guards: the occupied extent stays under a third of the box and
     the nearest periodic image distance stays above the largest tested d.
     """
     if len(d_list) < 3:
         raise HodgeError("need at least 3 separations")
-    if x is None:
-        x = grid.center
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = grid.center
     L = grid.box_length
-    w = b_width if b_width is not None else gamma
     d_max = max(d_list)
-    if gamma + d_max + 2 * w > L / 3.0 + 1e-12:
+    if gamma + d_max + 2 * gamma > L / 3.0 + 1e-12:
         raise HodgeError("supports occupy more than a third of the box")
-    if L - (gamma + d_max + 2 * w) < d_max:
+    if L - (gamma + d_max + 2 * gamma) < d_max:
         raise HodgeError("periodic image closer than the largest tested separation")
-    a = smooth_bump(grid, x, gamma, modulation_mode=modulation)
+    a = smooth_bump(grid, x, gamma)
     lap_a = frac_laplacian(a, s)
     vals = []
     for d in d_list:
         c_b = x.copy()
-        c_b[0] = x[0] + gamma + d + w
-        b = smooth_bump(grid, c_b, w, modulation_mode=modulation)
+        c_b[0] = x[0] + gamma + d + gamma
+        b = smooth_bump(grid, c_b, gamma)
         if not _supports_disjoint(a, b):
             raise HodgeError("supports are not disjoint")
         vals.append(abs(l2_inner(lap_a, frac_laplacian(b, t))))
@@ -207,14 +185,15 @@ def disjoint_pairing_decay(
     }
 
 
-def _supports_disjoint(a: GridFunction, b: GridFunction, tol: float = 1e-12) -> bool:
+def _supports_disjoint(a: GridFunction, b: GridFunction) -> bool:
     overlap = np.abs(a.values) * np.abs(b.values)
     scale = np.max(np.abs(a.values)) * np.max(np.abs(b.values)) + 1e-300
-    return float(np.max(overlap)) <= tol * scale
+    return float(np.max(overlap)) <= 1e-12 * scale
 
 
-def localization_representative(b: GridFunction, gamma: float, d: float, x=None) -> GridFunction:
-    """The function a on D = B_gamma(x) representing phi -> <Lap^{n/2} b, Lap^{n/2} phi>.
+def localization_representative(b: GridFunction, gamma: float, d: float) -> GridFunction:
+    """The function a on D = B_gamma(x), x the box center, representing
+    phi -> <Lap^{n/2} b, Lap^{n/2} phi>.
 
     By self-adjointness of the multiplier the representative is the plain
     restriction of Lap^n b to D; the support condition on b (vanishing on
@@ -222,8 +201,7 @@ def localization_representative(b: GridFunction, gamma: float, d: float, x=None)
     against independently computed pairings.
     """
     grid = b.grid
-    if x is None:
-        x = grid.center
+    x = grid.center
     n = grid.dim
     guard = ball_mask(grid, x, gamma + d)
     inside = np.abs(b.values[guard.values])
@@ -236,19 +214,13 @@ def localization_representative(b: GridFunction, gamma: float, d: float, x=None)
     return GridFunction(grid, vals, D)
 
 
-def local_norm_recovery(
-    v: GridFunction,
-    r: float,
-    x,
-    lam: float,
-    tol: float = 1e-10,
-    maxiter: int = 4000,
-) -> dict:
+def local_norm_recovery(v: GridFunction, r: float, x, lam: float) -> dict:
     """||v||_{L2(B_r)} over the dual-norm sup of phi -> <v, Lap^{n/2} phi>
     with phi ranging over the discrete space supported in B_{Lambda r}(x).
 
     The sup is the exact finite-dimensional dual norm sqrt(<b, A^{-1} b>)
-    with A the restricted normal operator; one CG solve evaluates it.
+    with A the restricted normal operator; one CG solve (relative residual
+    1e-10, at most 4000 iterations) evaluates it.
     """
     grid = v.grid
     n = grid.dim
@@ -268,7 +240,7 @@ def local_norm_recovery(
 
     b = apply_table(np.asarray(v.values, dtype=float), table_half)
     b[~sel] = 0.0
-    phi, iters, _ = restricted_cg(sel, apply_A, b, tol, maxiter)
+    phi, iters, _ = restricted_cg(sel, apply_A, b, 1e-10, 4000)
     sup = math.sqrt(max(float(np.sum(b * phi)) * grid.cell_measure, 0.0))
     return {"ratio": v_norm / sup if sup > 0 else math.inf, "sup": sup, "v_norm": v_norm, "iterations": iters}
 
@@ -280,13 +252,12 @@ def product_rule_localization(
     x,
     lam: float,
     family,
-    k_terms: int = 6,
 ) -> dict:
     """Commutation defect of a mean-value polynomial against the bracket that
     absorbs it: ||Lap^{n/2}(P phi) - P Lap^{n/2} phi||_{L2(B_r)} over
 
         ||Lap^{n/2}(eta_{L r}(u-P))||_2 + ||Lap^{n/2} u||_{L2(B_2Lr)}
-        + L^-1 sum_k 2^-k ||eta^k_{L r} Lap^{n/2} u||_2,
+        + L^-1 sum_{k=1..6} 2^-k ||eta^k_{L r} Lap^{n/2} u||_2,
 
     P the degree ceil(n/2)-1 mean-value polynomial of u on B_{L r}(x).
     Nontrivial only for n >= 3 (below that P is a constant and the defect
@@ -308,17 +279,17 @@ def product_rule_localization(
         - P_vals * frac_laplacian(phi, s).values,
     )
     lhs = lp_norm(lhs_fun, 2, inner)
-    eta0 = _eval_cutoff(family, 0, lam * r, x, grid, attach_mask=False)
+    eta0 = _eval_cutoff(family, 0, lam * r, x, grid)
     bracket = lp_norm(
         frac_laplacian(GridFunction(grid, eta0.values * (u.values - P_vals)), s), 2
     )
     bracket += lp_norm(frac_laplacian(u, s), 2, ball_mask(grid, x, 2.0 * lam * r))
     lap_u = frac_laplacian(u, s)
     tail = 0.0
-    for k in range(1, k_terms + 1):
+    for k in range(1, 7):
         if 2.0 ** (k + 1) * lam * r > 0.5 * grid.box_length:
             break
-        eta = _eval_cutoff(family, k, lam * r, x, grid, attach_mask=False)
+        eta = _eval_cutoff(family, k, lam * r, x, grid)
         tail += 2.0**-k * lp_norm(GridFunction(grid, eta.values * lap_u.values), 2)
     bracket += tail / lam
     return {"lhs": lhs, "bracket": bracket,

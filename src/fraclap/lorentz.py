@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -147,9 +146,7 @@ def product_rearrangement_gaps(f: GridFunction, g: GridFunction) -> np.ndarray:
     return pfg.evaluate(2.0 * ts) - pf.evaluate(ts) * pg.evaluate(ts)
 
 
-def weighted_power_profile(
-    grid: Grid, lam: float, cap: float, truncation: Optional[float] = None
-) -> RearrangementProfile:
+def weighted_power_profile(grid: Grid, lam: float, cap: float) -> RearrangementProfile:
     """Profile of x -> min(|x|^-lam, cap) about the box center.
 
     |.|^-lam belongs to L^{n/lam, inf} exactly; the capped, gridded version
@@ -161,8 +158,6 @@ def weighted_power_profile(
     rho = grid.periodic_distance(grid.center)
     with np.errstate(divide="ignore"):
         vals = np.minimum(rho**-lam, cap)
-    if truncation is not None:
-        vals = np.where(rho < truncation, vals, 0.0)
     return profile_from_values(vals, grid.cell_measure)
 
 

@@ -96,17 +96,10 @@ class MeanValuePolynomial:
         return out
 
 
-def meanvalue_polynomial(
-    v: GridFunction,
-    D: DomainMask,
-    degree: int,
-    center=None,
-    derivatives: Optional[dict] = None,
-) -> MeanValuePolynomial:
+def meanvalue_polynomial(v: GridFunction, D: DomainMask, degree: int, center=None) -> MeanValuePolynomial:
     """Mean-value polynomial of v on D via the inductive recursion.
 
-    degree is capped at 2 (covers all supported dimensions); derivatives may
-    carry precomputed spectral d^alpha v arrays keyed by multiindex.
+    degree is capped at 2 (covers all supported dimensions).
     """
     if degree > 2 or degree < 0:
         raise MeanValueError("degree must lie in {0, 1, 2}")
@@ -119,11 +112,7 @@ def meanvalue_polynomial(
     sel = D.values
     disp = grid.periodic_displacement(center)
 
-    if derivatives is None:
-        derivatives = {}
-    for alpha in _indices_upto(grid.dim, degree):
-        if alpha not in derivatives:
-            derivatives[alpha] = derivative(v, alpha).values
+    derivatives = {alpha: derivative(v, alpha).values for alpha in _indices_upto(grid.dim, degree)}
 
     def poly_derivative_on_mask(coeffs, beta):
         out = np.zeros(int(np.count_nonzero(sel)))
@@ -167,18 +156,15 @@ def poincare_constant(
     s: float,
     t: Optional[float] = None,
     max_power_iterations: int = 1000,
-    rtol: float = 1e-8,
-    cg_tol: float = 1e-12,
-    cg_maxiter: int = 20000,
-    seed: int = 0,
 ) -> dict:
     """Extremal constant sup ||Lap^s f|| / ||Lap^t f|| over f supported in D
     (s = 0 by default order pair (0, s): the plain Poincare constant
     sup ||f|| / ||Lap^s f||).
 
-    Power iteration on the inverse restricted operator: each step solves
-    (P_D Lap^{2t} P_D) u = B f by CG and converges when successive Rayleigh
-    quotients differ by less than rtol (relative).
+    Power iteration on the inverse restricted operator from a seed-0 random
+    start: each step solves (P_D Lap^{2t} P_D) u = B f by CG (relative
+    residual 1e-12, at most 20000 iterations) and converges when successive
+    Rayleigh quotients differ by less than 1e-8 (relative).
     """
     if t is None:
         s, t = 0.0, s
@@ -200,7 +186,7 @@ def poincare_constant(
             return u.copy()
         return apply_table(u, table_B)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     f = np.zeros(grid.shape)
     f[sel] = rng.standard_normal(int(sel.sum()))
     f /= math.sqrt(float(np.sum(f * f)))
@@ -210,7 +196,7 @@ def poincare_constant(
         iterations = it
         Bf = apply_B(f)
         Bf[~sel] = 0.0
-        u, _, _ = restricted_cg(sel, apply_A, Bf, cg_tol, cg_maxiter)
+        u, _, _ = restricted_cg(sel, apply_A, Bf, 1e-12, 20000)
         Bu = apply_B(u)
         Bu[~sel] = 0.0
         num = float(np.sum(u * Bu))
@@ -218,7 +204,7 @@ def poincare_constant(
         lam = num / den
         nrm = math.sqrt(float(np.sum(u * u)))
         f = u / nrm
-        if it > 1 and abs(lam - lam_prev) <= rtol * abs(lam):
+        if it > 1 and abs(lam - lam_prev) <= 1e-8 * abs(lam):
             return {"constant": math.sqrt(lam), "iterations": it, "s": s, "t": t}
         lam_prev = lam
     raise MeanValueError(
@@ -247,7 +233,7 @@ def mv_poincare_ratio(
         raise MeanValueError("orders must satisfy s in [0,N+1), t in [0,N+1-s)")
     D = ball_mask(grid, x, 4.0 * r)
     P = meanvalue_polynomial(v, D, degree, center=x)
-    eta = evaluate(family, 0, r, x, grid, attach_mask=False)
+    eta = evaluate(family, 0, r, x, grid)
     w = GridFunction(grid, eta.values * (v.values - P.evaluate()))
     num = lp_norm(frac_laplacian(w, s), 2) if s > 0 else lp_norm(w, 2)
     sem = gagliardo_seminorm(v, D, s + t)
@@ -279,7 +265,7 @@ def annulus_mv_poincare_ratio(
     D = annulus_mask(grid, x, 2.0 ** (k - 1) * r, 2.0 ** (k + 1) * r)
     wide = annulus_mask(grid, x, 2.0 ** (k - 2) * r, 2.0 ** (k + 2) * r)
     P = meanvalue_polynomial(v, D, degree, center=x)
-    eta = evaluate(family, k, r, x, grid, attach_mask=False)
+    eta = evaluate(family, k, r, x, grid)
     w = GridFunction(grid, eta.values * (v.values - P.evaluate()))
     num = lp_norm(frac_laplacian(w, s), 2) if s > 0 else lp_norm(w, 2)
     sem = gagliardo_seminorm(v, wide, s + t)
@@ -320,7 +306,7 @@ def polynomial_gap_scan(
     for k in range(1, k_max + 1):
         A_k = annulus_mask(grid, x, 2.0**k * r, 2.0 ** (k + 1) * r)
         P_ann = meanvalue_polynomial(v, A_k, degree, center=x)
-        eta = evaluate(family, k, r, x, grid, attach_mask=False)
+        eta = evaluate(family, k, r, x, grid)
         gap = eta.values * (P_ball.evaluate() - P_ann.evaluate())
         g.append(float(np.max(np.abs(gap))) / ((1 + k) * lap_norm_v))
         err = GridFunction(grid, eta.values * (v.values - P_2ball.evaluate()))

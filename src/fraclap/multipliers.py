@@ -26,28 +26,21 @@ construction), so apply_symbol has one path: rfftn, a table evaluated per
 call on the rfftn half lattice and on its mirror -xi and conjugate
 symmetrized there (which zeroes the odd part of the symbol on the Nyquist
 planes) and checked finite off the zero mode, then irfftn, whose output is
-real by construction.  Spectral derivatives are apply_symbol with the symbol
-(2 pi i xi)^alpha.  apply_table stays a complex-FFT fast path on raw arrays
-for the iterative solvers.
+real by construction; the zero mode is annihilated.  Spectral derivatives
+are apply_symbol with the symbol (2 pi i xi)^alpha.  apply_table stays a
+complex-FFT fast path on raw arrays for the iterative solvers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from itertools import product as _iterproduct
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .grid import DomainMask, Grid, GridFunction, lp_norm, per_axis
-
-
-class ZeroModePolicy(Enum):
-    ANNIHILATE = "annihilate"
-    IDENTITY_FOR_S_ZERO = "identity-for-s-zero"
-    PROJECT_MEAN_FIRST = "project-mean-first"
 
 
 class SymbolError(ValueError):
@@ -165,16 +158,12 @@ def _conjugate_symmetrize(grid: Grid, symbol: FrequencySymbol) -> np.ndarray:
     mirror = f[(-np.arange(N)) % N]
     table = symbol.on_axes(per_axis([f] * (dim - 1) + [f[:half]]))
     neg = symbol.on_axes(per_axis([mirror] * (dim - 1) + [mirror[:half]]))
-    with np.errstate(invalid="ignore"):  # zero mode may hold inf, fixed by policy
+    with np.errstate(invalid="ignore"):  # zero mode may hold inf; apply_symbol annihilates it
         return 0.5 * (table + np.conjugate(neg))
 
 
-def apply_symbol(
-    f: GridFunction,
-    symbol: FrequencySymbol,
-    policy: ZeroModePolicy = ZeroModePolicy.ANNIHILATE,
-) -> GridFunction:
-    """Inverse transform of m(xi) * F(xi), zero mode handled per policy.
+def apply_symbol(f: GridFunction, symbol: FrequencySymbol) -> GridFunction:
+    """Inverse transform of m(xi) * F(xi), zero mode annihilated.
 
     rfftn, the conjugate-symmetrized half-lattice table, irfftn, whose output
     is real by construction.
@@ -184,8 +173,6 @@ def apply_symbol(
     F = np.fft.rfftn(f.values, axes=axes)
     table = _conjugate_symmetrize(grid, symbol)
     zero = (0,) * grid.dim
-    if policy is ZeroModePolicy.PROJECT_MEAN_FIRST:
-        F[zero] = 0.0
     # this checks the whole lattice: symmetrization makes an entry and its
     # mirror non-finite together, and each pair meets the half lattice
     bad = ~np.isfinite(table)
@@ -194,13 +181,7 @@ def apply_symbol(
         raise SymbolError(f"symbol {symbol.name} evaluates to NaN/Inf off the zero mode")
     with np.errstate(invalid="ignore"):  # inf * 0 at the zero mode, fixed below
         out = table * F
-    if policy is ZeroModePolicy.IDENTITY_FOR_S_ZERO:
-        out[zero] = F[zero]
-    else:
-        if not np.isfinite(table[zero]):
-            out[zero] = 0.0
-        elif policy is ZeroModePolicy.ANNIHILATE:
-            out[zero] = 0.0
+    out[zero] = 0.0
     return GridFunction(grid, np.fft.irfftn(out, s=grid.shape, axes=axes))
 
 
@@ -214,26 +195,19 @@ def frac_laplacian(f: GridFunction, s: float) -> GridFunction:
         return f
     if s < 0:
         return inv_frac_laplacian(f, -s)
-    return apply_symbol(f, abs_power_symbol(f.grid.dim, s), ZeroModePolicy.ANNIHILATE)
+    return apply_symbol(f, abs_power_symbol(f.grid.dim, s))
 
 
-def inv_frac_laplacian(f: GridFunction, s: float, project_mean: bool = False) -> GridFunction:
-    """Multiplier |xi|^(-s) on nonzero modes; requires mean-zero input.
-
-    A non-mean-zero input raises unless project_mean is set, in which case
-    the mean is removed first (policy project-mean-first).
-    """
+def inv_frac_laplacian(f: GridFunction, s: float) -> GridFunction:
+    """Multiplier |xi|^(-s) on nonzero modes; requires mean-zero input."""
     if s <= 0:
         raise SymbolError(f"inverse order must be positive, got {s}")
     grid = f.grid
     mean = np.mean(f.values)
     scale = lp_norm(f, 2) / math.sqrt(grid.box_length**grid.dim) + 1e-300
-    if abs(mean) > 1e-10 * scale and not project_mean:
-        raise SymbolError(
-            "input has nonzero mean; pass project_mean=True to project it out first"
-        )
-    policy = ZeroModePolicy.PROJECT_MEAN_FIRST if project_mean else ZeroModePolicy.ANNIHILATE
-    return apply_symbol(f, abs_power_symbol(grid.dim, -s), policy)
+    if abs(mean) > 1e-10 * scale:
+        raise SymbolError("input has nonzero mean; subtract it first")
+    return apply_symbol(f, abs_power_symbol(grid.dim, -s))
 
 
 def abs_power_table(grid: Grid, s: float) -> np.ndarray:
@@ -348,14 +322,14 @@ def _closed_form_derivative(base: str, riesz_axis: int, alpha, s: float):
     return ev
 
 
-def _finite_difference_derivative(g: Callable, dirs, dim: int, step_rel: float = 5e-3):
-    """Nested 4th-order central differences of g along dirs, steps relative to |xi|."""
+def _finite_difference_derivative(g: Callable, dirs):
+    """Nested 4th-order central differences of g along dirs, steps 5e-3 |xi|."""
 
     def d_one(fun, axis):
         def out(xs):
             xs = [np.asarray(x, dtype=float) for x in xs]
             mag = np.sqrt(sum(x * x for x in xs))
-            hstep = step_rel * np.where(mag > 0, mag, 1.0)
+            hstep = 5e-3 * np.where(mag > 0, mag, 1.0)
 
             def shifted(c):
                 ys = list(xs)
@@ -397,7 +371,7 @@ def derived_symbol(m: FrequencySymbol, alpha, s: float) -> FrequencySymbol:
             return mag**s * np.asarray(m.evaluator(xs), dtype=complex)
 
         dirs = [a for a, k in enumerate(alpha) for _ in range(k)]
-        dg = _finite_difference_derivative(g, dirs, m.dim)
+        dg = _finite_difference_derivative(g, dirs)
 
     pref = (2j * np.pi) ** (-order)
 
@@ -415,13 +389,11 @@ def derived_symbol(m: FrequencySymbol, alpha, s: float) -> FrequencySymbol:
 
 # -- monomials and the product rule -----------------------------------------
 
-def monomial_values(grid: Grid, alpha, center=None) -> np.ndarray:
-    """x^alpha in periodic displacement coordinates about center (box center
-    by default).  Not periodic; only meaningful against windowed data."""
+def monomial_values(grid: Grid, alpha) -> np.ndarray:
+    """x^alpha in periodic displacement coordinates about the box center.
+    Not periodic; only meaningful against windowed data."""
     alpha = _multiindex(alpha)
-    if center is None:
-        center = grid.center
-    disp = grid.periodic_displacement(center)
+    disp = grid.periodic_displacement(grid.center)
     out = np.ones(grid.shape)
     for a, k in enumerate(alpha):
         if k:
@@ -429,7 +401,7 @@ def monomial_values(grid: Grid, alpha, center=None) -> np.ndarray:
     return out
 
 
-def monomial_derivative_values(grid: Grid, alpha, beta, center=None) -> np.ndarray:
+def monomial_derivative_values(grid: Grid, alpha, beta) -> np.ndarray:
     """d^beta x^alpha evaluated on the grid (zero when beta exceeds alpha)."""
     alpha = _multiindex(alpha)
     beta = _multiindex(beta)
@@ -440,7 +412,7 @@ def monomial_derivative_values(grid: Grid, alpha, beta, center=None) -> np.ndarr
     for a, b in zip(alpha, beta):
         coeff *= math.factorial(a) / math.factorial(a - b)
         remaining.append(a - b)
-    return coeff * monomial_values(grid, remaining, center)
+    return coeff * monomial_values(grid, remaining)
 
 
 def _multi_indices_upto(dim: int, max_order: int):
@@ -450,14 +422,9 @@ def _multi_indices_upto(dim: int, max_order: int):
             yield combo
 
 
-def product_rule_residual(
-    phi: GridFunction,
-    alpha,
-    s: float,
-    window: DomainMask,
-    center=None,
-) -> dict:
-    """L^2-window residual of the polynomial product rule for Q = x^alpha.
+def product_rule_residual(phi: GridFunction, alpha, s: float, window: DomainMask) -> dict:
+    """L^2-window residual of the polynomial product rule for Q = x^alpha
+    about the box center.
 
     Returns a dict with the residual, the window norm of Lap^s(Q phi) and the
     reference size ||Lap^s phi||_2 used for relative reporting.
@@ -466,16 +433,14 @@ def product_rule_residual(
     if sum(alpha) > s:
         raise SymbolError(f"|alpha| = {sum(alpha)} exceeds s = {s}")
     grid = phi.grid
-    if center is None:
-        center = grid.center
-    Q = monomial_values(grid, alpha, center)
+    Q = monomial_values(grid, alpha)
     lhs = frac_laplacian(GridFunction(grid, Q * phi.values), s)
     acc = np.zeros(grid.shape)
     ident = identity_symbol(grid.dim)
     for beta in _multi_indices_upto(grid.dim, sum(alpha)):
         if any(b > a for a, b in zip(alpha, beta)):
             continue
-        dQ = monomial_derivative_values(grid, alpha, beta, center)
+        dQ = monomial_derivative_values(grid, alpha, beta)
         order = sum(beta)
         inner = frac_laplacian(phi, s - order) if s != order else phi
         if order == 0:
@@ -492,40 +457,32 @@ def product_rule_residual(
     }
 
 
-def polynomial_annihilation(
-    alpha,
-    s: float,
-    phi: GridFunction,
-    radii: Sequence[float],
-    p_prime: float = 2.0,
-    profile: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-) -> dict:
-    """Decay report for I(R) = |integral eta_R x^alpha Lap^s phi|.
+def polynomial_annihilation(alpha, s: float, phi: GridFunction, radii: Sequence[float]) -> dict:
+    """Decay report for I(R) = |integral eta_R x^alpha Lap^s phi|, eta_R the
+    base cutoff profile at scale R about the box center.
 
     Fits the log-log slope over the given radii and reports the theoretical
-    bound -s + |alpha| + n/p_prime it must stay below.
+    bound -s + |alpha| + n/p' (p' = 2) it must stay below.
     """
+    from .cutoffs import base_profile_values
+
     alpha = _multiindex(alpha)
     if len(radii) < 3:
         raise SymbolError("need at least 3 radii for a decay fit")
     if not s > sum(alpha):
         raise SymbolError("requires s > |alpha|")
     grid = phi.grid
-    if profile is None:
-        from .cutoffs import base_profile_values
-
-        profile = base_profile_values
     lap = frac_laplacian(phi, s)
     xalpha = monomial_values(grid, alpha)
     rho = grid.periodic_distance(grid.center)
     vals, logs = [], []
     for R in radii:
-        eta = profile(rho / R)
+        eta = base_profile_values(rho / R)
         I = abs(np.sum(eta * xalpha * lap.values) * grid.cell_measure)
         vals.append(I)
         logs.append(math.log(max(I, 1e-300)))
     slope = float(np.polyfit(np.log(np.asarray(radii, dtype=float)), logs, 1)[0])
-    bound = -s + sum(alpha) + grid.dim / p_prime
+    bound = -s + sum(alpha) + grid.dim / 2.0
     return {"radii": list(map(float, radii)), "values": vals, "slope": slope, "bound": bound}
 
 

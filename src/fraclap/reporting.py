@@ -15,6 +15,8 @@ import os
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 class ReportError(ValueError):
     pass
@@ -72,17 +74,12 @@ class Report:
 
 
 def _json_default(obj):
-    try:
-        import numpy as np
-
-        if isinstance(obj, (np.integer,)):
-            return int(obj)
-        if isinstance(obj, (np.floating,)):
-            return float(obj)
-        if isinstance(obj, np.ndarray):
-            return obj.tolist()
-    except ImportError:  # pragma: no cover
-        pass
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        return float(obj)
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
     raise TypeError(f"unserializable {type(obj)}")
 
 

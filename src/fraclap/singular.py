@@ -39,25 +39,9 @@ class SingularError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SingularQuadratureScheme:
-    """Quadrature parameters: exclusion radius (multiples of h) and the
-    symmetrization variant."""
-
-    exclusion_factor: float = 0.5
-    symmetrization: str = "second-difference"
-
-    def __post_init__(self):
-        if self.exclusion_factor <= 0:
-            raise SingularError("exclusion radius must be positive")
-        if self.symmetrization not in ("first-difference", "second-difference"):
-            raise SingularError(f"unknown symmetrization {self.symmetrization!r}")
-
-    def validate_order(self, s: float) -> None:
-        if not (0 < s < 2):
-            raise SingularError(f"singular quadrature needs s in (0,2), got {s}")
-        if s >= 1 and self.symmetrization == "first-difference":
-            raise SingularError("first-difference scheme is limited to s in (0,1)")
+def _validate_order(s: float) -> None:
+    if not (0 < s < 2):
+        raise SingularError(f"singular quadrature needs s in (0,2), got {s}")
 
 
 @dataclass(frozen=True)
@@ -130,7 +114,7 @@ def upper_gamma(a: float, x) -> np.ndarray:
     return out
 
 
-def periodized_kernel(grid: Grid, s: float, scheme: SingularQuadratureScheme) -> np.ndarray:
+def periodized_kernel(grid: Grid, s: float) -> np.ndarray:
     """Kernel table K(z) h^dim with K(z) = sum_k |z + L k|^(-p), p = dim + s.
 
     The lattice sum is exact to roundoff, by the Ewald split of
@@ -142,9 +126,10 @@ def periodized_kernel(grid: Grid, s: float, scheme: SingularQuadratureScheme) ->
     F(xi) = pi^(dim/2) eta^s L^-dim y^(s/2) Gamma(-s/2, y), y = pi^2 |xi|^2 / eta^2
     (2/s at xi = 0).  Frequencies are folded onto the grid modulo N, so one
     inverse FFT sums them exactly on any grid size.
-    The z = 0 cell and offsets with |z| below the exclusion radius carry 0.
+    The z = 0 cell carries 0; every other offset is at distance >= h and
+    carries a positive value.
     """
-    scheme.validate_order(s)
+    _validate_order(s)
     n, N, L, h = grid.dim, grid.points_per_axis, grid.box_length, grid.spacing
     p = n + s
     eta = _EWALD_ETA_L / L
@@ -169,8 +154,7 @@ def periodized_kernel(grid: Grid, s: float, scheme: SingularQuadratureScheme) ->
     series = np.fft.irfftn(folded[..., : N // 2 + 1], s=grid.shape, axes=tuple(range(n)))
     K += math.pi ** (0.5 * n) * eta**s / L**n * grid.npoints * series
     K /= math.gamma(0.5 * p)
-    excl = scheme.exclusion_factor * h  # positive, so z = 0 is excluded too
-    K[np.sqrt(sum(d * d for d in per_axis([ax] * n))) < excl] = 0.0
+    K[(0,) * n] = 0.0
     return K * grid.cell_measure
 
 
@@ -178,7 +162,6 @@ def raw_second_difference(
     f: GridFunction,
     s: float,
     points,
-    scheme: Optional[SingularQuadratureScheme] = None,
     kernel: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Uncalibrated 1/2 sum_z (2f(x) - f(x+z) - f(x-z)) K(z) h^n at points.
@@ -189,46 +172,37 @@ def raw_second_difference(
     """
     if f.grid.dim > 2:
         raise SingularError("pointwise quadrature supports dim 1 and 2")
-    scheme = scheme or SingularQuadratureScheme()
     if kernel is None:
-        kernel = periodized_kernel(f.grid, s, scheme)
+        kernel = periodized_kernel(f.grid, s)
     if f.grid.dim == 1 and not isinstance(points, tuple):
         points = (points,)
     index = tuple(np.atleast_1d(np.asarray(points[a], dtype=np.int64)) for a in range(f.grid.dim))
     return _kernels.second_difference_sum(f.values, index, kernel)
 
 
-def raw_operator_field(
-    f: GridFunction,
-    s: float,
-    scheme: Optional[SingularQuadratureScheme] = None,
-    kernel: Optional[np.ndarray] = None,
-) -> GridFunction:
+def raw_operator_field(f: GridFunction, s: float, kernel: Optional[np.ndarray] = None) -> GridFunction:
     """The same raw quadrature at every grid point, via FFT convolution.
 
     raw_second_difference reads the same field at its points: the symmetric
     sum collapses to f * sum(K) - f conv K for symmetric K.
     """
-    scheme = scheme or SingularQuadratureScheme()
     if kernel is None:
-        kernel = periodized_kernel(f.grid, s, scheme)
+        kernel = periodized_kernel(f.grid, s)
     return GridFunction(f.grid, _kernels.second_difference_field(f.values, kernel))
 
 
-def calibrate_cns(
-    grid: Grid, s: float, scheme: Optional[SingularQuadratureScheme] = None
-) -> CalibratedConstant:
+def calibrate_cns(grid: Grid, s: float, kernel: Optional[np.ndarray] = None) -> CalibratedConstant:
     """Fix c_{n,s} = spectral / raw on the reference eigenfunction cos(2 pi x_1/L).
 
     Idempotent and grid-deterministic.  Raises when the raw value degenerates.
+    Pass the periodized kernel of (grid, s) as `kernel` to reuse one table.
     """
-    scheme = scheme or SingularQuadratureScheme()
-    scheme.validate_order(s)
+    _validate_order(s)
     x1 = grid.coords()[0]
     ref = GridFunction(grid, np.cos(2 * np.pi * x1 / grid.box_length))
     spectral = frac_laplacian(ref, s)
     pt = (0,) * grid.dim  # cos == 1 there
-    raw = raw_second_difference(ref, s, tuple(np.array([0]) for _ in range(grid.dim)), scheme)[0]
+    raw = raw_second_difference(ref, s, tuple(np.array([0]) for _ in range(grid.dim)), kernel)[0]
     if abs(raw) < 1e-12:
         raise SingularError("degenerate reference: raw quadrature value below 1e-12")
     value = float(spectral.values[pt] / raw)
@@ -238,10 +212,6 @@ def calibrate_cns(
         provenance={
             "reference": "cos(2 pi x_1 / L) at the origin",
             "grid": {"dim": grid.dim, "points_per_axis": grid.points_per_axis, "box_length": grid.box_length},
-            "scheme": {
-                "exclusion_factor": scheme.exclusion_factor,
-                "symmetrization": scheme.symmetrization,
-            },
             "kernel": "exact periodic lattice sum (Ewald split)",
         },
     )
@@ -251,15 +221,13 @@ def frac_lap_pointwise(
     f: GridFunction,
     s: float,
     points,
-    scheme: Optional[SingularQuadratureScheme] = None,
     constant: Optional[CalibratedConstant] = None,
     kernel: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Calibrated singular-integral fractional Laplacian at grid points."""
-    scheme = scheme or SingularQuadratureScheme()
     if constant is None:
         raise SingularError("uncalibrated constant: run calibrate_cns first")
-    return constant.value * raw_second_difference(f, s, points, scheme, kernel)
+    return constant.value * raw_second_difference(f, s, points, kernel)
 
 
 def _masked_pair_data(f_comps, grid: Grid, mask: Optional[DomainMask]):
@@ -295,11 +263,7 @@ def gagliardo_seminorm(f: GridFunction, D: Optional[DomainMask], s: float) -> fl
 
 
 def bilinear_form(
-    v: GridFunction,
-    w: GridFunction,
-    s: float,
-    scheme: Optional[SingularQuadratureScheme] = None,
-    constant: Optional[CalibratedConstant] = None,
+    v: GridFunction, w: GridFunction, s: float, constant: Optional[CalibratedConstant] = None
 ) -> float:
     """c_{n,s}/2 * sumsum (v(x)-v(y))(w(x)-w(y)) K(x-y) h^(2n).
 
@@ -312,16 +276,11 @@ def bilinear_form(
     """
     if constant is None:
         raise SingularError("uncalibrated constant: run calibrate_cns first")
-    raw = raw_operator_field(v, s, scheme)
+    raw = raw_operator_field(v, s)
     return constant.value * l2_inner(raw, w)
 
 
-def equivalence_ratio(
-    f: GridFunction,
-    s: float,
-    scheme: Optional[SingularQuadratureScheme] = None,
-    kernel: Optional[np.ndarray] = None,
-) -> float:
+def equivalence_ratio(f: GridFunction, s: float, kernel: Optional[np.ndarray] = None) -> float:
     """||Lap^s f||_2^2 divided by the raw Gagliardo double sum (exponent n+2s).
 
     f-independence of this ratio is the numerical content of the spectral /
@@ -334,11 +293,10 @@ def equivalence_ratio(
     """
     if not (0 < s < 1):
         raise SingularError(f"equivalence ratio needs s in (0,1), got {s}")
-    scheme = scheme or SingularQuadratureScheme()
     num = lp_norm(frac_laplacian(f, s), 2) ** 2
     if kernel is None:
-        kernel = periodized_kernel(f.grid, 2.0 * s, scheme)
-    raw = raw_operator_field(f, 2.0 * s, scheme, kernel)
+        kernel = periodized_kernel(f.grid, 2.0 * s)
+    raw = raw_operator_field(f, 2.0 * s, kernel)
     denom = 2.0 * l2_inner(raw, f)
     floor = 1e-12 * float(np.sum(kernel)) * lp_norm(f, 2) ** 2
     if denom <= floor:

@@ -12,15 +12,8 @@ from fraclap.cli import REGISTRY
 
 
 def _run(name, **overrides):
-    cfg = {
-        "grid": None,
-        "box": 1.0,
-        "s": None,
-        "seed": 0,
-        "scales": None,
-        "constants": None,
-    }
-    cfg.update(overrides)
+    # the options an experiment reads at their declared defaults, as `main` runs them
+    cfg = {**REGISTRY[name].defaults, "seed": 0, **overrides}
     report = REGISTRY[name](cfg)
     for v in report.verdicts:
         status = "PASS" if v["passed"] else "FAIL"

@@ -81,7 +81,25 @@ def test_declared_options_are_the_options_read():
         if "_grid(cfg" in src:
             read.add("box")
         assert read <= set(RUN_OPTIONS), name
-        assert fn.reads == read, name
+        assert set(fn.defaults) == read, name
+
+
+@pytest.mark.parametrize("argv", [
+    ["equivalence-ratio", "--s", "0"],
+    ["campanato", "--grid", "0"],
+])
+def test_given_zero_is_not_the_default(capsys, tmp_path, argv):
+    # a given 0 runs as 0 (and is refused), not as the declared default
+    assert main(["run", *argv, "--out", str(tmp_path)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_report_echoes_the_defaults_that_ran(tmp_path):
+    assert main(["run", "mv-poincare", "--out", str(tmp_path)]) == 0
+    config = json.loads((tmp_path / "mv-poincare.json").read_text())["config"]
+    assert (config["grid"], config["s"], config["box"]) == (2048, 0.5, 1.0)
+    assert REGISTRY["mv-poincare"].defaults == {"grid": 2048, "box": 1.0, "s": 0.5}
 
 
 def _regression_bounds(out_dir):

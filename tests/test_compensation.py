@@ -187,7 +187,7 @@ def test_h_norm_ratio_degenerate(g1):
 @pytest.fixture(scope="module")
 def eta(g1):
     fam = build_family(4)
-    return evaluate(fam, 0, 1 / 8, g1.center, g1, attach_mask=False)
+    return evaluate(fam, 0, 1 / 8, g1.center, g1)
 
 
 def test_structure_identity_m1(g1, eta):

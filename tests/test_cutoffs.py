@@ -126,7 +126,7 @@ def test_evaluate_k0_is_base(family):
 def test_evaluate_dilation_identity(family):
     g = Grid(1, 512, 1.0)
     r = 1.0 / 64
-    a = evaluate(family, 1, 2 * r, g.center, g, attach_mask=False)
+    a = evaluate(family, 1, 2 * r, g.center, g)
     rho = g.periodic_distance(g.center)
     direct = family.ring(1, rho / (2 * r))[0]
     assert np.max(np.abs(a.values - direct)) < 1e-15
@@ -135,16 +135,19 @@ def test_evaluate_dilation_identity(family):
 def test_masks_disjoint_at_distance_three(family):
     g = Grid(1, 1024, 1.0)
     r = 1.0 / 128
-    a = evaluate(family, 1, r, g.center, g)
-    b = evaluate(family, 4, r, g.center, g)
-    assert not np.any(a.support.values & b.support.values)
+    # the support annuli of eta^1 and eta^4, three dyadic steps apart
+    a = annulus_mask(g, g.center, r, 4 * r)
+    b = annulus_mask(g, g.center, 8 * r, 32 * r)
+    assert not np.any(a.values & b.values)
+    assert not np.any(evaluate(family, 1, r, g.center, g).values[~a.values])
+    assert not np.any(evaluate(family, 4, r, g.center, g).values[~b.values])
 
 
 def test_annulus_mask_covers_declared_support(family):
     g = Grid(1, 1024, 1.0)
     r = 1.0 / 64
     k = 2
-    eta = evaluate(family, k, r, g.center, g, attach_mask=False)
+    eta = evaluate(family, k, r, g.center, g)
     declared = annulus_mask(g, g.center, 2.0 ** (k - 1) * r, 2.0 ** (k + 1) * r)
     live = np.abs(eta.values) > 1e-14
     assert np.all(declared.values[live])
@@ -156,7 +159,7 @@ def test_scaled_partition_on_grid(family):
     k = 3
     total = np.zeros(g.shape)
     for l in range(k + 1):
-        total += evaluate(family, l, r, g.center, g, attach_mask=False).values
+        total += evaluate(family, l, r, g.center, g).values
     inside = g.periodic_distance(g.center) <= 2.0**k * r
     assert np.max(np.abs(total[inside] - 1.0)) <= 1e-12
 

@@ -63,7 +63,7 @@ def test_confined_field_support():
 
 def test_moment_free_bump_moments():
     g = Grid(1, 1024, 1.0)
-    f = moment_free_bump(g, radius=1 / 8, order=2)
+    f = moment_free_bump(g, radius=1 / 8)
     x = g.periodic_displacement(g.center)[0]
     m0 = abs(np.sum(f.values) * g.cell_measure)
     m1 = abs(np.sum(x * f.values) * g.cell_measure)

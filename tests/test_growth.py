@@ -210,7 +210,7 @@ def test_holder_synthetic_ground_truth():
     E = ball_mask(g, g.center, 1.0 / 6)
     for alpha in (0.25, 0.5):
         v = GridFunction(g, window * rho**alpha)
-        out = holder_exponent_estimate(v, E, R=1.0 / 12, scales=4)
+        out = holder_exponent_estimate(v, E, R=1.0 / 12)
         assert abs(out["alpha_campanato"] - alpha) <= 0.06
         assert abs(out["alpha_modulus"] - alpha) <= 0.06
         assert abs(out["alpha_seminorm"] - alpha) <= 0.08  # tightest config lives in acceptance

@@ -104,7 +104,7 @@ def test_harmonic_decay_trivial_for_zero_remainder():
 def test_disjoint_pairing_zero_order_vanishes():
     g = Grid(1, 2048, 1.0)
     r = 1 / 128
-    out = disjoint_pairing_decay(g, 0.0, 0.0, r, [4 * r, 8 * r, 16 * r], b_width=r)
+    out = disjoint_pairing_decay(g, 0.0, 0.0, r, [4 * r, 8 * r, 16 * r])
     assert max(out["pairing"]) <= 1e-12
 
 
@@ -126,8 +126,7 @@ def test_disjoint_pairing_slope_n1():
     g = Grid(1, 8192, 1.0)
     r = 1 / 320
     gam = 12 * g.spacing
-    out = disjoint_pairing_decay(g, 0.25, 0.25, gam, [m * r for m in (4, 8, 16, 32)],
-                                 b_width=gam, modulation=0)
+    out = disjoint_pairing_decay(g, 0.25, 0.25, gam, [m * r for m in (4, 8, 16, 32)])
     assert abs(out["slope"] - out["target"]) <= 0.15 * abs(out["target"])
 
 
@@ -144,7 +143,7 @@ def test_disjoint_geometry_guards():
 def test_localization_zero_input():
     g = Grid(1, 1024, 1.0)
     b = GridFunction(g, np.zeros(g.shape))
-    a = localization_representative(b, 1 / 32, 1 / 16, g.center)
+    a = localization_representative(b, 1 / 32, 1 / 16)
     assert lp_norm(a, 2) == 0.0
 
 
@@ -154,7 +153,7 @@ def test_localization_representation_identity():
     c_b = g.center.copy()
     c_b[0] += gamma + d + 1 / 16
     b = smooth_bump(g, c_b, 1 / 16, modulation_mode=1, seed=3)
-    a = localization_representative(b, gamma, d, g.center)
+    a = localization_representative(b, gamma, d)
     rng = np.random.default_rng(0)
     lap_b = frac_laplacian(b, 0.5)
     for _ in range(5):
@@ -170,7 +169,7 @@ def test_localization_support_guard():
     g = Grid(1, 1024, 1.0)
     b = smooth_bump(g, g.center, 1 / 8)  # overlaps the guard ball
     with pytest.raises(HodgeError, match="guard"):
-        localization_representative(b, 1 / 32, 1 / 16, g.center)
+        localization_representative(b, 1 / 32, 1 / 16)
 
 
 def test_localization_norm_decays_with_gap():
@@ -182,7 +181,7 @@ def test_localization_norm_decays_with_gap():
         c_b = g.center.copy()
         c_b[0] += gamma + d + 2 * gamma
         b = smooth_bump(g, c_b, 2 * gamma, modulation_mode=1, seed=1)
-        a = localization_representative(b, gamma, d, g.center)
+        a = localization_representative(b, gamma, d)
         ratios.append(lp_norm(a, 2) / lp_norm(b, 2))
     assert ratios[1] <= ratios[0] * 1.1 and ratios[2] <= ratios[1] * 1.1
 

@@ -15,7 +15,6 @@ from fraclap.grid import (
 from fraclap.multipliers import (
     SymbolError,
     FrequencySymbol,
-    ZeroModePolicy,
     abs_power_symbol,
     apply_symbol,
     derived_symbol,
@@ -36,7 +35,7 @@ def g1():
 
 def test_identity_symbol_is_identity(g1):
     f = band_limited_field(g1, 0)
-    out = apply_symbol(f, identity_symbol(1), ZeroModePolicy.IDENTITY_FOR_S_ZERO)
+    out = apply_symbol(f, identity_symbol(1))
     assert np.max(np.abs(out.values - f.values)) < 1e-12
 
 
@@ -90,13 +89,13 @@ def test_inverse_rejects_mean(g1):
     f = GridFunction(g1, np.ones(g1.shape))
     with pytest.raises(SymbolError, match="mean"):
         inv_frac_laplacian(f, 0.5)
-    out = inv_frac_laplacian(f, 0.5, project_mean=True)
+    out = inv_frac_laplacian(f - f.mean(), 0.5)
     assert lp_norm(out, 2) < 1e-12
 
 
 def test_inverse_then_forward_projects(g1):
     f = GridFunction(g1, 1.0 + band_limited_field(g1, 3).values)
-    out = frac_laplacian(inv_frac_laplacian(f, 0.5, project_mean=True), 0.5)
+    out = frac_laplacian(inv_frac_laplacian(f - f.mean(), 0.5), 0.5)
     mean_zero = f.values - np.mean(f.values)
     assert np.max(np.abs(out.values - mean_zero)) <= 1e-10 * np.max(np.abs(mean_zero))
 
@@ -113,7 +112,7 @@ def test_inverse_scaling_law():
         worst = 0.0
         for seed in range(6):
             f = confined_field(g, seed, radius=r, mean_zero=True)
-            ratio = lp_norm(inv_frac_laplacian(f, s, project_mean=True), 2) / (r**s * lp_norm(f, 2))
+            ratio = lp_norm(inv_frac_laplacian(f - f.mean(), s), 2) / (r**s * lp_norm(f, 2))
             worst = max(worst, ratio)
         consts.append(worst)
     assert max(consts) / min(consts) < 1.6
@@ -196,9 +195,10 @@ def _full_lattice_table(grid, symbol):
     return np.broadcast_to(table, grid.shape)
 
 
-def _reference_apply(f, symbol, policy):
+def _reference_apply(f, symbol):
     """Full-lattice complex path: conjugate-symmetrize the table, fftn, apply,
-    ifftn, check the imaginary residue, take the real part."""
+    annihilate the zero mode, ifftn, check the imaginary residue, take the
+    real part."""
     grid = f.grid
     F = np.fft.fftn(f.values)
     table = _full_lattice_table(grid, symbol)
@@ -206,17 +206,12 @@ def _reference_apply(f, symbol, policy):
     with np.errstate(invalid="ignore"):
         table = 0.5 * (table + np.conjugate(table[np.ix_(*([rev] * grid.dim))]))
     zero = (0,) * grid.dim
-    if policy is ZeroModePolicy.PROJECT_MEAN_FIRST:
-        F[zero] = 0.0
     bad = ~np.isfinite(table)
     bad[zero] = False
     assert not np.any(bad)
     with np.errstate(invalid="ignore"):
         out = table * F
-    if policy is ZeroModePolicy.IDENTITY_FOR_S_ZERO:
-        out[zero] = F[zero]
-    elif not np.isfinite(table[zero]) or policy is ZeroModePolicy.ANNIHILATE:
-        out[zero] = 0.0
+    out[zero] = 0.0
     g = np.fft.ifftn(out)
     amp = max(1.0, float(np.max(np.abs(table[np.isfinite(table)]))))
     assert np.max(np.abs(g.imag)) <= 1e-12 * amp * lp_norm(f, 2)
@@ -261,23 +256,15 @@ def _oracle_symbol(dim, kind, j, alpha_axes, s):
     s=st.sampled_from([0.5, 1.0, 1.5, -0.5]),
     j=st.integers(0, 2),
     alpha_axes=st.lists(st.integers(0, 2), min_size=0, max_size=3),
-    policy=st.sampled_from(list(ZeroModePolicy)),
 )
-@example(dim=2, n_pts=8, box=1.0, seed=0, kind="riesz", s=1.0, j=1, alpha_axes=[0],
-         policy=ZeroModePolicy.ANNIHILATE)
-@example(dim=3, n_pts=8, box=1.0, seed=1, kind="riesz", s=1.0, j=2, alpha_axes=[0],
-         policy=ZeroModePolicy.IDENTITY_FOR_S_ZERO)
-@example(dim=1, n_pts=16, box=1.0, seed=2, kind="abs_pow", s=-0.5, j=0, alpha_axes=[0],
-         policy=ZeroModePolicy.PROJECT_MEAN_FIRST)
-@example(dim=1, n_pts=8, box=3.0, seed=3, kind="derivative", s=1.0, j=0, alpha_axes=[0, 0, 0],
-         policy=ZeroModePolicy.ANNIHILATE)
-@example(dim=2, n_pts=8, box=1.0, seed=4, kind="derivative", s=1.0, j=0, alpha_axes=[1, 1],
-         policy=ZeroModePolicy.ANNIHILATE)
-@example(dim=3, n_pts=8, box=3.0, seed=5, kind="derivative", s=1.0, j=0, alpha_axes=[0, 1, 2],
-         policy=ZeroModePolicy.ANNIHILATE)
-@example(dim=3, n_pts=16, box=1.0, seed=6, kind="derivative", s=1.0, j=0, alpha_axes=[2, 0, 2],
-         policy=ZeroModePolicy.ANNIHILATE)
-def test_real_path_matches_full_complex_reference(dim, n_pts, box, seed, kind, s, j, alpha_axes, policy):
+@example(dim=2, n_pts=8, box=1.0, seed=0, kind="riesz", s=1.0, j=1, alpha_axes=[0])
+@example(dim=3, n_pts=8, box=1.0, seed=1, kind="riesz", s=1.0, j=2, alpha_axes=[0])
+@example(dim=1, n_pts=16, box=1.0, seed=2, kind="abs_pow", s=-0.5, j=0, alpha_axes=[0])
+@example(dim=1, n_pts=8, box=3.0, seed=3, kind="derivative", s=1.0, j=0, alpha_axes=[0, 0, 0])
+@example(dim=2, n_pts=8, box=1.0, seed=4, kind="derivative", s=1.0, j=0, alpha_axes=[1, 1])
+@example(dim=3, n_pts=8, box=3.0, seed=5, kind="derivative", s=1.0, j=0, alpha_axes=[0, 1, 2])
+@example(dim=3, n_pts=16, box=1.0, seed=6, kind="derivative", s=1.0, j=0, alpha_axes=[2, 0, 2])
+def test_real_path_matches_full_complex_reference(dim, n_pts, box, seed, kind, s, j, alpha_axes):
     # white noise carries content on every Nyquist plane
     g = Grid(dim, n_pts, box)
     values = np.random.default_rng(seed).standard_normal(g.shape)
@@ -290,8 +277,8 @@ def test_real_path_matches_full_complex_reference(dim, n_pts, box, seed, kind, s
         got = multipliers.derivative(f, alpha)
     else:
         sym = _oracle_symbol(dim, kind, j, alpha_axes, s)
-        ref = _reference_apply(f, sym, policy)
-        got = apply_symbol(f, sym, policy)
+        ref = _reference_apply(f, sym)
+        got = apply_symbol(f, sym)
     assert np.max(np.abs(got.values - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -412,7 +399,7 @@ def test_product_rule_trivial_Q():
 
 def test_product_rule_linear_monomial_floor():
     g = Grid(2, 512, 1.0)
-    phi = moment_free_bump(g, radius=1 / 6, order=2)
+    phi = moment_free_bump(g, radius=1 / 6)
     win = ball_mask(g, g.center, 1 / 8)
     out = product_rule_residual(phi, (1, 0), 1.0, win)
     assert out["residual"] <= 1e-6 * out["reference"]
@@ -422,7 +409,7 @@ def test_product_rule_quadratic_refinement():
     rel = []
     for n_pts in (128, 256, 512):
         g = Grid(1, n_pts, 1.0)
-        phi = moment_free_bump(g, radius=1 / 8, order=2)
+        phi = moment_free_bump(g, radius=1 / 8)
         win = ball_mask(g, g.center, 1 / 8)
         out = product_rule_residual(phi, (2,), 2.0, win)
         rel.append(out["residual"] / out["reference"])
@@ -452,7 +439,7 @@ def test_annihilation_eigenfunction_orthogonality():
 def test_annihilation_slope_bound():
     g = Grid(1, 2048, 1.0)
     phi = smooth_bump(g, radius=1 / 24)
-    out = polynomial_annihilation((0,), 0.75, phi, [1 / 32, 1 / 16, 1 / 8], p_prime=2.0)
+    out = polynomial_annihilation((0,), 0.75, phi, [1 / 32, 1 / 16, 1 / 8])
     assert out["slope"] <= out["bound"]
 
 

@@ -11,7 +11,6 @@ from fraclap.multipliers import frac_laplacian
 from fraclap.singular import (
     CalibratedConstant,
     SingularError,
-    SingularQuadratureScheme,
     bilinear_form,
     calibrate_cns,
     equivalence_ratio,
@@ -27,42 +26,34 @@ from fraclap.singular import (
 @pytest.fixture(scope="module")
 def calib():
     g = Grid(1, 2048, 1.0)
-    scheme = SingularQuadratureScheme()
-    return g, scheme, calibrate_cns(g, 0.5, scheme), periodized_kernel(g, 0.5, scheme)
+    return g, calibrate_cns(g, 0.5), periodized_kernel(g, 0.5)
 
 
-def test_scheme_validation():
-    with pytest.raises(SingularError):
-        SingularQuadratureScheme(exclusion_factor=0.0)
-    with pytest.raises(SingularError):
-        SingularQuadratureScheme(symmetrization="midpoint")
-    scheme = SingularQuadratureScheme(symmetrization="first-difference")
-    with pytest.raises(SingularError, match="first-difference"):
-        scheme.validate_order(1.2)
-    with pytest.raises(SingularError):
-        SingularQuadratureScheme().validate_order(2.5)
+def test_kernel_rejects_order_outside_0_2():
+    with pytest.raises(SingularError, match=r"\(0,2\)"):
+        periodized_kernel(Grid(1, 8), 2.5)
 
 
 def test_calibration_idempotent(calib):
-    g, scheme, const, _ = calib
-    again = calibrate_cns(g, 0.5, scheme)
+    g, const, _ = calib
+    again = calibrate_cns(g, 0.5)
     assert abs(again.value - const.value) <= 1e-12 * const.value
 
 
 def test_calibrated_constant_positive(calib):
-    _, _, const, _ = calib
+    _, const, _ = calib
     assert const.value > 0
     with pytest.raises(SingularError):
         CalibratedConstant("bad", -1.0)
 
 
 def test_cross_validation_on_second_harmonic(calib):
-    g, scheme, const, kernel = calib
+    g, const, kernel = calib
     x = g.coords()[0]
     f = GridFunction(g, np.cos(4 * np.pi * x))
     spectral = frac_laplacian(f, 0.5)
     pts = np.arange(0, g.points_per_axis, 61)
-    vals = frac_lap_pointwise(f, 0.5, (pts,), scheme, const, kernel)
+    vals = frac_lap_pointwise(f, 0.5, (pts,), const, kernel)
     err = np.max(np.abs(vals - spectral.values[pts])) / np.max(np.abs(spectral.values))
     assert err <= 1e-3
 
@@ -71,8 +62,7 @@ def test_constant_scan_continuous_no_sign_flips():
     # computed truth: positive and continuous in s, peaked near s ~ 0.5
     # (NOT monotone: c(0.25) = 0.0697, c(0.5) = 0.0796, c(0.75) = 0.0681)
     g = Grid(1, 2048, 1.0)
-    scheme = SingularQuadratureScheme()
-    values = [calibrate_cns(g, s, scheme).value for s in (0.25, 0.4, 0.5, 0.6, 0.75)]
+    values = [calibrate_cns(g, s).value for s in (0.25, 0.4, 0.5, 0.6, 0.75)]
     assert all(v > 0 for v in values)
     steps = np.abs(np.diff(values)) / np.abs(values[:-1])
     assert np.max(steps) < 0.2  # small parameter steps move the constant mildly
@@ -81,37 +71,37 @@ def test_constant_scan_continuous_no_sign_flips():
 
 
 def test_pointwise_constant_input_vanishes(calib):
-    g, scheme, const, kernel = calib
+    g, const, kernel = calib
     f = GridFunction(g, np.full(g.shape, 3.3))
-    vals = frac_lap_pointwise(f, 0.5, (np.array([0, 7, 100]),), scheme, const, kernel)
+    vals = frac_lap_pointwise(f, 0.5, (np.array([0, 7, 100]),), const, kernel)
     assert np.max(np.abs(vals)) == 0.0
 
 
 def test_second_difference_sign_structure(calib):
     # at an interior maximum of even data the symmetric second differences are
     # nonpositive, i.e. the first-difference orientation of the raw sum is <= 0
-    g, scheme, _, kernel = calib
+    g, _, kernel = calib
     x = g.coords()[0]
     f = GridFunction(g, np.cos(2 * np.pi * (x - 0.5)))
     at_max = np.array([g.points_per_axis // 2])
-    raw_standard = raw_second_difference(f, 0.5, (at_max,), scheme, kernel)[0]
+    raw_standard = raw_second_difference(f, 0.5, (at_max,), kernel)[0]
     assert -raw_standard <= 0.0
 
 
 def test_pointwise_matches_convolution_field(calib):
-    g, scheme, _, kernel = calib
+    g, _, kernel = calib
     f = band_limited_field(g, 8, cutoff=64)
-    field = raw_operator_field(f, 0.5, scheme, kernel)
+    field = raw_operator_field(f, 0.5, kernel)
     pts = np.arange(0, g.points_per_axis, 97)
-    direct = raw_second_difference(f, 0.5, (pts,), scheme, kernel)
+    direct = raw_second_difference(f, 0.5, (pts,), kernel)
     assert np.max(np.abs(direct - field.values[pts])) <= 1e-10 * np.max(np.abs(field.values))
 
 
 def test_pointwise_uncalibrated_errors(calib):
-    g, scheme, _, kernel = calib
+    g, _, kernel = calib
     f = band_limited_field(g, 0)
     with pytest.raises(SingularError, match="[Uu]ncalibrated"):
-        frac_lap_pointwise(f, 0.5, (np.array([0]),), scheme, None, kernel)
+        frac_lap_pointwise(f, 0.5, (np.array([0]),), None, kernel)
 
 
 def test_refinement_convergence():
@@ -119,13 +109,12 @@ def test_refinement_convergence():
     errs = []
     for n_pts in (512, 1024, 2048):
         g = Grid(1, n_pts, 1.0)
-        scheme = SingularQuadratureScheme()
-        const = calibrate_cns(g, 0.5, scheme)
-        kernel = periodized_kernel(g, 0.5, scheme)
+        const = calibrate_cns(g, 0.5)
+        kernel = periodized_kernel(g, 0.5)
         f = confined_field(g, 4, radius=1 / 6, cutoff=30, envelope=15)
         spectral = frac_laplacian(f, 0.5)
         pts = np.nonzero(ball_mask(g, g.center, 1 / 5).values)[0][::7]
-        vals = frac_lap_pointwise(f, 0.5, (pts,), scheme, const, kernel)
+        vals = frac_lap_pointwise(f, 0.5, (pts,), const, kernel)
         errs.append(np.max(np.abs(vals - spectral.values[pts])) / np.max(np.abs(spectral.values)))
     assert errs[1] <= errs[0] * 1.1
     assert errs[2] <= errs[1] * 1.1
@@ -166,7 +155,7 @@ def test_kernel_1d_matches_hurwitz_zeta(N, s):
     p = 1 + s
     u = np.arange(1, N) / N
     ref = g.box_length**-p * (special.zeta(p, u) + special.zeta(p, 1 - u))
-    K = periodized_kernel(g, s, SingularQuadratureScheme()) / g.cell_measure
+    K = periodized_kernel(g, s) / g.cell_measure
     assert K[0] == 0.0
     assert np.max(np.abs(K[1:] / ref - 1)) <= 1e-12
 
@@ -182,18 +171,28 @@ def test_kernel_2d_sum_matches_lattice_zeta(N, s):
     p, t = 2 + s, 1 + s / 2
     beta = 4.0**-t * (special.zeta(t, 0.25) - special.zeta(t, 0.75))
     ref = (g.spacing**-p - g.box_length**-p) * 4.0 * special.zeta(t) * beta
-    K = periodized_kernel(g, s, SingularQuadratureScheme())
+    K = periodized_kernel(g, s)
     assert abs(np.sum(K) / g.cell_measure / ref - 1) <= 1e-12
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("s", [0.1, 1.9])
+def test_kernel_zero_only_at_the_origin(dim, s):
+    # every nonzero offset is at distance >= h, so only z = 0 carries 0
+    K = periodized_kernel(Grid(dim, 8), s)
+    assert np.count_nonzero(K == 0.0) == 1 and K[(0,) * dim] == 0.0
+    off = np.ones(K.shape, dtype=bool)
+    off[(0,) * dim] = False
+    assert np.all(K[off] > 0.0)
 
 
 @pytest.mark.parametrize("dim,N", [(2, 8), (2, 32), (3, 8)])
 @pytest.mark.parametrize("s", [0.1, 0.5, 1.9])
 def test_kernel_restriction_to_coarse_grid(dim, N, s):
     # the lattice sum at a point does not depend on the grid it is tabulated on
-    scheme = SingularQuadratureScheme()
     coarse, fine = Grid(dim, N, 1.0), Grid(dim, 2 * N, 1.0)
-    Kc = periodized_kernel(coarse, s, scheme) / coarse.cell_measure
-    Kf = periodized_kernel(fine, s, scheme)[(slice(None, None, 2),) * dim] / fine.cell_measure
+    Kc = periodized_kernel(coarse, s) / coarse.cell_measure
+    Kf = periodized_kernel(fine, s)[(slice(None, None, 2),) * dim] / fine.cell_measure
     off = np.ones(coarse.shape, dtype=bool)
     off[(0,) * dim] = False
     assert Kc[(0,) * dim] == Kf[(0,) * dim] == 0.0
@@ -248,36 +247,36 @@ def test_seminorm_integer_order_is_gradient_norm():
 # -- bilinear form ---------------------------------------------------------------
 
 def test_bilinear_symmetry_and_const(calib):
-    g, scheme, const, _ = calib
+    g, const, _ = calib
     v = band_limited_field(g, 6, cutoff=48)
     w = band_limited_field(g, 7, cutoff=48)
-    a = bilinear_form(v, w, 0.5, scheme, const)
-    b = bilinear_form(w, v, 0.5, scheme, const)
+    a = bilinear_form(v, w, 0.5, const)
+    b = bilinear_form(w, v, 0.5, const)
     assert abs(a - b) <= 1e-12 * max(abs(a), 1e-30)
     c = GridFunction(g, np.full(g.shape, 1.7))
-    assert abs(bilinear_form(c, w, 0.5, scheme, const)) <= 1e-12
+    assert abs(bilinear_form(c, w, 0.5, const)) <= 1e-12
 
 
 def test_bilinear_positivity(calib):
-    g, scheme, const, _ = calib
+    g, const, _ = calib
     v = band_limited_field(g, 9, cutoff=48)
-    assert bilinear_form(v, v, 0.5, scheme, const) >= -1e-10 * lp_norm(v, 2) ** 2
+    assert bilinear_form(v, v, 0.5, const) >= -1e-10 * lp_norm(v, 2) ** 2
 
 
 def test_bilinear_matches_spectral_pairing(calib):
-    g, scheme, const, _ = calib
+    g, const, _ = calib
     x = g.coords()[0]
     v = GridFunction(g, np.cos(2 * np.pi * x))
-    pairing = bilinear_form(v, v, 0.5, scheme, const)
+    pairing = bilinear_form(v, v, 0.5, const)
     spectral = l2_inner(frac_laplacian(v, 0.5), v)
     assert abs(pairing - spectral) <= 1e-2 * abs(spectral)
 
 
 def test_bilinear_requires_constant(calib):
-    g, scheme, _, _ = calib
+    g, _, _ = calib
     v = band_limited_field(g, 1)
     with pytest.raises(SingularError, match="[Uu]ncalibrated"):
-        bilinear_form(v, v, 0.5, scheme, None)
+        bilinear_form(v, v, 0.5, None)
 
 
 # -- equivalence ratio ------------------------------------------------------------
