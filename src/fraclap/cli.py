@@ -59,6 +59,13 @@ def _grid(cfg, dim, n) -> Grid:
     return Grid(dim, n, cfg["box"])
 
 
+def _check_order(s, upper=math.inf) -> None:
+    """Refuse an order outside (0, upper), the library's range, as a config
+    error before any work."""
+    if not 0 < s < upper:
+        raise ValueError(f"--s must lie in (0, {upper:g}), got {s:g}")
+
+
 def _sup(sample, seeds) -> dict:
     """Sup over `seeds` of each named statistic that `sample(seed)` returns."""
     sup: dict = {}
@@ -190,6 +197,7 @@ def run_hodge(cfg) -> Report:
 
     g = _grid(cfg, dim=1, n=cfg["grid"])
     s = cfg["s"]
+    _check_order(s)
     rep = Report("hodge", {**cfg, "dim": 1})
     D = ball_mask(g, g.center, g.box_length / 6)
     rows = []
@@ -221,6 +229,7 @@ def run_harmonic_decay(cfg) -> Report:
 
     g = _grid(cfg, dim=1, n=cfg["grid"])
     s = cfg["s"]
+    _check_order(s)
     rep = Report("harmonic-decay", {**cfg, "dim": 1})
     f = band_limited_field(g, cfg["seed"] + 42, cutoff=g.points_per_axis / 16)
     out = harmonic_decay_check(f, g.box_length / 128, g.center, [8, 16, 32], s)
@@ -682,6 +691,7 @@ def run_lower_order(cfg) -> Report:
     g = _grid(cfg, dim=2, n=cfg["grid"])
     rep = Report("lower-order-product", {**cfg, "dim": 2})
     s = cfg["s"]
+    _check_order(s, upper=g.dim / 2.0)
     # zero-multiplier factors are nameable by symbol id ("identity", "riesz:j")
     m1 = parse_symbol_id(cfg["m1"], 2)
     m2 = parse_symbol_id(cfg["m2"], 2)

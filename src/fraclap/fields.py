@@ -55,13 +55,20 @@ def smooth_bump(
 
     modulation_mode > 0 multiplies by cos(2 pi k e.x/L + phase), giving a
     mean-free oscillatory bump whose moments are all spectrally small.
+
+    The profile is evaluated only on the box of grid points with
+    |x_a - center_a| < radius on every axis, and is exactly 0.0 elsewhere:
+    there rho >= |x_a - center_a| >= radius, where the profile vanishes.
     """
     if center is None:
         center = grid.center
     if radius is None:
         radius = grid.box_length / 6.0
-    rho = grid.periodic_distance(center)
-    vals = base_profile_values(2.0 * rho / radius)  # == 1 inside 3r/4, 0 outside r
+    axis_disp = [d.ravel() for d in grid._axis_displacements(center)]
+    box = [np.flatnonzero(np.abs(d) < radius) for d in axis_disp]
+    disp = per_axis([d[i] for d, i in zip(axis_disp, box)])
+    rho = np.sqrt(sum(d * d for d in disp))
+    bump = base_profile_values(2.0 * rho / radius)  # == 1 inside 3r/4, 0 outside r
     if modulation_mode:
         phase = 0.0
         direction = np.zeros(grid.dim)
@@ -71,11 +78,12 @@ def smooth_bump(
             phase = rng.uniform(0, 2 * np.pi)
             d = rng.standard_normal(grid.dim)
             direction = d / np.linalg.norm(d)
-        disp = grid.periodic_displacement(center)
         carrier = sum(d * w for d, w in zip(disp, np.atleast_1d(direction)))
-        vals = vals * np.cos(2 * np.pi * modulation_mode * carrier / grid.box_length + phase)
-    norm = np.sqrt(np.sum(vals**2) * grid.cell_measure)
-    return GridFunction(grid, vals / norm)
+        bump = bump * np.cos(2 * np.pi * modulation_mode * carrier / grid.box_length + phase)
+    vals = np.zeros(grid.shape)
+    vals[np.ix_(*box)] = bump
+    vals /= np.sqrt(np.sum(vals**2) * grid.cell_measure)
+    return GridFunction(grid, vals)
 
 
 def confined_field(

@@ -22,13 +22,17 @@ to shape only at the end, so no meshgrid is ever built.  The arithmetic per
 lattice entry is the same as on full meshgrids.
 
 Fields are real and every symbol satisfies m(-xi) = conj(m(xi)) (checked at
-construction), so apply_symbol has one path: rfftn, a table evaluated per
-call on the rfftn half lattice and on its mirror -xi and conjugate
-symmetrized there (which zeroes the odd part of the symbol on the Nyquist
-planes) and checked finite off the zero mode, then irfftn, whose output is
-real by construction; the zero mode is annihilated.  Spectral derivatives
-are apply_symbol with the symbol (2 pi i xi)^alpha.  apply_table stays a
-complex-FFT fast path on raw arrays for the iterative solvers.
+construction), so apply_symbol has one path: a table evaluated per call on
+the rfftn half lattice and on its mirror -xi and conjugate symmetrized there
+(which zeroes the odd part of the symbol on the Nyquist planes) and checked
+finite off the zero mode, then rfftn, the table multiplied into the rfftn
+output in place, and the steps of irfftn, whose output is real by
+construction; the zero mode is annihilated.  Real symbols (|xi|^s, the
+identity) give float64 tables, half the size of complex ones; numpy
+multiplies them into complex coefficients exactly as their complex casts.
+Spectral derivatives are apply_symbol with the symbol (2 pi i xi)^alpha.
+apply_table stays a complex-FFT fast path on raw arrays for the iterative
+solvers.
 """
 
 from __future__ import annotations
@@ -61,7 +65,7 @@ class FrequencySymbol:
     """Multiplier m(xi) with homogeneity metadata.
 
     evaluator maps a list of per-axis frequency arrays to a real or complex
-    array; callers convert it to complex once.
+    array; tables keep it float64 when it is real and complex128 otherwise.
     The arrays broadcast against each other (on the lattice, axis a varies
     along axis a only) and the result must broadcast to their common shape,
     entry by entry the value at that frequency.  Every symbol must satisfy
@@ -101,10 +105,12 @@ class FrequencySymbol:
         return np.asarray(self.evaluator(axes), dtype=complex)
 
     def on_axes(self, axes: Sequence[np.ndarray]) -> np.ndarray:
-        """Complex table at the frequencies of per-axis arrays that broadcast
-        against each other, broadcast (read-only) to their common shape."""
+        """Table at the frequencies of per-axis arrays that broadcast against
+        each other, broadcast (read-only) to their common shape: float64 for
+        a real evaluator, complex128 for a complex one."""
         with np.errstate(divide="ignore", invalid="ignore"):
-            table = np.asarray(self.evaluator(axes), dtype=complex)
+            table = np.asarray(self.evaluator(axes))
+        table = table.astype(complex if np.iscomplexobj(table) else float, copy=False)
         return np.broadcast_to(table, np.broadcast_shapes(*(np.shape(x) for x in axes)))
 
     def check_grid(self, grid: Grid) -> None:
@@ -114,7 +120,7 @@ class FrequencySymbol:
 
 def identity_symbol(dim: int) -> FrequencySymbol:
     return FrequencySymbol(
-        "identity", dim, lambda xs: np.ones_like(xs[0], dtype=complex), 0.0
+        "identity", dim, lambda xs: np.ones_like(xs[0], dtype=float), 0.0
     )
 
 
@@ -165,12 +171,15 @@ def _conjugate_symmetrize(grid: Grid, symbol: FrequencySymbol) -> np.ndarray:
 def apply_symbol(f: GridFunction, symbol: FrequencySymbol) -> GridFunction:
     """Inverse transform of m(xi) * F(xi), zero mode annihilated.
 
-    rfftn, the conjugate-symmetrized half-lattice table, irfftn, whose output
-    is real by construction.
+    The conjugate-symmetrized half-lattice table, checked before any
+    transform; rfftn; the table multiplied into its output in place; then
+    the calls of irfftn one by one (ifft over each leading axis, irfft over
+    the last), so each intermediate is freed once the next exists.  The
+    output is real by construction and equals irfftn(table * rfftn(f)) bit
+    for bit.
     """
     grid = f.grid
-    axes = tuple(range(grid.dim))
-    F = np.fft.rfftn(f.values, axes=axes)
+    N = grid.points_per_axis
     table = _conjugate_symmetrize(grid, symbol)
     zero = (0,) * grid.dim
     # this checks the whole lattice: symmetrization makes an entry and its
@@ -179,10 +188,17 @@ def apply_symbol(f: GridFunction, symbol: FrequencySymbol) -> GridFunction:
     bad[zero] = False
     if np.any(bad):
         raise SymbolError(f"symbol {symbol.name} evaluates to NaN/Inf off the zero mode")
+    del bad
+    F = np.fft.rfftn(f.values, axes=tuple(range(grid.dim)))
     with np.errstate(invalid="ignore"):  # inf * 0 at the zero mode, fixed below
-        out = table * F
-    out[zero] = 0.0
-    return GridFunction(grid, np.fft.irfftn(out, s=grid.shape, axes=axes))
+        np.multiply(table, F, out=F)
+    F[zero] = 0.0
+    del table
+    for axis in range(grid.dim - 1):
+        F = np.fft.ifft(F, N, axis)
+    out = np.fft.irfft(F, N, grid.dim - 1)
+    del F
+    return GridFunction(grid, out)
 
 
 def frac_laplacian(f: GridFunction, s: float) -> GridFunction:

@@ -95,6 +95,19 @@ def test_given_zero_is_not_the_default(capsys, tmp_path, argv):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    ["hodge", "--s", "0"],
+    ["harmonic-decay", "--s", "0"],
+    ["lower-order-product", "--s", "0"],
+    ["lower-order-product", "--s", "1"],
+])
+def test_order_outside_the_library_range_is_a_config_error(capsys, tmp_path, argv):
+    # checked before any work, so no library error is left to read as a verdict
+    assert main(["run", *argv, "--out", str(tmp_path)]) == 2
+    assert "config error: --s must lie in (0," in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_report_echoes_the_defaults_that_ran(tmp_path):
     assert main(["run", "mv-poincare", "--out", str(tmp_path)]) == 0
     config = json.loads((tmp_path / "mv-poincare.json").read_text())["config"]

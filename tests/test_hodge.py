@@ -6,6 +6,7 @@ from fraclap.fields import band_limited_field, confined_field, smooth_bump
 from fraclap.grid import Grid, GridFunction, ball_mask, l2_inner, lp_norm
 from fraclap.hodge import (
     HodgeError,
+    _supports_disjoint,
     disjoint_pairing_decay,
     harmonic_decay_check,
     hodge_decompose,
@@ -128,6 +129,29 @@ def test_disjoint_pairing_slope_n1():
     gam = 12 * g.spacing
     out = disjoint_pairing_decay(g, 0.25, 0.25, gam, [m * r for m in (4, 8, 16, 32)])
     assert abs(out["slope"] - out["target"]) <= 0.15 * abs(out["target"])
+
+
+def _full_grid_disjoint(a, b):
+    overlap = np.abs(a.values) * np.abs(b.values)
+    scale = np.max(np.abs(a.values)) * np.max(np.abs(b.values)) + 1e-300
+    return float(np.max(overlap)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("dim,n_pts", [(1, 512), (2, 64)])
+def test_supports_disjoint_matches_full_grid_product(dim, n_pts):
+    g = Grid(dim, n_pts, 1.0)
+    gam = 8 * g.spacing
+    a = smooth_bump(g, g.center, gam)
+    a_on = np.flatnonzero(a.values)
+    answers = []
+    # disjoint, touching (centers 2 gamma apart), overlapping, nested
+    for gap in (3 * g.spacing, 0.0, -4 * g.spacing, -2 * gam):
+        c_b = g.center.copy()
+        c_b[0] += 2 * gam + gap
+        for b in (smooth_bump(g, c_b, gam), smooth_bump(g, c_b, gam, modulation_mode=1, seed=2)):
+            answers.append(_supports_disjoint(a, a_on, b))
+            assert answers[-1] == _full_grid_disjoint(a, b), gap
+    assert answers == [True] * 4 + [False] * 4
 
 
 def test_disjoint_geometry_guards():
