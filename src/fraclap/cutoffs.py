@@ -18,6 +18,9 @@ form of eta0 at 2^-k rho, with derivatives scaled by 2^-k and 4^-k (no grid
 differencing).  In floating point this equals the recursion bit for bit on
 values: where eta0(2^(1-k) rho) lies strictly between 0 and 1, the rounded
 v + (1 - v) is exactly 1.
+
+evaluate samples eta^k on a grid from the values alone, and only on the
+per-axis index box of its support ball; it equals ring(k, .)[0] bit for bit.
 """
 
 from __future__ import annotations
@@ -92,15 +95,14 @@ class DyadicCutoffFamily:
     """
 
     depth: int
-    profile: object = base_profile
     derivative_constants: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.depth < 1:
             raise GridError("depth must be >= 1")
-        _check_base(self.profile)
+        _check_base(base_profile)
         rho = np.linspace(0.0, 2.2, 8001)
-        _, d1, d2 = self.profile(rho)
+        _, d1, d2 = base_profile(rho)
         # paper-style constants: C_i = (1 + 2^i) sup |d^i eta0|
         self.derivative_constants = {
             1: 3.0 * float(np.max(np.abs(d1))),
@@ -114,7 +116,7 @@ class DyadicCutoffFamily:
             z = np.zeros_like(np.asarray(rho, dtype=float))
             return z, z.copy(), z.copy()
         h = 2.0**-k
-        v, d1, d2 = self.profile(np.asarray(rho, dtype=float) * h)
+        v, d1, d2 = base_profile(np.asarray(rho, dtype=float) * h)
         return v, h * d1, (h * h) * d2
 
     def ring(self, k: int, rho: np.ndarray):
@@ -140,14 +142,14 @@ class DyadicCutoffFamily:
         raise GridError("derivative bounds are tracked for orders 1 and 2")
 
 
-def build_family(depth: int, profile=base_profile) -> DyadicCutoffFamily:
+def build_family(depth: int) -> DyadicCutoffFamily:
     """Construct the family and assert its structural invariants.
 
     Checks, on a fine radial sample: supports (property (i), exact zeros),
     the partition property (ii) within 1e-12, the range [0, 1 + 1e-14], and
     the measured derivative bounds sup|d^i eta^k| <= C_i 2^(-k i).
     """
-    fam = DyadicCutoffFamily(depth, profile)
+    fam = DyadicCutoffFamily(depth)
     rho = np.linspace(0.0, 2.0 ** (depth + 1) * 1.05, 20001)
     for k in range(depth + 1):
         v, _, _ = fam.ring(k, rho)
@@ -174,16 +176,28 @@ def build_family(depth: int, profile=base_profile) -> DyadicCutoffFamily:
 
 
 def evaluate(family: DyadicCutoffFamily, k: int, r: float, x, grid: Grid) -> GridFunction:
-    """Sample eta^k((. - x)/r) on the grid."""
+    """Sample eta^k((. - x)/r) on the grid: values only, in closed form
+    eta0(2^-k rho/r) - eta0(2^(1-k) rho/r) (one term for k = 0).
+
+    They are computed only on the per-axis index box of grid points y with
+    |y_a - x_a| < R = 2^(k+1) r, and are exactly 0.0 elsewhere, which is the
+    value of ring(k, rho / r)[0] there too: off the box the computed rho is
+    >= R, and R is r times a power of two, so by monotone rounding
+    fl(rho/r) >= 2^(k+1) and eta0 is 0.0 at 2^-k rho/r >= 2.
+    """
     if k > family.depth:
         raise GridError(f"k = {k} exceeds family depth {family.depth}")
-    if 2.0 ** (k + 1) * r > 0.5 * grid.box_length:
-        raise GridError(
-            f"support radius {2.0 ** (k + 1) * r:g} exceeds half the box "
-            f"{0.5 * grid.box_length:g}"
-        )
-    rho = grid.periodic_distance(x)
-    return GridFunction(grid, family.ring(k, rho / r)[0])
+    R = 2.0 ** (k + 1) * r
+    if R > 0.5 * grid.box_length:
+        raise GridError(f"support radius {R:g} exceeds half the box {0.5 * grid.box_length:g}")
+    box, disp = grid.support_box(x, R)
+    t = np.sqrt(sum(d * d for d in disp)) / r
+    ring = base_profile_values(t * 2.0**-k)
+    if k > 0:
+        ring -= base_profile_values(t * 2.0 ** (1 - k))
+    vals = np.zeros(grid.shape)
+    vals[box] = ring
+    return GridFunction(grid, vals)
 
 
 def norm_scaling_experiment(

@@ -64,9 +64,7 @@ def smooth_bump(
         center = grid.center
     if radius is None:
         radius = grid.box_length / 6.0
-    axis_disp = [d.ravel() for d in grid._axis_displacements(center)]
-    box = [np.flatnonzero(np.abs(d) < radius) for d in axis_disp]
-    disp = per_axis([d[i] for d, i in zip(axis_disp, box)])
+    box, disp = grid.support_box(center, radius)
     rho = np.sqrt(sum(d * d for d in disp))
     bump = base_profile_values(2.0 * rho / radius)  # == 1 inside 3r/4, 0 outside r
     if modulation_mode:
@@ -81,7 +79,7 @@ def smooth_bump(
         carrier = sum(d * w for d, w in zip(disp, np.atleast_1d(direction)))
         bump = bump * np.cos(2 * np.pi * modulation_mode * carrier / grid.box_length + phase)
     vals = np.zeros(grid.shape)
-    vals[np.ix_(*box)] = bump
+    vals[box] = bump
     vals /= np.sqrt(np.sum(vals**2) * grid.cell_measure)
     return GridFunction(grid, vals)
 

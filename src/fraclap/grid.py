@@ -17,8 +17,11 @@ Conventions (everything else in the package leans on these):
 
 Fields are real: a GridFunction holds float64 values and refuses complex
 ones, so every coefficient table of a field is Hermitian, F(-xi) = conj(F(xi)).
+It adopts a freshly built float64 array without a copy and freezes it.
 Frequency and mode tables and periodic displacements are built from 1D
-per-axis arrays that broadcast along their own axis (per_axis).
+per-axis arrays that broadcast along their own axis (per_axis);
+Grid.support_box gives the per-axis index box of a ball, so a compactly
+supported field is evaluated there alone.
 
 Balls, annuli and all distances are periodic (minimum image).
 """
@@ -101,6 +104,17 @@ class Grid:
             raise GridError(f"center must have {self.dim} components")
         x = self.axis_coords()
         return per_axis([(x - center[a] + 0.5 * L) % L - 0.5 * L for a in range(self.dim)])
+
+    def support_box(self, center, radius: float) -> tuple:
+        """The per-axis index box of grid points with |x_a - center_a| < radius
+        on every axis, as (index, disp): vals[index] addresses the box of a
+        full-grid array (np.ix_), and disp holds the minimum-image
+        x_a - center_a on the box, shaped per_axis.  Every point off the box
+        lies at periodic distance >= radius from center.
+        """
+        axis_disp = [d.ravel() for d in self._axis_displacements(center)]
+        box = [np.flatnonzero(np.abs(d) < radius) for d in axis_disp]
+        return np.ix_(*box), per_axis([d[i] for d, i in zip(axis_disp, box)])
 
     def periodic_displacement(self, center) -> list:
         """Signed minimum-image displacement x - center per axis, in [-L/2, L/2).
@@ -185,6 +199,11 @@ class GridFunction:
     (complex input is refused, never silently cast).  When a
     support mask is attached, the values must vanish outside it to within
     1e-14 * max|values|.
+
+    A writeable float64 array that owns its data is adopted without a copy
+    and frozen in place, so the caller's handle becomes read-only too.  Views,
+    read-only arrays and other dtypes are copied.  A view taken of the array
+    before construction stays writeable and can still change the values.
     """
 
     grid: Grid
@@ -197,17 +216,18 @@ class GridFunction:
             raise GridError(f"values shape {v.shape} does not match grid {self.grid.shape}")
         if np.iscomplexobj(v):
             raise GridError("GridFunction values must be real")
-        v = v.astype(np.float64, copy=True)
+        if not (v.dtype == np.float64 and v.flags.owndata and v.flags.writeable):
+            v = v.astype(np.float64, copy=True)
         if not np.all(np.isfinite(v)):
             raise GridError("GridFunction values must be finite")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
         if self.support is not None:
             _check_same_grid(self.grid, self.support.grid)
             peak = np.max(np.abs(v)) if v.size else 0.0
             outside = np.abs(v[~self.support.values])
             if outside.size and peak > 0 and np.max(outside) > 1e-14 * peak:
                 raise GridError("values do not vanish outside the attached support mask")
+        v.setflags(write=False)
+        object.__setattr__(self, "values", v)
 
     def __add__(self, other):
         if isinstance(other, GridFunction):

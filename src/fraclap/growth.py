@@ -4,7 +4,9 @@ localization, and Hoelder-exponent estimation.
 The iteration lemmas are verified EXACTLY (double precision, 1e-12 relative
 slack) for every hypothesis-satisfying sequence: no sampling, the hypothesis
 and the conclusion are both finite closed-form sums once sequences carry an
-explicit zero extension outside their index range.
+explicit zero extension outside their index range.  All N are checked at
+once: each sum is a row of one masked (len(Ns), n) array, and a failure names
+the first failing N.
 """
 
 from __future__ import annotations
@@ -76,6 +78,32 @@ class AnnulusSequence:
         ks = np.arange(self.k_min, hi + 1)
         return float(np.sum(2.0 ** (gamma * (ks - N)) * self.values[: hi - self.k_min + 1]))
 
+    # Array forms of the three sums above, one entry per N in Ns; the checks
+    # below use these.  Terms outside a sum get the weight 2^-inf = 0, and
+    # each row is summed with its zeros, so an entry may differ from the
+    # per-N form in the last bits.
+
+    def _rows(self, Ns) -> tuple:
+        """(N, k) as a column and a row that broadcast to (len(Ns), n)."""
+        return np.asarray(Ns)[:, None], np.arange(self.k_min, self.k_max + 1)
+
+    def head_sums(self, Ns) -> np.ndarray:
+        """head_sum(N) for each N in Ns."""
+        N, k = self._rows(Ns)
+        return np.sum(np.where(k <= N, self.values, 0.0), axis=1)
+
+    def weighted_tails(self, Ns, gamma: float, shift: int) -> np.ndarray:
+        """weighted_tail(N, gamma, shift) for each N in Ns."""
+        N, k = self._rows(Ns)
+        weight = 2.0 ** np.where(k > N, gamma * (N + shift - k), -np.inf)
+        return np.sum(weight * self.values, axis=1)
+
+    def weighted_heads(self, Ns, gamma: float) -> np.ndarray:
+        """weighted_head(N, gamma) for each N in Ns."""
+        N, k = self._rows(Ns)
+        weight = 2.0 ** np.where(k <= N, gamma * (k - N), -np.inf)
+        return np.sum(weight * self.values, axis=1)
+
 
 @dataclass
 class GrowthReport:
@@ -92,14 +120,28 @@ class GrowthReport:
                 raise GrowthError(f"constant {name} must be finite positive")
 
 
+def _check(Ns: np.ndarray, lhs: np.ndarray, rhs: np.ndarray, message: str) -> None:
+    """Raise at the first N with lhs > rhs beyond SLACK, naming it the witness."""
+    fails = lhs > rhs * (1.0 + SLACK)
+    if np.any(fails):
+        N = int(Ns[np.argmax(fails)])
+        raise GrowthError(f"{message} at N = {N}", witness=N)
+
+
 def _check_hypothesis_dr(a: AnnulusSequence, gamma: float, alpha: float, lam: float) -> None:
     """Hypothesis: sum_{k<=N} a_k <= Lam (sum_{k>N} 2^(gamma(N+1-k)) a_k + 2^(alpha N))
     for every N <= 0 (automatic below the range)."""
-    for N in range(a.k_min, 1):
-        lhs = a.head_sum(N)
-        rhs = lam * (a.weighted_tail(N, gamma, shift=1) + 2.0 ** (alpha * N))
-        if lhs > rhs * (1.0 + SLACK):
-            raise GrowthError(f"iteration hypothesis fails at N = {N}", witness=N)
+    Ns = np.arange(a.k_min, 1)
+    rhs = lam * (a.weighted_tails(Ns, gamma, shift=1) + 2.0 ** (alpha * Ns))
+    _check(Ns, a.head_sums(Ns), rhs, "iteration hypothesis fails")
+
+
+def _conclusion(Ns: np.ndarray, heads: np.ndarray, lam: float, beta: float) -> list:
+    """Check the head sums against lam 2^(beta N) for every N in Ns; the table rows."""
+    bounds = lam * 2.0 ** (beta * Ns)
+    _check(Ns, heads, bounds, "conclusion verification failed")
+    return [{"N": N, "head_sum": h, "bound": b}
+            for N, h, b in zip(Ns.tolist(), heads.tolist(), bounds.tolist())]
 
 
 def driteration(a: AnnulusSequence, gamma: float, alpha: float, lam: float) -> GrowthReport:
@@ -121,15 +163,11 @@ def driteration(a: AnnulusSequence, gamma: float, alpha: float, lam: float) -> G
     theta_star = min(-math.log2(taus[k]) / k for k in range(1, k_range + 1))
     beta_raw = min(theta_star, alpha) / 2.0
     beta = min(max(beta_raw / 2.0, 1e-9), 0.999)
-    ratios = [a.head_sum(N) / 2.0 ** (beta * N) for N in range(a.k_min, 1)]
-    lam2 = max(ratios) if ratios and max(ratios) > 0 else lam
-    table = []
-    for N in range(a.k_min, 1):
-        lhs = a.head_sum(N)
-        bound = lam2 * 2.0 ** (beta * N)
-        if lhs > bound * (1.0 + SLACK):
-            raise GrowthError(f"conclusion verification failed at N = {N}", witness=N)
-        table.append({"N": N, "head_sum": lhs, "bound": bound})
+    Ns = np.arange(a.k_min, 1)
+    heads = a.head_sums(Ns)
+    ratios = heads / 2.0 ** (beta * Ns)
+    lam2 = float(np.max(ratios)) if ratios.size and np.max(ratios) > 0 else lam
+    table = _conclusion(Ns, heads, lam2, beta)
     return GrowthReport(
         beta=beta,
         constants={"Lambda": lam, "Lambda_2": lam2, "tau": tau, "theta_star": theta_star,
@@ -149,38 +187,29 @@ def iteration_reduce(
         raise GrowthError("L must be a positive integer")
     if lam1 <= 0 or lam2 <= 0 or gamma <= 0:
         raise GrowthError("Lambda_1, Lambda_2, gamma must be positive")
-    for N in range(a.k_min, 1):
-        lhs = a.head_sum(N)
-        rhs = (
-            0.5 * a.head_sum(N + L)
-            + lam1 * a.weighted_head(N, gamma)
-            + lam2 * a.weighted_tail(N, gamma, shift=0)
-            + lam2 * 2.0 ** (gamma * N)
-        )
-        if lhs > rhs * (1.0 + SLACK):
-            raise GrowthError(f"iteration hypothesis fails at N = {N}", witness=N)
+    Ns = np.arange(a.k_min, 1)
+    rhs = (
+        0.5 * a.head_sums(Ns + L)
+        + lam1 * a.weighted_heads(Ns, gamma)
+        + lam2 * a.weighted_tails(Ns, gamma, shift=0)
+        + lam2 * 2.0 ** (gamma * Ns)
+    )
+    _check(Ns, a.head_sums(Ns), rhs, "iteration hypothesis fails")
     K = max(1, math.ceil(math.log2(4.0 * lam1) / gamma))
     lam3 = 4.0 * lam1 * 2.0 ** (gamma * K) + 2.0 ** (gamma * K) * (
         2.0 ** (gamma * L + 2) + 4.0 * lam2
     ) + 2.0 * lam2 * 2.0 ** (gamma * K)
     # reduced inequality for every N <= -K, then shift indices so driteration
     # sees a hypothesis valid on all N <= 0
-    for N in range(a.k_min, -K + 1):
-        lhs = a.head_sum(N)
-        rhs = lam3 * (a.weighted_tail(N, gamma, shift=0) + 2.0 ** (gamma * N))
-        if lhs > rhs * (1.0 + SLACK):
-            raise GrowthError(f"reduced inequality fails at N = {N}", witness=N)
+    Ns = np.arange(a.k_min, -K + 1)
+    heads = a.head_sums(Ns)
+    rhs = lam3 * (a.weighted_tails(Ns, gamma, shift=0) + 2.0 ** (gamma * Ns))
+    _check(Ns, heads, rhs, "reduced inequality fails")
     shifted = AnnulusSequence(a.k_min + K, a.values)
     inner = driteration(shifted, gamma, gamma, lam3)
     beta = inner.beta
     lam4 = inner.constants["Lambda_2"] * 2.0 ** (beta * K)
-    table = []
-    for N in range(a.k_min, -K + 1):
-        lhs = a.head_sum(N)
-        bound = lam4 * 2.0 ** (beta * N)
-        if lhs > bound * (1.0 + SLACK):
-            raise GrowthError(f"conclusion verification failed at N = {N}", witness=N)
-        table.append({"N": N, "head_sum": lhs, "bound": bound})
+    table = _conclusion(Ns, heads, lam4, beta)
     return GrowthReport(
         beta=beta,
         constants={"Lambda_1": lam1, "Lambda_2_input": lam2, "Lambda_3": lam3, "Lambda_4": lam4,
@@ -206,10 +235,9 @@ def generate_driteration_input(seed: int, gamma: float, alpha: float) -> tuple:
     vals = np.abs(rng.standard_normal(ks.size)) * 2.0 ** (theta * np.minimum(ks, 0))
     vals[rng.random(ks.size) < 0.15] = 0.0
     a = AnnulusSequence(K_MIN, vals)
-    lam_min = 0.0
-    for N in range(K_MIN, 1):
-        denom = a.weighted_tail(N, gamma, shift=1) + 2.0 ** (alpha * N)
-        lam_min = max(lam_min, a.head_sum(N) / denom)
+    Ns = np.arange(K_MIN, 1)
+    denom = a.weighted_tails(Ns, gamma, shift=1) + 2.0 ** (alpha * Ns)
+    lam_min = float(np.max(a.head_sums(Ns) / denom))
     lam = max(lam_min * (1.0 + 1e-9), 1e-6)
     return a, lam
 
@@ -223,17 +251,17 @@ def generate_iteration_input(seed: int, lam1: float, lam2: float, gamma: float, 
     theta = rng.uniform(0.2, 1.2)
     vals = np.abs(rng.standard_normal(ks.size)) * 2.0 ** (theta * np.minimum(ks, 0))
     a = AnnulusSequence(K_MIN, vals)
-    c_max = math.inf
-    for N in range(K_MIN, 1):
-        linear = (
-            0.5 * a.head_sum(N + L)
-            + lam1 * a.weighted_head(N, gamma)
-            + lam2 * a.weighted_tail(N, gamma, shift=0)
-        )
-        deficit = a.head_sum(N) - linear
-        if deficit > 0:
-            c_max = min(c_max, lam2 * 2.0 ** (gamma * N) / deficit)
-    scale = 1.0 if math.isinf(c_max) else 0.9 * c_max
+    Ns = np.arange(K_MIN, 1)
+    linear = (
+        0.5 * a.head_sums(Ns + L)
+        + lam1 * a.weighted_heads(Ns, gamma)
+        + lam2 * a.weighted_tails(Ns, gamma, shift=0)
+    )
+    deficit = a.head_sums(Ns) - linear
+    short = deficit > 0
+    scale = 1.0
+    if np.any(short):
+        scale = 0.9 * float(np.min(lam2 * 2.0 ** (gamma * Ns[short]) / deficit[short]))
     return AnnulusSequence(K_MIN, vals * min(1.0, scale))
 
 

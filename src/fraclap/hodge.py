@@ -154,6 +154,9 @@ def disjoint_pairing_decay(grid: Grid, s: float, t: float, gamma: float, d_list:
 
     Geometry guards: the occupied extent stays under a third of the box and
     the nearest periodic image distance stays above the largest tested d.
+
+    Each full-grid field is dropped at its last use (a after lap_a, b after
+    lap_b), so a transform of b runs beside lap_a and b alone.
     """
     if len(d_list) < 3:
         raise HodgeError("need at least 3 separations")
@@ -166,15 +169,21 @@ def disjoint_pairing_decay(grid: Grid, s: float, t: float, gamma: float, d_list:
         raise HodgeError("periodic image closer than the largest tested separation")
     a = smooth_bump(grid, x, gamma)
     a_on = np.flatnonzero(a.values)
+    a_abs = np.abs(a.values.ravel()[a_on])
+    a_l1 = lp_norm(a, 1)
     lap_a = frac_laplacian(a, s)
+    del a
     vals = []
     for d in d_list:
         c_b = x.copy()
         c_b[0] = x[0] + gamma + d + gamma
         b = smooth_bump(grid, c_b, gamma)
-        if not _supports_disjoint(a, a_on, b):
+        if not _supports_disjoint(a_abs, a_on, b):
             raise HodgeError("supports are not disjoint")
-        vals.append(abs(l2_inner(lap_a, frac_laplacian(b, t))))
+        lap_b = frac_laplacian(b, t)
+        del b
+        vals.append(abs(l2_inner(lap_a, lap_b)))
+        del lap_b
     logs = np.log(np.maximum(vals, 1e-300))  # s = t = 0 pairings vanish exactly
     slope = float(np.polyfit(np.log(np.asarray(d_list, dtype=float)), logs, 1)[0])
     return {
@@ -182,15 +191,14 @@ def disjoint_pairing_decay(grid: Grid, s: float, t: float, gamma: float, d_list:
         "pairing": vals,
         "slope": slope,
         "target": -(grid.dim + s + t),
-        "a_l1": lp_norm(a, 1),
+        "a_l1": a_l1,
     }
 
 
-def _supports_disjoint(a: GridFunction, a_on: np.ndarray, b: GridFunction) -> bool:
-    """max |a b| <= 1e-12 max|a| max|b|, with a and a b read only at a_on, the
-    flat indices where a is nonzero (both vanish elsewhere, so the maxima are
+def _supports_disjoint(a_abs: np.ndarray, a_on: np.ndarray, b: GridFunction) -> bool:
+    """max |a b| <= 1e-12 max|a| max|b|, given a_abs = |a| at a_on, the flat
+    indices where a is nonzero (a and a b vanish elsewhere, so the maxima are
     those over the whole grid)."""
-    a_abs = np.abs(a.values.ravel()[a_on])
     overlap = a_abs * np.abs(b.values.ravel()[a_on])
     scale = np.max(a_abs) * np.max(np.abs(b.values)) + 1e-300
     return float(np.max(overlap)) <= 1e-12 * scale

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from fraclap.cutoffs import (
     DyadicCutoffFamily,
+    _check_base,
     base_profile,
     base_profile_values,
     build_family,
@@ -34,8 +36,8 @@ def test_bad_base_profile_rejected():
         v, d1, d2 = base_profile(np.asarray(rho) * 2.0)  # == 1 only on B_{3/4}
         return v, 2.0 * d1, 4.0 * d2
 
-    with pytest.raises(GridError):
-        build_family(2, profile=too_narrow)
+    with pytest.raises(GridError, match="identically 1"):
+        _check_base(too_narrow)
 
 
 def test_first_ring_matches_recursion(family):
@@ -130,6 +132,41 @@ def test_evaluate_dilation_identity(family):
     rho = g.periodic_distance(g.center)
     direct = family.ring(1, rho / (2 * r))[0]
     assert np.max(np.abs(a.values - direct)) < 1e-15
+
+
+@pytest.mark.parametrize("dim,n_pts,box", [(1, 256, 1.0), (2, 32, 1.0), (2, 32, 3.0), (3, 16, 1.0)])
+def test_evaluate_matches_ring_bitwise(family, dim, n_pts, box):
+    g = Grid(dim, n_pts, box)
+    h = g.spacing
+    centers = [
+        np.full(dim, box - 0.3 * h),  # off the lattice, the ball wraps the edge
+        np.linspace(0.2 * h, box - 0.7 * h, dim),
+        np.full(dim, h),  # on the lattice, so axis distances are exact multiples of h
+    ]
+    for k in range(family.depth + 1):
+        scale = 2.0 ** (k + 1)
+        # support radius 2^(k+1) r: half the box, 3 lattice steps, and neither
+        for r in (0.5 * box / scale, 3 * h / scale, 0.37 * box / scale):
+            for x in centers:
+                eta = evaluate(family, k, r, x, g)
+                ring = family.ring(k, g.periodic_distance(x) / r)[0]
+                assert eta.values.tobytes() == ring.tobytes(), (k, r, x)
+
+
+@pytest.mark.parametrize("k,bound", [(1, 2.0), (4, 6.0)])
+def test_evaluate_peak_memory(family, k, bound):
+    # tracemalloc peak of one call in field sizes, 2D 256^2, r = 1/72: 1.16 at
+    # k = 1 and 4.6 at k = 4, where the support box covers 79% of the grid
+    # (11.0 when the ring and its derivatives were built on every grid point)
+    g = Grid(2, 256, 1.0)
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        evaluate(family, k, 1.0 / 72, g.center, g)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * g.npoints * 8
 
 
 def test_masks_disjoint_at_distance_three(family):

@@ -173,6 +173,47 @@ def test_gridfunction_invariants():
         f.values[0] = 3.0
 
 
+def test_gridfunction_adopts_a_fresh_array():
+    g = Grid(2, 16, 1.0)
+    fresh = np.random.default_rng(0).standard_normal(g.shape)
+    f = GridFunction(g, fresh)
+    assert np.shares_memory(f.values, fresh)
+    assert not fresh.flags.writeable
+    with pytest.raises(ValueError):
+        fresh[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("make", [lambda a: a[:, :], lambda a: a.astype(np.float32)])
+def test_gridfunction_copies_views_and_other_dtypes(make):
+    g = Grid(2, 16, 1.0)
+    source = np.random.default_rng(1).standard_normal(g.shape)
+    given = make(source)
+    f = GridFunction(g, given)
+    assert not np.shares_memory(f.values, given)
+    assert given.flags.writeable and source.flags.writeable
+    assert np.array_equal(f.values, given.astype(np.float64))
+
+
+def test_gridfunction_copies_read_only_input():
+    g = Grid(1, 64, 1.0)
+    frozen = np.ones(g.shape)
+    frozen.setflags(write=False)
+    f = GridFunction(g, frozen)
+    assert not np.shares_memory(f.values, frozen)
+    # the owner may unfreeze its array; the field does not change with it
+    frozen.setflags(write=True)
+    frozen[0] = 5.0
+    assert f.values[0] == 1.0
+
+
+def test_failed_construction_leaves_the_array_writeable():
+    g = Grid(1, 64, 1.0)
+    vals = np.ones(g.shape)
+    with pytest.raises(GridError, match="support"):
+        GridFunction(g, vals, ball_mask(g, g.center, 0.2))
+    assert vals.flags.writeable
+
+
 def test_l2_inner_matches_norm():
     g = Grid(1, 128, 1.0)
     rng = np.random.default_rng(5)
