@@ -12,7 +12,6 @@ from .grid import (
     GridFunction,
     annulus_mask,
     ball_mask,
-    full_mask,
     l2_inner,
     lp_norm,
     transform_forward,
@@ -74,7 +73,6 @@ __all__ = [
     "equivalence_ratio",
     "frac_lap_pointwise",
     "frac_laplacian",
-    "full_mask",
     "gagliardo_seminorm",
     "h_norm_ratio",
     "hodge_decompose",

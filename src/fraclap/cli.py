@@ -12,7 +12,8 @@ report echoes its config); --seed and --out apply to all.
 
 Exit codes: 0 when every verdict in the report passed, 1 when a verdict
 failed, 2 for a config error (including an option the experiment does not
-read) or an unknown experiment.
+read) or an unknown experiment, 3 for a numerical failure (a solver that did
+not converge); no report is written for 2 or 3.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .reporting import (
     regression_bound,
     write_constants,
 )
+from .solve import NumericalError
 
 REGISTRY: dict = {}
 
@@ -850,6 +852,9 @@ def main(argv=None) -> int:
     except (GridError, ReportError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except NumericalError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
     path = report.write(args.out)
     for v in report.verdicts:
         status = "PASS" if v["passed"] else "FAIL"

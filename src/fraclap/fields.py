@@ -29,15 +29,15 @@ def band_limited_field(
     if cutoff is None:
         cutoff = grid.points_per_axis / 8
     rng = np.random.default_rng(seed)
-    white = rng.standard_normal(grid.shape)
-    W = np.fft.fftn(white)
+    W = np.fft.fftn(rng.standard_normal(grid.shape), out=np.empty(grid.shape, complex))
     m = np.fft.fftfreq(grid.points_per_axis) * grid.points_per_axis  # integer modes
     mag = np.sqrt(sum(x**2 for x in per_axis([m] * grid.dim)))
-    W = np.where(mag <= cutoff, W, 0.0)
+    W[mag > cutoff] = 0.0
     if envelope is not None:
-        W = W * np.exp(-((mag / envelope) ** 2))
+        W *= np.exp(-((mag / envelope) ** 2))
+    del mag
     W[(0,) * grid.dim] = 0.0
-    vals = np.fft.ifftn(W).real
+    vals = np.fft.ifftn(W, out=W).real
     norm = np.sqrt(np.sum(vals**2) * grid.cell_measure)
     if norm == 0:
         raise ValueError("degenerate field (seed produced zero spectrum)")

@@ -187,10 +187,6 @@ def annulus_mask(grid: Grid, center, r_inner: float, r_outer: float) -> DomainMa
     return DomainMask(grid, vals, f"annulus({r_inner:g},{r_outer:g})")
 
 
-def full_mask(grid: Grid) -> DomainMask:
-    return DomainMask(grid, np.ones(grid.shape, dtype=bool), "full")
-
-
 @dataclass(frozen=True)
 class GridFunction:
     """Real field sampled on a periodic grid, stored as float64.

@@ -55,51 +55,27 @@ class AnnulusSequence:
             return float(self.values[k - self.k_min])
         return 0.0
 
-    def head_sum(self, N: int) -> float:
-        """sum_{k <= N} a_k."""
-        if N < self.k_min:
-            return 0.0
-        hi = min(N, self.k_max)
-        return float(np.sum(self.values[: hi - self.k_min + 1]))
-
-    def weighted_tail(self, N: int, gamma: float, shift: int = 1) -> float:
-        """sum_{k >= N+1} 2^(gamma (N + shift - k)) a_k."""
-        lo = max(N + 1, self.k_min)
-        if lo > self.k_max:
-            return 0.0
-        ks = np.arange(lo, self.k_max + 1)
-        return float(np.sum(2.0 ** (gamma * (N + shift - ks)) * self.values[lo - self.k_min :]))
-
-    def weighted_head(self, N: int, gamma: float) -> float:
-        """sum_{k <= N} 2^(gamma (k - N)) a_k."""
-        hi = min(N, self.k_max)
-        if hi < self.k_min:
-            return 0.0
-        ks = np.arange(self.k_min, hi + 1)
-        return float(np.sum(2.0 ** (gamma * (ks - N)) * self.values[: hi - self.k_min + 1]))
-
-    # Array forms of the three sums above, one entry per N in Ns; the checks
-    # below use these.  Terms outside a sum get the weight 2^-inf = 0, and
-    # each row is summed with its zeros, so an entry may differ from the
-    # per-N form in the last bits.
+    # The three sums of the iteration lemmas, one entry per N in Ns.  Terms
+    # outside a sum get the weight 2^-inf = 0, and each row is summed with its
+    # zeros, so an entry may differ from a per-N slice sum in the last bits.
 
     def _rows(self, Ns) -> tuple:
         """(N, k) as a column and a row that broadcast to (len(Ns), n)."""
         return np.asarray(Ns)[:, None], np.arange(self.k_min, self.k_max + 1)
 
     def head_sums(self, Ns) -> np.ndarray:
-        """head_sum(N) for each N in Ns."""
+        """sum_{k <= N} a_k for each N in Ns."""
         N, k = self._rows(Ns)
         return np.sum(np.where(k <= N, self.values, 0.0), axis=1)
 
     def weighted_tails(self, Ns, gamma: float, shift: int) -> np.ndarray:
-        """weighted_tail(N, gamma, shift) for each N in Ns."""
+        """sum_{k >= N+1} 2^(gamma (N + shift - k)) a_k for each N in Ns."""
         N, k = self._rows(Ns)
         weight = 2.0 ** np.where(k > N, gamma * (N + shift - k), -np.inf)
         return np.sum(weight * self.values, axis=1)
 
     def weighted_heads(self, Ns, gamma: float) -> np.ndarray:
-        """weighted_head(N, gamma) for each N in Ns."""
+        """sum_{k <= N} 2^(gamma (k - N)) a_k for each N in Ns."""
         N, k = self._rows(Ns)
         weight = 2.0 ** np.where(k <= N, gamma * (k - N), -np.inf)
         return np.sum(weight * self.values, axis=1)

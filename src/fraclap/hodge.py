@@ -25,10 +25,10 @@ from .multipliers import (
     apply_table,
     frac_laplacian,
 )
-from .solve import restricted_cg
+from .solve import NumericalError, restricted_cg
 
 
-class HodgeError(RuntimeError):
+class HodgeError(NumericalError):
     pass
 
 

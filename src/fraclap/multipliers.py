@@ -31,8 +31,13 @@ construction; the zero mode is annihilated.  Real symbols (|xi|^s, the
 identity) give float64 tables, half the size of complex ones; numpy
 multiplies them into complex coefficients exactly as their complex casts.
 Spectral derivatives are apply_symbol with the symbol (2 pi i xi)^alpha.
-apply_table stays a complex-FFT fast path on raw arrays for the iterative
-solvers.
+
+apply_table is the raw-array path of the iterative solvers: a full-lattice
+table (abs_power_table) and complex FFTs.  Both paths transform in place in
+one complex work buffer that they own (only apply_symbol's closing irfft
+writes a new, real array), with numpy's FFT calls in numpy's order, so each
+output equals the allocating form (irfftn(table * rfftn(f)),
+ifftn(fftn(values) * table).real) bit for bit.
 """
 
 from __future__ import annotations
@@ -155,7 +160,9 @@ def _conjugate_symmetrize(grid: Grid, symbol: FrequencySymbol) -> np.ndarray:
     self-conjugate Nyquist planes, where it drops the imaginary part; without
     this, odd symbols (Riesz type) would map the Nyquist content of real
     inputs to non-Hermitian coefficients.  The result is the half of a table
-    that is exactly Hermitian at every finite entry, as irfftn assumes.
+    that is exactly Hermitian at every finite entry, as irfftn assumes.  The
+    average is formed in place in the conjugated mirror table (IEEE + and *
+    commute, so the bits are those of 0.5 * (table + conj(neg))).
     """
     symbol.check_grid(grid)
     N, dim = grid.points_per_axis, grid.dim
@@ -164,17 +171,20 @@ def _conjugate_symmetrize(grid: Grid, symbol: FrequencySymbol) -> np.ndarray:
     mirror = f[(-np.arange(N)) % N]
     table = symbol.on_axes(per_axis([f] * (dim - 1) + [f[:half]]))
     neg = symbol.on_axes(per_axis([mirror] * (dim - 1) + [mirror[:half]]))
+    out = np.conjugate(neg).astype(np.result_type(neg, table), copy=False)
     with np.errstate(invalid="ignore"):  # zero mode may hold inf; apply_symbol annihilates it
-        return 0.5 * (table + np.conjugate(neg))
+        out += table
+        out *= 0.5
+    return out
 
 
 def apply_symbol(f: GridFunction, symbol: FrequencySymbol) -> GridFunction:
     """Inverse transform of m(xi) * F(xi), zero mode annihilated.
 
     The conjugate-symmetrized half-lattice table, checked before any
-    transform; rfftn; the table multiplied into its output in place; then
-    the calls of irfftn one by one (ifft over each leading axis, irfft over
-    the last), so each intermediate is freed once the next exists.  The
+    transform; rfftn into one complex half-lattice buffer; the table
+    multiplied into it; ifft over each leading axis in place; then irfft
+    over the last axis, the one step that needs a new (real) array.  The
     output is real by construction and equals irfftn(table * rfftn(f)) bit
     for bit.
     """
@@ -189,13 +199,14 @@ def apply_symbol(f: GridFunction, symbol: FrequencySymbol) -> GridFunction:
     if np.any(bad):
         raise SymbolError(f"symbol {symbol.name} evaluates to NaN/Inf off the zero mode")
     del bad
-    F = np.fft.rfftn(f.values, axes=tuple(range(grid.dim)))
+    F = np.empty(table.shape, complex)
+    np.fft.rfftn(f.values, axes=tuple(range(grid.dim)), out=F)
     with np.errstate(invalid="ignore"):  # inf * 0 at the zero mode, fixed below
         np.multiply(table, F, out=F)
     F[zero] = 0.0
     del table
     for axis in range(grid.dim - 1):
-        F = np.fft.ifft(F, N, axis)
+        np.fft.ifft(F, N, axis, out=F)
     out = np.fft.irfft(F, N, grid.dim - 1)
     del F
     return GridFunction(grid, out)
@@ -237,8 +248,21 @@ def abs_power_table(grid: Grid, s: float) -> np.ndarray:
 
 
 def apply_table(values: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Real multiplier application on a raw array (no invariant checks)."""
-    return np.fft.ifftn(np.fft.fftn(values) * table).real
+    """Real multiplier application on a raw array (no invariant checks).
+
+    One complex work buffer, the cast of values, holds every step: fft over
+    each axis in fftn's order (last axis first), the table multiplied in,
+    then ifft in ifftn's order, each in place.  The result is the real part
+    of that buffer and equals ifftn(fftn(values) * table).real bit for bit.
+    """
+    F = values.astype(complex)
+    axes = range(F.ndim - 1, -1, -1)
+    for axis in axes:
+        np.fft.fft(F, axis=axis, out=F)
+    F *= table
+    for axis in axes:
+        np.fft.ifft(F, axis=axis, out=F)
+    return F.real
 
 
 def derivative_symbol(dim: int, alpha) -> FrequencySymbol:

@@ -8,6 +8,7 @@ import pytest
 from fraclap.cli import REGISTRY, RUN_OPTIONS, calibrate_suite, main, split_seed_regression
 from fraclap.grid import Grid
 from fraclap.reporting import SLACK, Report, ReportError, load_constants, regression_bound, write_constants
+from fraclap.solve import SolveError
 
 
 def test_list_command(capsys):
@@ -106,6 +107,25 @@ def test_order_outside_the_library_range_is_a_config_error(capsys, tmp_path, arg
     assert main(["run", *argv, "--out", str(tmp_path)]) == 2
     assert "config error: --s must lie in (0," in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+def test_numerical_failure_exits_3(capsys, tmp_path, monkeypatch):
+    def diverges(cfg):
+        raise SolveError("CG failed to reach relative residual 1e-10 within 2 iterations")
+
+    monkeypatch.setitem(REGISTRY, "diverges", diverges)
+    assert main(["run", "diverges", "--out", str(tmp_path)]) == 3
+    assert "numerical failure: CG failed" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_plain_runtime_error_propagates(tmp_path, monkeypatch):
+    def crashes(cfg):
+        raise RuntimeError("not a numerical failure")
+
+    monkeypatch.setitem(REGISTRY, "crashes", crashes)
+    with pytest.raises(RuntimeError, match="not a numerical"):
+        main(["run", "crashes", "--out", str(tmp_path)])
 
 
 def test_report_echoes_the_defaults_that_ran(tmp_path):

@@ -4,12 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fraclap.grid import (
+    DomainMask,
     Grid,
     GridError,
     GridFunction,
     annulus_mask,
     ball_mask,
-    full_mask,
     l2_inner,
     lp_norm,
     spectral_mass_fraction_above,
@@ -152,7 +152,7 @@ def test_annulus_and_set_algebra():
     assert np.all(outer.values[ann.values])
     assert not np.any(ann.values & inner.values)
     assert ann.union(inner).npoints <= outer.npoints
-    assert full_mask(g).npoints == g.npoints
+    assert DomainMask(g, np.ones(g.shape, bool)).npoints == g.npoints
 
 
 def test_gridfunction_invariants():

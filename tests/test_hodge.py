@@ -19,6 +19,7 @@ from fraclap.hodge import (
     product_rule_localization,
 )
 from fraclap.multipliers import frac_laplacian
+from fraclap.solve import NumericalError
 
 
 @pytest.fixture(scope="module")
@@ -61,10 +62,14 @@ def test_minimizer_optimality(setup):
 
 
 def test_cg_cap_raises(setup):
+    # a numerical failure: `fraclap run` exits 3 for it, not 1 as for a
+    # failed verdict
     g, D = setup
     f = band_limited_field(g, 0, cutoff=128)
-    with pytest.raises(HodgeError, match="CG"):
-        hodge_decompose(f, D, 0.5, maxiter=2)
+    for maxiter in (1, 2):
+        with pytest.raises(HodgeError, match="CG") as err:
+            hodge_decompose(f, D, 0.5, maxiter=maxiter)
+        assert isinstance(err.value, NumericalError)
 
 
 def test_distant_source_gives_small_phi(setup):

@@ -4,7 +4,7 @@ import pytest
 from fraclap import _kernels
 from fraclap.cutoffs import base_profile_values, build_family
 from fraclap.fields import band_limited_field
-from fraclap.grid import Grid, GridFunction, ball_mask, lp_norm
+from fraclap.grid import DomainMask, Grid, GridFunction, ball_mask, lp_norm
 from fraclap.meanvalue import (
     MeanValueError,
     annulus_mv_poincare_ratio,
@@ -63,10 +63,7 @@ def test_zero_derivative_means_zero_polynomial():
     g = Grid(1, 512, 1.0)
     x = g.coords()[0]
     v = GridFunction(g, np.cos(2 * np.pi * 8 * x))  # zero mean and mean slope on the box
-    D = None
-    from fraclap.grid import full_mask
-
-    P = meanvalue_polynomial(v, full_mask(g), 0, center=g.center)
+    P = meanvalue_polynomial(v, DomainMask(g, np.ones(g.shape, bool)), 0, center=g.center)
     assert abs(P.coeffs[(0,)]) <= 1e-12
 
 
