@@ -26,7 +26,6 @@ from .multipliers import (
 )
 from .singular import (
     CalibratedConstant,
-    bilinear_form,
     calibrate_cns,
     equivalence_ratio,
     frac_lap_pointwise,
@@ -63,7 +62,6 @@ __all__ = [
     "annulus_mask",
     "apply_symbol",
     "ball_mask",
-    "bilinear_form",
     "build_family",
     "calibrate_cns",
     "commutator_H",

@@ -23,14 +23,15 @@ lattice entry is the same as on full meshgrids.
 
 Fields are real and every symbol satisfies m(-xi) = conj(m(xi)) (checked at
 construction), so apply_symbol has one path: a table evaluated per call on
-the rfftn half lattice and on its mirror -xi and conjugate symmetrized there
-(which zeroes the odd part of the symbol on the Nyquist planes) and checked
-finite off the zero mode, then rfftn, the table multiplied into the rfftn
-output in place, and the steps of irfftn, whose output is real by
-construction; the zero mode is annihilated.  Real symbols (|xi|^s, the
-identity) give float64 tables, half the size of complex ones; numpy
-multiplies them into complex coefficients exactly as their complex casts.
-Spectral derivatives are apply_symbol with the symbol (2 pi i xi)^alpha.
+the rfftn half lattice and checked finite off the zero mode, then rfftn, the
+table multiplied into the rfftn output in place, and the steps of irfftn,
+whose output is real by construction; the zero mode is annihilated.  Real
+symbols (|xi|^s, the identity) are even, so their float64 table, half the
+size of a complex one, is used as evaluated; numpy multiplies it into
+complex coefficients exactly as its complex cast.  Only complex symbols are
+also evaluated on the mirror -xi and conjugate symmetrized, which zeroes
+their odd part on the Nyquist planes.  Spectral derivatives are apply_symbol
+with the symbol (2 pi i xi)^alpha.
 
 apply_table is the raw-array path of the iterative solvers: a full-lattice
 table (abs_power_table) and complex FFTs.  Both paths transform in place in
@@ -42,6 +43,7 @@ ifftn(fftn(values) * table).real) bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import product as _iterproduct
@@ -56,12 +58,15 @@ class SymbolError(ValueError):
     pass
 
 
+@functools.cache
 def _sample_points(dim: int) -> np.ndarray:
-    """Deterministic nonzero test frequencies used to verify symbol metadata."""
+    """Deterministic nonzero test frequencies used to verify symbol metadata,
+    drawn once per dim and shared read-only by every construction."""
     rng = np.random.default_rng(20240)
     pts = rng.integers(-8, 9, size=(24, dim)).astype(float)
     pts[np.all(pts == 0, axis=1)] = 1.0
     pts = np.vstack([pts, np.eye(dim), 3.0 * np.eye(dim)])
+    pts.flags.writeable = False
     return pts
 
 
@@ -152,26 +157,33 @@ def riesz_symbol(dim: int, j: int) -> FrequencySymbol:
 
 
 def _conjugate_symmetrize(grid: Grid, symbol: FrequencySymbol) -> np.ndarray:
-    """(m(xi) + conj(m(-xi)))/2 on the rfftn half lattice [..., :N//2+1].
+    """The table of symbol on the rfftn half lattice [..., :N//2+1]: m(xi)
+    for a real symbol, (m(xi) + conj(m(-xi)))/2 for a complex one.
 
-    m is evaluated twice, on the half lattice and on its mirror (lattice
-    index -j mod N per axis, so a Nyquist frequency is its own mirror).  A
-    no-op (to roundoff) for symbols with m(-xi) = conj(m(xi)) except at the
-    self-conjugate Nyquist planes, where it drops the imaginary part; without
-    this, odd symbols (Riesz type) would map the Nyquist content of real
-    inputs to non-Hermitian coefficients.  The result is the half of a table
-    that is exactly Hermitian at every finite entry, as irfftn assumes.  The
-    average is formed in place in the conjugated mirror table (IEEE + and *
-    commute, so the bits are those of 0.5 * (table + conj(neg))).
+    A real table is returned as evaluated (possibly a read-only broadcast
+    view): a real symbol is even, and for |xi|^s and the identity the mirror
+    frequencies are exact negations (or the Nyquist entry itself), so the
+    average would reproduce the table bit for bit.  A complex symbol is
+    evaluated again on the mirror (lattice index -j mod N per axis, so a
+    Nyquist frequency is its own mirror) and averaged; a no-op (to roundoff)
+    except at the self-conjugate Nyquist planes, where it drops the
+    imaginary part.  Without this, odd symbols (Riesz type) would map the
+    Nyquist content of real inputs to non-Hermitian coefficients.  The
+    result is the half of a table that is exactly Hermitian at every finite
+    entry, as irfftn assumes.  The average is formed in place in the
+    conjugated mirror table (IEEE + and * commute, so the bits are those of
+    0.5 * (table + conj(neg))).
     """
     symbol.check_grid(grid)
     N, dim = grid.points_per_axis, grid.dim
     f = grid.axis_frequencies()
     half = N // 2 + 1
-    mirror = f[(-np.arange(N)) % N]
     table = symbol.on_axes(per_axis([f] * (dim - 1) + [f[:half]]))
+    if not np.iscomplexobj(table):
+        return table
+    mirror = f[(-np.arange(N)) % N]
     neg = symbol.on_axes(per_axis([mirror] * (dim - 1) + [mirror[:half]]))
-    out = np.conjugate(neg).astype(np.result_type(neg, table), copy=False)
+    out = np.conjugate(neg)
     with np.errstate(invalid="ignore"):  # zero mode may hold inf; apply_symbol annihilates it
         out += table
         out *= 0.5
@@ -181,19 +193,18 @@ def _conjugate_symmetrize(grid: Grid, symbol: FrequencySymbol) -> np.ndarray:
 def apply_symbol(f: GridFunction, symbol: FrequencySymbol) -> GridFunction:
     """Inverse transform of m(xi) * F(xi), zero mode annihilated.
 
-    The conjugate-symmetrized half-lattice table, checked before any
-    transform; rfftn into one complex half-lattice buffer; the table
-    multiplied into it; ifft over each leading axis in place; then irfft
-    over the last axis, the one step that needs a new (real) array.  The
-    output is real by construction and equals irfftn(table * rfftn(f)) bit
-    for bit.
+    The half-lattice table (conjugate symmetrized if complex), checked
+    before any transform; rfftn into one complex half-lattice buffer; the
+    table multiplied into it; ifft over each leading axis in place; then
+    irfft over the last axis, the one step that needs a new (real) array.
+    The output is real by construction and equals irfftn(table * rfftn(f))
+    bit for bit.
     """
     grid = f.grid
     N = grid.points_per_axis
     table = _conjugate_symmetrize(grid, symbol)
     zero = (0,) * grid.dim
-    # this checks the whole lattice: symmetrization makes an entry and its
-    # mirror non-finite together, and each pair meets the half lattice
+    # irfftn reads only the half lattice, so this checks every entry applied
     bad = ~np.isfinite(table)
     bad[zero] = False
     if np.any(bad):

@@ -262,24 +262,6 @@ def gagliardo_seminorm(f: GridFunction, D: Optional[DomainMask], s: float) -> fl
     return math.sqrt(total) * grid.cell_measure
 
 
-def bilinear_form(
-    v: GridFunction, w: GridFunction, s: float, constant: Optional[CalibratedConstant] = None
-) -> float:
-    """c_{n,s}/2 * sumsum (v(x)-v(y))(w(x)-w(y)) K(x-y) h^(2n).
-
-    Evaluated through the convolution identity with the pointwise operator
-    (exact rearrangement of the finite double sum), so it matches
-    <Lap^s v, w> within the quadrature floor, is exactly symmetric, and the
-    diagonal is excluded by the kernel.  Empirically validated orientation:
-    the (v(x)-v(y))(w(y)-w(x)) variant printed in some sources is the
-    negative of the spectrally consistent pairing.
-    """
-    if constant is None:
-        raise SingularError("uncalibrated constant: run calibrate_cns first")
-    raw = raw_operator_field(v, s)
-    return constant.value * l2_inner(raw, w)
-
-
 def equivalence_ratio(f: GridFunction, s: float, kernel: Optional[np.ndarray] = None) -> float:
     """||Lap^s f||_2^2 divided by the raw Gagliardo double sum (exponent n+2s).
 

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -154,18 +153,12 @@ def test_evaluate_matches_ring_bitwise(family, dim, n_pts, box):
 
 
 @pytest.mark.parametrize("k,bound", [(1, 2.0), (4, 6.0)])
-def test_evaluate_peak_memory(family, k, bound):
+def test_evaluate_peak_memory(traced_peak, family, k, bound):
     # tracemalloc peak of one call in field sizes, 2D 256^2, r = 1/72: 1.16 at
     # k = 1 and 4.6 at k = 4, where the support box covers 79% of the grid
     # (11.0 when the ring and its derivatives were built on every grid point)
     g = Grid(2, 256, 1.0)
-    tracemalloc.start()
-    try:
-        held = tracemalloc.get_traced_memory()[0]
-        evaluate(family, k, 1.0 / 72, g.center, g)
-        peak = tracemalloc.get_traced_memory()[1] - held
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(evaluate, family, k, 1.0 / 72, g.center, g)
     assert peak <= bound * g.npoints * 8
 
 

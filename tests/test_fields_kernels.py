@@ -1,8 +1,6 @@
 """Generator determinism, and the lattice-identity kernels against brute-force
 O(P^2) references."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -63,18 +61,12 @@ def test_band_limited_field_matches_meshgrid_reference():
             assert got.tobytes() == ref.tobytes(), (dim, cutoff, envelope)
 
 
-def test_band_limited_field_peak_memory():
+def test_band_limited_field_peak_memory(traced_peak):
     # one complex lattice holds the draw from fftn to ifftn: 5.0x the field's
     # bytes measured at 256^2 (8.0x with np.where and fresh arrays)
     g = Grid(2, 256, 1.0)
     band_limited_field(Grid(1, 8, 1.0), 0)  # numpy.random imports on first use
-    tracemalloc.start()
-    try:
-        held = tracemalloc.get_traced_memory()[0]
-        band_limited_field(g, 0)
-        peak = tracemalloc.get_traced_memory()[1] - held
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(band_limited_field, g, 0)
     assert peak <= 5.5 * g.npoints * 8
 
 
@@ -123,18 +115,12 @@ def test_smooth_bump_matches_full_grid_formula_bitwise(dim, n_pts, modulation_mo
             assert (got + 0.0).tobytes() == (ref + 0.0).tobytes(), (center, radius)
 
 
-def test_smooth_bump_peak_memory():
+def test_smooth_bump_peak_memory(traced_peak):
     # the zero-filled field, its squares for the norm and the copy
     # GridFunction makes: 2.15x the field's bytes measured with an 8-cell
     # radius (4.4x when the profile was evaluated on every grid point)
     g = Grid(2, 256, 1.0)
-    tracemalloc.start()
-    try:
-        held = tracemalloc.get_traced_memory()[0]
-        smooth_bump(g, g.center, 8 * g.spacing)
-        peak = tracemalloc.get_traced_memory()[1] - held
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(smooth_bump, g, g.center, 8 * g.spacing)
     assert peak <= 2.5 * g.npoints * 8
 
 

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -162,18 +160,13 @@ def test_supports_disjoint_matches_full_grid_product(dim, n_pts):
     assert answers == [True] * 4 + [False] * 4
 
 
-def test_disjoint_pairing_peak_memory():
+def test_disjoint_pairing_peak_memory(traced_peak):
     # tracemalloc peak in field sizes, 2D 256^2: 4.53, against 5.53 while a
     # stayed alive through every transform of b
     g = Grid(2, 256, 1.0)
     r = 1 / 128
-    tracemalloc.start()
-    try:
-        held = tracemalloc.get_traced_memory()[0]
-        disjoint_pairing_decay(g, 0.5, 0.5, 8 * g.spacing, [m * r for m in (4, 8, 16)])
-        peak = tracemalloc.get_traced_memory()[1] - held
-    finally:
-        tracemalloc.stop()
+    radii = [m * r for m in (4, 8, 16)]
+    peak = traced_peak(disjoint_pairing_decay, g, 0.5, 0.5, 8 * g.spacing, radii)
     assert peak <= 4.6 * g.npoints * 8
 
 

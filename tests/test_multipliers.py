@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -187,6 +185,16 @@ def test_real_flagged_symbol_singular_off_zero_rejected_on_real_path(g1):
 
 # -- real path against the full complex path ---------------------------------
 
+def _unchecked_grid(dim, n_pts, box):
+    """A Grid past its power-of-two check: apply_symbol passes N to its FFT
+    steps, and an odd N shows that the last axis length is not inferred from
+    the half lattice."""
+    g = object.__new__(Grid)
+    for name, value in (("dim", dim), ("points_per_axis", n_pts), ("box_length", box)):
+        object.__setattr__(g, name, value)
+    return g
+
+
 def _meshgrid_frequencies(grid):
     return np.meshgrid(*([grid.axis_frequencies()] * grid.dim), indexing="ij")
 
@@ -318,15 +326,18 @@ def _table_symbols(dim):
     return syms
 
 
-@pytest.mark.parametrize("dim,n_pts", [(1, 8), (1, 64), (2, 8), (2, 16), (3, 8)])
+@pytest.mark.parametrize(
+    "dim,n_pts", [(1, 8), (1, 9), (1, 15), (1, 64), (2, 8), (2, 9), (2, 15), (2, 16), (3, 8), (3, 9)]
+)
 def test_half_lattice_table_matches_full_lattice_reference(dim, n_pts):
     # per-axis evaluation does the same arithmetic per entry as full
     # meshgrids, so half tables and full tables agree bit for bit at every
-    # finite entry; real symbols give float64 tables, compared as their
-    # complex casts.  The only non-finite entry is the zero mode of a
-    # negative order: inf here, inf+nan*j in the complex reference, and
-    # apply_symbol annihilates it either way
-    g = Grid(dim, n_pts, 3.0)
+    # finite entry; real symbols, used as evaluated, give float64 tables,
+    # compared as their complex casts with the mirror average of the
+    # reference.  An odd N has no Nyquist plane.  The only non-finite entry
+    # is the zero mode of a negative order: inf here, inf+nan*j in the
+    # complex reference, and apply_symbol annihilates it either way
+    g = _unchecked_grid(dim, n_pts, 3.0)
     for sym in _table_symbols(dim):
         half = _full_lattice_half_table(g, sym)
         got = multipliers._conjugate_symmetrize(g, sym)
@@ -337,16 +348,6 @@ def test_half_lattice_table_matches_full_lattice_reference(dim, n_pts):
 
 
 # -- memory-lean apply_symbol against the former irfftn path -----------------
-
-def _unchecked_grid(dim, n_pts, box):
-    """A Grid past its power-of-two check: apply_symbol passes N to its FFT
-    steps, and an odd N shows that the last axis length is not inferred from
-    the half lattice."""
-    g = object.__new__(Grid)
-    for name, value in (("dim", dim), ("points_per_axis", n_pts), ("box_length", box)):
-        object.__setattr__(g, name, value)
-    return g
-
 
 def _irfftn_reference(f, symbol):
     """irfftn(complex_table * rfftn(f)), zero mode annihilated."""
@@ -380,19 +381,24 @@ def test_real_symbols_give_float_tables():
         assert multipliers._conjugate_symmetrize(g, sym).dtype == np.complex128, sym.name
 
 
-def test_apply_symbol_peak_memory():
+def test_half_table_peak_memory(traced_peak):
+    # a real table is used as evaluated: 2.01 half tables measured for
+    # |xi|^s (3.01 while the mirror was evaluated and averaged in) and 0.02
+    # for the identity, a broadcast view of one column (1.08 as an average)
+    g = Grid(2, 512, 1.0)
+    half_table = g.points_per_axis * (g.points_per_axis // 2 + 1) * 8
+    for sym, bound in ((abs_power_symbol(2, 0.5), 2.2), (identity_symbol(2), 0.1)):
+        peak = traced_peak(multipliers._conjugate_symmetrize, g, sym)
+        assert peak <= bound * half_table, sym.name
+
+
+def test_apply_symbol_peak_memory(traced_peak):
     # a float64 half table, one complex half-lattice buffer and the irfft
     # output: 2.01x the field's bytes measured (2.52x while rfftn allocated
     # its steps, 5.2x with a complex table, a product array and one irfftn
     # call)
     f = band_limited_field(Grid(2, 256, 1.0), 0)
-    tracemalloc.start()
-    try:
-        held = tracemalloc.get_traced_memory()[0]
-        apply_symbol(f, abs_power_symbol(2, 0.5))
-        peak = tracemalloc.get_traced_memory()[1] - held
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(apply_symbol, f, abs_power_symbol(2, 0.5))
     assert peak <= 2.2 * f.values.nbytes
 
 
@@ -418,19 +424,13 @@ def test_apply_table_equals_fftn_form_bitwise(dim, sizes):
 
 
 @pytest.mark.parametrize("dim,n", [(1, 16384), (2, 128)])
-def test_apply_table_peak_memory(dim, n):
+def test_apply_table_peak_memory(traced_peak, dim, n):
     # the complex work buffer and the FFT's scratch: 3.01x the field's bytes
     # measured (4.0 in 1D and 6.0 in 2D for the fftn form)
     g = Grid(dim, n, 1.0)
     values = np.random.default_rng(0).standard_normal(g.shape)
     table = multipliers.abs_power_table(g, 1.0)
-    tracemalloc.start()
-    try:
-        held = tracemalloc.get_traced_memory()[0]
-        multipliers.apply_table(values, table)
-        peak = tracemalloc.get_traced_memory()[1] - held
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(multipliers.apply_table, values, table)
     assert peak <= 3.1 * values.nbytes
 
 

