@@ -142,7 +142,7 @@ def per_axis(arrays) -> list:
 
 @dataclass(frozen=True)
 class DomainMask:
-    """Boolean field on a grid (ball, annulus, complement, union, ...)."""
+    """Boolean field on a grid (ball, annulus, union, ...)."""
 
     grid: Grid
     values: np.ndarray
@@ -160,9 +160,6 @@ class DomainMask:
     @property
     def measure(self) -> float:
         return self.npoints * self.grid.cell_measure
-
-    def complement(self) -> "DomainMask":
-        return DomainMask(self.grid, ~self.values, f"not({self.label})")
 
     def union(self, other: "DomainMask") -> "DomainMask":
         _check_same_grid(self.grid, other.grid)

@@ -254,6 +254,13 @@ def counterexample_driteration(witness: int, gamma: float, alpha: float, lam: fl
 
 # -- Morrey-Campanato ---------------------------------------------------------
 
+def _ball_masses(points, vals, rho, grid) -> tuple:
+    """Per masked point x: sum of v^2 and of (v - mean)^2 over the masked
+    points in B_rho(x), the mean taken over those points."""
+    sum_sq, sums, cnt = _kernels.ball_scan(points, vals, rho, grid)
+    return sum_sq, sum_sq - np.where(cnt > 0, sums**2 / np.maximum(cnt, 1), 0.0)
+
+
 def campanato_functionals(v: GridFunction, D: DomainMask, lam: float, R: float) -> dict:
     """sup over centers x in D and dyadic rho in {R, R/2, ... >= 4h} of
     rho^-lam * int_{D cap B_rho(x)} |v|^2 (J) and the mean-shifted variant (M),
@@ -275,9 +282,7 @@ def campanato_functionals(v: GridFunction, D: DomainMask, lam: float, R: float) 
     best_J, best_M = 0.0, 0.0
     at_J = at_M = (None, None)
     for rho in rhos:
-        sum_sq, sums, cnt = _kernels.ball_scan(points, vals, rho, grid)
-        mass = sum_sq * weight
-        centered = (sum_sq - np.where(cnt > 0, sums**2 / np.maximum(cnt, 1), 0.0)) * weight
+        mass, centered = (m * weight for m in _ball_masses(points, vals, rho, grid))
         jv = float(np.max(mass)) * rho**-lam
         mv = float(np.max(centered)) * rho**-lam
         if jv > best_J:
@@ -332,9 +337,7 @@ def holder_exponent_estimate(v: GridFunction, E: DomainMask, R: float) -> dict:
     vals = np.asarray(v.values, dtype=float)[sel]
     masses = []
     for rho in radii:
-        sum_sq, sums, cnt = _kernels.ball_scan(points, vals, rho, grid)
-        centered = (sum_sq - np.where(cnt > 0, sums**2 / np.maximum(cnt, 1), 0.0))
-        masses.append(float(np.max(centered)) * grid.cell_measure)
+        masses.append(float(np.max(_ball_masses(points, vals, rho, grid)[1])) * grid.cell_measure)
     slope_b = float(np.polyfit(np.log(radii), np.log(np.maximum(masses, 1e-300)), 1)[0])
     alpha_b = (slope_b - grid.dim) / 2.0
 

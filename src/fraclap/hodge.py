@@ -25,7 +25,7 @@ from .multipliers import (
     apply_table,
     frac_laplacian,
 )
-from .solve import NumericalError, restricted_cg
+from .solve import NumericalError, SolveError, restricted_cg
 
 
 class HodgeError(NumericalError):
@@ -93,7 +93,7 @@ def hodge_decompose(f: GridFunction, D: DomainMask, s: float, maxiter: int = 500
     b[~sel] = 0.0
     try:
         phi_vals, iters, resid = restricted_cg(sel, apply_A, b, 1e-10, maxiter)
-    except Exception as exc:
+    except SolveError as exc:
         raise HodgeError(str(exc)) from exc
     phi = GridFunction(grid, phi_vals, D)
     h = GridFunction(grid, f.values - apply_table(phi_vals, table_s))
@@ -276,14 +276,13 @@ def product_rule_localization(
     Nontrivial only for n >= 3 (below that P is a constant and the defect
     vanishes identically, which the tests also assert)."""
     from .cutoffs import evaluate as _eval_cutoff
-    from .meanvalue import meanvalue_polynomial
+    from .meanvalue import default_degree, meanvalue_polynomial
 
     grid = u.grid
     n = grid.dim
     s = n / 2.0
-    degree = max(math.ceil(n / 2) - 1, 0)
     D = ball_mask(grid, x, lam * r)
-    P = meanvalue_polynomial(u, D, degree, center=x)
+    P = meanvalue_polynomial(u, D, default_degree(n), center=x)
     P_vals = P.evaluate()
     inner = ball_mask(grid, x, r)
     lhs_fun = GridFunction(
@@ -296,8 +295,8 @@ def product_rule_localization(
     bracket = lp_norm(
         frac_laplacian(GridFunction(grid, eta0.values * (u.values - P_vals)), s), 2
     )
-    bracket += lp_norm(frac_laplacian(u, s), 2, ball_mask(grid, x, 2.0 * lam * r))
     lap_u = frac_laplacian(u, s)
+    bracket += lp_norm(lap_u, 2, ball_mask(grid, x, 2.0 * lam * r))
     tail = 0.0
     for k in range(1, 7):
         if 2.0 ** (k + 1) * lam * r > 0.5 * grid.box_length:

@@ -67,13 +67,6 @@ class RearrangementProfile:
         padded = np.append(0.0, self.breakpoints)
         return padded[idx]
 
-    def scaled(self, factor: float) -> "RearrangementProfile":
-        """Profile of |factor| * f."""
-        a = abs(factor)
-        if a == 0:
-            return RearrangementProfile(np.array([]), np.array([]), self.total_measure)
-        return RearrangementProfile(a * self.heights, self.breakpoints, self.total_measure)
-
 
 def profile_from_values(values: np.ndarray, cell_measure: float) -> RearrangementProfile:
     """Rearrangement of a simple function given raw cell values."""

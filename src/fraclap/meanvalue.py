@@ -10,7 +10,9 @@ built by the top-down recursion
 
 which zeroes the means order by order; coefficientwise d^a Q^i = d^a Q^0
 for |a| >= i, and the discrete means vanish to roundoff because the same
-spectral derivatives enter every level.
+spectral derivatives enter every level.  P is evaluated, on D inside the
+recursion and on the grid afterwards, by multipliers.polynomial_values.  The
+ball mean-value Poincare ratio is the annulus ratio's case k = 0.
 
 Poincare constants are extremal Rayleigh quotients of inverse restricted
 operators, computed by inverse power iteration with an inner CG solve.
@@ -20,14 +22,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product as _iterproduct
 from typing import Optional
 
 import numpy as np
 
 from .cutoffs import DyadicCutoffFamily, evaluate
 from .grid import DomainMask, Grid, GridFunction, annulus_mask, ball_mask, lp_norm
-from .multipliers import abs_power_table, apply_table, derivative, frac_laplacian
+from .multipliers import (
+    _multi_indices_upto,
+    abs_power_table,
+    apply_table,
+    derivative,
+    frac_laplacian,
+    polynomial_values,
+)
 from .singular import gagliardo_seminorm
 from .solve import restricted_cg
 
@@ -37,25 +45,13 @@ class MeanValueError(ValueError):
 
 
 def _indices_of_order(dim: int, order: int):
-    out = []
-    for combo in _iterproduct(range(order + 1), repeat=dim):
-        if sum(combo) == order:
-            out.append(combo)
-    return out
+    return [alpha for alpha in _multi_indices_upto(dim, order) if sum(alpha) == order]
 
 
-def _indices_upto(dim: int, order: int):
-    out = []
-    for k in range(order + 1):
-        out.extend(_indices_of_order(dim, k))
-    return out
-
-
-def _fact(alpha) -> float:
-    out = 1.0
-    for a in alpha:
-        out *= math.factorial(a)
-    return out
+def default_degree(dim: int) -> int:
+    """ceil(n/2) - 1, the degree of the mean-value polynomial at the critical
+    order n/2 (0 below dimension 3)."""
+    return max(math.ceil(dim / 2) - 1, 0)
 
 
 @dataclass
@@ -69,31 +65,11 @@ class MeanValuePolynomial:
     stages: list = field(default_factory=list)  # Q^i coefficient dicts, i = N..0
 
     def evaluate(self) -> np.ndarray:
-        disp = self.grid.periodic_displacement(self.center)
-        out = np.zeros(self.grid.shape)
-        for alpha, c in self.coeffs.items():
-            term = np.full(self.grid.shape, c / _fact(alpha))
-            for a, k in enumerate(alpha):
-                if k:
-                    term = term * disp[a] ** k
-            out += term
-        return out
+        return self.derivative_values((0,) * self.grid.dim)
 
     def derivative_values(self, beta) -> np.ndarray:
         """d^beta P on the grid (exact polynomial differentiation)."""
-        beta = tuple(beta)
-        disp = self.grid.periodic_displacement(self.center)
-        out = np.zeros(self.grid.shape)
-        for alpha, c in self.coeffs.items():
-            if any(b > a for a, b in zip(alpha, beta)):
-                continue
-            rem = tuple(a - b for a, b in zip(alpha, beta))
-            term = np.full(self.grid.shape, c / _fact(rem))
-            for a, k in enumerate(rem):
-                if k:
-                    term = term * disp[a] ** k
-            out += term
-        return out
+        return polynomial_values(self.grid.periodic_displacement(self.center), self.coeffs, beta)
 
 
 def meanvalue_polynomial(v: GridFunction, D: DomainMask, degree: int, center=None) -> MeanValuePolynomial:
@@ -110,28 +86,13 @@ def meanvalue_polynomial(v: GridFunction, D: DomainMask, degree: int, center=Non
         center = grid.center
     center = np.atleast_1d(np.asarray(center, dtype=float))
     sel = D.values
-    disp = grid.periodic_displacement(center)
-
-    derivatives = {alpha: derivative(v, alpha).values for alpha in _indices_upto(grid.dim, degree)}
-
-    def poly_derivative_on_mask(coeffs, beta):
-        out = np.zeros(int(np.count_nonzero(sel)))
-        for alpha, c in coeffs.items():
-            if any(b > a for a, b in zip(alpha, beta)):
-                continue
-            rem = tuple(a - b for a, b in zip(alpha, beta))
-            term = np.full(out.shape, c / _fact(rem))
-            for a, k in enumerate(rem):
-                if k:
-                    term = term * disp[a][sel] ** k
-            out += term
-        return out
+    disp = [d[sel] for d in grid.periodic_displacement(center)]
 
     coeffs: dict = {}
     stages = []
     for i in range(degree, -1, -1):
         for alpha in _indices_of_order(grid.dim, i):
-            residual = derivatives[alpha][sel] - poly_derivative_on_mask(coeffs, alpha)
+            residual = derivative(v, alpha).values[sel] - polynomial_values(disp, coeffs, alpha)
             coeffs[alpha] = float(np.mean(residual))
         stages.append(dict(coeffs))
     return MeanValuePolynomial(grid, center, degree, coeffs, stages)
@@ -141,7 +102,7 @@ def meanvalue_residuals(v: GridFunction, D: DomainMask, P: MeanValuePolynomial) 
     """max_alpha |mean_D d^alpha (v - P)| normalized by ||d^alpha v||_{L2(D)}."""
     sel = D.values
     out = {}
-    for alpha in _indices_upto(v.grid.dim, P.degree):
+    for alpha in _multi_indices_upto(v.grid.dim, P.degree):
         dv = derivative(v, alpha).values
         resid = abs(float(np.mean(dv[sel] - P.derivative_values(alpha)[sel])))
         scale = float(np.sqrt(np.mean(dv[sel] ** 2))) + 1e-300
@@ -214,6 +175,29 @@ def poincare_constant(
 
 # -- mean-value Poincare experiments ----------------------------------------
 
+def _checked_degree(dim: int, degree: Optional[int], s: float, t: float) -> int:
+    if degree is None:
+        degree = default_degree(dim)
+    if not (0 <= s < degree + 1 and 0 <= t < degree + 1 - s):
+        raise MeanValueError("orders must satisfy s in [0,N+1), t in [0,N+1-s)")
+    return degree
+
+
+def _mv_ratio(v, D, wide, r, x, k, s, t, family, degree) -> dict:
+    """||Lap^s (eta^k_{r,x} (v-P))||_2 / ((2^k r)^t [v]_{wide, s+t}) with P
+    the mean-value polynomial of v on D; k = 0 is the ball case."""
+    grid = v.grid
+    P = meanvalue_polynomial(v, D, degree, center=x)
+    eta = evaluate(family, k, r, x, grid)
+    w = GridFunction(grid, eta.values * (v.values - P.evaluate()))
+    num = lp_norm(frac_laplacian(w, s), 2) if s > 0 else lp_norm(w, 2)
+    sem = gagliardo_seminorm(v, wide, s + t)
+    if sem == 0:
+        raise MeanValueError("zero seminorm")
+    den = (2.0**k * r) ** t * sem
+    return {"numerator": num, "denominator": den, "ratio": num / den}
+
+
 def mv_poincare_ratio(
     v: GridFunction,
     r: float,
@@ -225,21 +209,9 @@ def mv_poincare_ratio(
 ) -> dict:
     """||Lap^s (eta_{r,x} (v-P))||_2 / (r^t [v]_{B_4r(x), s+t}) with P the
     mean-value polynomial of v on B_4r(x)."""
-    grid = v.grid
-    n = grid.dim
-    if degree is None:
-        degree = max(math.ceil(n / 2) - 1, 0)
-    if not (0 <= s < degree + 1 and 0 <= t < degree + 1 - s):
-        raise MeanValueError("orders must satisfy s in [0,N+1), t in [0,N+1-s)")
-    D = ball_mask(grid, x, 4.0 * r)
-    P = meanvalue_polynomial(v, D, degree, center=x)
-    eta = evaluate(family, 0, r, x, grid)
-    w = GridFunction(grid, eta.values * (v.values - P.evaluate()))
-    num = lp_norm(frac_laplacian(w, s), 2) if s > 0 else lp_norm(w, 2)
-    sem = gagliardo_seminorm(v, D, s + t)
-    if sem == 0:
-        raise MeanValueError("zero seminorm")
-    return {"numerator": num, "denominator": r**t * sem, "ratio": num / (r**t * sem)}
+    degree = _checked_degree(v.grid.dim, degree, s, t)
+    D = ball_mask(v.grid, x, 4.0 * r)
+    return _mv_ratio(v, D, D, r, x, 0, s, t, family, degree)
 
 
 def annulus_mv_poincare_ratio(
@@ -254,25 +226,12 @@ def annulus_mv_poincare_ratio(
 ) -> dict:
     """Annulus variant: P on A_k = B_{2^{k+1}r} minus closure(B_{2^{k-1}r}),
     seminorm on the fattened annulus, normalizer (2^k r)^t."""
-    grid = v.grid
-    n = grid.dim
-    if degree is None:
-        degree = max(math.ceil(n / 2) - 1, 0)
-    if not (0 <= s < degree + 1 and 0 <= t < degree + 1 - s):
-        raise MeanValueError("orders must satisfy s in [0,N+1), t in [0,N+1-s)")
+    degree = _checked_degree(v.grid.dim, degree, s, t)
     if k < 1:
         raise MeanValueError("annulus index k must be >= 1")
-    D = annulus_mask(grid, x, 2.0 ** (k - 1) * r, 2.0 ** (k + 1) * r)
-    wide = annulus_mask(grid, x, 2.0 ** (k - 2) * r, 2.0 ** (k + 2) * r)
-    P = meanvalue_polynomial(v, D, degree, center=x)
-    eta = evaluate(family, k, r, x, grid)
-    w = GridFunction(grid, eta.values * (v.values - P.evaluate()))
-    num = lp_norm(frac_laplacian(w, s), 2) if s > 0 else lp_norm(w, 2)
-    sem = gagliardo_seminorm(v, wide, s + t)
-    if sem == 0:
-        raise MeanValueError("zero seminorm")
-    scale = (2.0**k * r) ** t
-    return {"numerator": num, "denominator": scale * sem, "ratio": num / (scale * sem)}
+    D = annulus_mask(v.grid, x, 2.0 ** (k - 1) * r, 2.0 ** (k + 1) * r)
+    wide = annulus_mask(v.grid, x, 2.0 ** (k - 2) * r, 2.0 ** (k + 2) * r)
+    return _mv_ratio(v, D, wide, r, x, k, s, t, family, degree)
 
 
 def polynomial_gap_scan(
@@ -293,22 +252,21 @@ def polynomial_gap_scan(
     grid = v.grid
     n = grid.dim
     if degree is None:
-        degree = max(math.ceil(n / 2) - 1, 0)
+        degree = default_degree(n)
     if 2.0 ** (k_max + 1) * r > 0.5 * grid.box_length:
         raise MeanValueError("k_max support exceeds the box")
     lap_norm_v = lp_norm(frac_laplacian(v, n / 2.0), 2)
     if lap_norm_v == 0:
         raise MeanValueError("degenerate input")
-    P_ball = meanvalue_polynomial(v, ball_mask(grid, x, r), degree, center=x)
-    P_2ball = meanvalue_polynomial(v, ball_mask(grid, x, 2.0 * r), degree, center=x)
-    diff_base = None
+    P_ball = meanvalue_polynomial(v, ball_mask(grid, x, r), degree, center=x).evaluate()
+    P_2ball = meanvalue_polynomial(v, ball_mask(grid, x, 2.0 * r), degree, center=x).evaluate()
     g, e = [], []
     for k in range(1, k_max + 1):
         A_k = annulus_mask(grid, x, 2.0**k * r, 2.0 ** (k + 1) * r)
         P_ann = meanvalue_polynomial(v, A_k, degree, center=x)
         eta = evaluate(family, k, r, x, grid)
-        gap = eta.values * (P_ball.evaluate() - P_ann.evaluate())
+        gap = eta.values * (P_ball - P_ann.evaluate())
         g.append(float(np.max(np.abs(gap))) / ((1 + k) * lap_norm_v))
-        err = GridFunction(grid, eta.values * (v.values - P_2ball.evaluate()))
+        err = GridFunction(grid, eta.values * (v.values - P_2ball))
         e.append(lp_norm(err, 2) / ((2.0**k * r) ** (n / 2.0) * (1 + k) * lap_norm_v))
     return {"g": g, "e": e, "lap_norm": lap_norm_v, "k_max": k_max}

@@ -440,30 +440,24 @@ def derived_symbol(m: FrequencySymbol, alpha, s: float) -> FrequencySymbol:
 
 # -- monomials and the product rule -----------------------------------------
 
-def monomial_values(grid: Grid, alpha) -> np.ndarray:
-    """x^alpha in periodic displacement coordinates about the box center.
+def polynomial_values(disp: Sequence[np.ndarray], coeffs: dict, beta) -> np.ndarray:
+    """d^beta of sum_alpha c_alpha x^alpha / alpha! at displacements disp, one
+    array per axis (broadcast grid views or masked points), the terms added to
+    zeros in the order of coeffs; the monomial x^alpha is {alpha: alpha!}.
     Not periodic; only meaningful against windowed data."""
-    alpha = _multiindex(alpha)
-    disp = grid.periodic_displacement(grid.center)
-    out = np.ones(grid.shape)
-    for a, k in enumerate(alpha):
-        if k:
-            out = out * disp[a] ** k
+    beta = tuple(beta)
+    shape = np.broadcast_shapes(*(np.shape(d) for d in disp))
+    out = np.zeros(shape)
+    for alpha, c in coeffs.items():
+        if any(b > a for a, b in zip(alpha, beta)):
+            continue
+        rem = tuple(a - b for a, b in zip(alpha, beta))
+        term = np.full(shape, c / _factorial_multi(rem))
+        for d, k in zip(disp, rem):
+            if k:
+                term = term * d**k
+        out += term
     return out
-
-
-def monomial_derivative_values(grid: Grid, alpha, beta) -> np.ndarray:
-    """d^beta x^alpha evaluated on the grid (zero when beta exceeds alpha)."""
-    alpha = _multiindex(alpha)
-    beta = _multiindex(beta)
-    if any(b > a for a, b in zip(alpha, beta)):
-        return np.zeros(grid.shape)
-    coeff = 1.0
-    remaining = []
-    for a, b in zip(alpha, beta):
-        coeff *= math.factorial(a) / math.factorial(a - b)
-        remaining.append(a - b)
-    return coeff * monomial_values(grid, remaining)
 
 
 def _multi_indices_upto(dim: int, max_order: int):
@@ -484,14 +478,16 @@ def product_rule_residual(phi: GridFunction, alpha, s: float, window: DomainMask
     if sum(alpha) > s:
         raise SymbolError(f"|alpha| = {sum(alpha)} exceeds s = {s}")
     grid = phi.grid
-    Q = monomial_values(grid, alpha)
+    disp = grid.periodic_displacement(grid.center)
+    monomial = {alpha: _factorial_multi(alpha)}
+    Q = polynomial_values(disp, monomial, (0,) * grid.dim)
     lhs = frac_laplacian(GridFunction(grid, Q * phi.values), s)
     acc = np.zeros(grid.shape)
     ident = identity_symbol(grid.dim)
     for beta in _multi_indices_upto(grid.dim, sum(alpha)):
         if any(b > a for a, b in zip(alpha, beta)):
             continue
-        dQ = monomial_derivative_values(grid, alpha, beta)
+        dQ = polynomial_values(disp, monomial, beta)
         order = sum(beta)
         inner = frac_laplacian(phi, s - order) if s != order else phi
         if order == 0:
@@ -524,7 +520,9 @@ def polynomial_annihilation(alpha, s: float, phi: GridFunction, radii: Sequence[
         raise SymbolError("requires s > |alpha|")
     grid = phi.grid
     lap = frac_laplacian(phi, s)
-    xalpha = monomial_values(grid, alpha)
+    xalpha = polynomial_values(
+        grid.periodic_displacement(grid.center), {alpha: _factorial_multi(alpha)}, (0,) * grid.dim
+    )
     rho = grid.periodic_distance(grid.center)
     vals, logs = [], []
     for R in radii:

@@ -3,6 +3,7 @@ import pytest
 
 from fraclap.cutoffs import build_family
 from fraclap.fields import band_limited_field, confined_field, smooth_bump
+from fraclap import hodge
 from fraclap.grid import Grid, GridFunction, ball_mask, l2_inner, lp_norm
 from fraclap.hodge import (
     HodgeError,
@@ -68,6 +69,18 @@ def test_cg_cap_raises(setup):
         with pytest.raises(HodgeError, match="CG") as err:
             hodge_decompose(f, D, 0.5, maxiter=maxiter)
         assert isinstance(err.value, NumericalError)
+
+
+def test_operator_errors_are_not_numerical_failures(setup, monkeypatch):
+    # a programming error inside the solve propagates as itself, not as a
+    # HodgeError (which `fraclap run` would report as a numerical failure)
+    def broken(*args):
+        raise TypeError("bad operator")
+
+    monkeypatch.setattr(hodge, "restricted_cg", broken)
+    g, D = setup
+    with pytest.raises(TypeError, match="bad operator"):
+        hodge_decompose(band_limited_field(g, 0), D, 0.5)
 
 
 def test_distant_source_gives_small_phi(setup):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -495,6 +497,78 @@ def test_parse_symbol_ids():
 
 
 # -- product rule -------------------------------------------------------------
+
+def _oracle_polynomial(points, coeffs, beta):
+    """d^beta sum_alpha c_alpha x^alpha / alpha! point by point in plain
+    Python, and the same sum over absolute values (its error scale)."""
+    vals, scales = [], []
+    for pt in points:
+        terms = [
+            c * math.prod(x ** (a - b) / math.factorial(a - b) for x, a, b in zip(pt, alpha, beta))
+            for alpha, c in coeffs.items()
+            if all(a >= b for a, b in zip(alpha, beta))
+        ]
+        vals.append(sum(terms))
+        scales.append(sum(abs(t) for t in terms))
+    return np.array(vals), np.array(scales)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("degree", [0, 1, 2])
+def test_polynomial_values_matches_plain_python(dim, degree):
+    g = Grid(dim, 8, 1.0)
+    rng = np.random.default_rng(10 * dim + degree)
+    coeffs = {alpha: float(rng.standard_normal())
+              for alpha in multipliers._multi_indices_upto(dim, degree)}
+    full = g.periodic_displacement(g.center + 0.013)
+    sel = ball_mask(g, g.center, 0.3).values
+    masked = [d[sel] for d in full]
+    points_full = np.stack([np.asarray(d) for d in full], axis=-1).reshape(-1, dim)
+    points_masked = np.stack(masked, axis=-1)
+    for beta in multipliers._multi_indices_upto(dim, 3):
+        for disp, points in ((full, points_full), (masked, points_masked)):
+            got = multipliers.polynomial_values(disp, coeffs, beta).ravel()
+            ref, scale = _oracle_polynomial(points.tolist(), coeffs, beta)
+            assert got.shape == ref.shape
+            if sum(beta) > degree:
+                assert not np.any(got), beta
+            assert np.all(np.abs(got - ref) <= 1e-14 * scale), beta
+
+
+def _monomial_values(grid, alpha):
+    """x^alpha about the box center, as the product rule used to form it."""
+    disp = grid.periodic_displacement(grid.center)
+    out = np.ones(grid.shape)
+    for a, k in enumerate(alpha):
+        if k:
+            out = out * disp[a] ** k
+    return out
+
+
+def _monomial_derivative_values(grid, alpha, beta):
+    """d^beta x^alpha, as the product rule used to form it."""
+    if any(b > a for a, b in zip(alpha, beta)):
+        return np.zeros(grid.shape)
+    coeff = 1.0
+    for a, b in zip(alpha, beta):
+        coeff *= math.factorial(a) / math.factorial(a - b)
+    return coeff * _monomial_values(grid, [a - b for a, b in zip(alpha, beta)])
+
+
+@pytest.mark.parametrize("dim,n_pts,alpha", [(1, 128, (2,)), (1, 256, (2,)), (1, 512, (2,)),
+                                             (2, 512, (1, 0))])
+def test_monomials_match_the_former_loops_bit_for_bit(dim, n_pts, alpha):
+    # the monomials of the product-rule experiment, x^alpha = {alpha: alpha!}
+    g = Grid(dim, n_pts, 1.0)
+    disp = g.periodic_displacement(g.center)
+    monomial = {alpha: multipliers._factorial_multi(alpha)}
+    for beta in multipliers._multi_indices_upto(dim, sum(alpha)):
+        got = multipliers.polynomial_values(disp, monomial, beta)
+        assert got.tobytes() == _monomial_derivative_values(g, alpha, beta).tobytes(), beta
+    assert (multipliers.polynomial_values(disp, monomial, (0,) * dim).tobytes()
+            == _monomial_values(g, alpha).tobytes())
+
+
 
 def test_product_rule_trivial_Q():
     g = Grid(1, 256, 1.0)
