@@ -6,9 +6,15 @@ deterministic, and emits a JSON report plus CSV tables.
                               --out DIR --constants FILE --m1 ID --m2 ID]
     fraclap calibrate <suite> --out constants.json [--seed K]
 
-Each experiment reads only some of the run options and declares their
-defaults where it is registered (`fraclap run` refuses the others, since a
-report echoes its config); --seed and --out apply to all.
+Each experiment is a body that fills in the report the registry hands it,
+registered with the dimension it pins and the defaults of the run options it
+reads:
+
+    @experiment("hodge", dim=1, grid=1024, box=1.0, s=0.5)
+    def run_hodge(cfg, rep): ...
+
+`fraclap run` refuses the other options, since a report echoes its config;
+--seed and --out apply to all.
 
 Exit codes: 0 when every verdict in the report passed, 1 when a verdict
 failed, 2 for a config error (including an option the experiment does not
@@ -19,13 +25,36 @@ not converge); no report is written for 2 or 3.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
 
 import numpy as np
 
-from .grid import Grid, GridError, GridFunction, ball_mask, lp_norm
+from .compensation import (
+    SphereValuedMap, defect_scan, fourier_domination_check, h_norm_ratio, structure_identity_residual,
+    triangle_defect_scan,
+)
+from .cutoffs import base_profile_values, build_family, evaluate, norm_scaling_experiment
+from .fields import band_limited_field, confined_field, moment_free_bump, smooth_bump, sphere_valued_map
+from .grid import Grid, GridError, GridFunction, ball_mask, l2_inner, lp_norm
+from .growth import (
+    GrowthError, campanato_functionals, counterexample_driteration, driteration, generate_driteration_input,
+    generate_iteration_input, holder_exponent_estimate, homogeneous_norm_localization, iteration_reduce,
+    seminorm_comparison_terms,
+)
+from .hodge import (
+    disjoint_pairing_decay, harmonic_decay_check, hodge_decompose, local_norm_recovery,
+    localization_representative, lower_order_product_norm,
+)
+from .lorentz import (
+    compact_support_ratio, decreasing_rearrangement, holder_product_ratio, lorentz_norm,
+    lorentz_norm_profile, oneil_convolution_ratio, product_rearrangement_gaps, weak_norm_bound_margin,
+    weighted_power_profile,
+)
+from .meanvalue import annulus_mv_poincare_ratio, mv_poincare_ratio, poincare_constant, polynomial_gap_scan
+from .multipliers import frac_laplacian, parse_symbol_id, polynomial_annihilation, product_rule_residual
 from .reporting import (
     CALIBRATION_GRID,
     SLACK,
@@ -35,6 +64,7 @@ from .reporting import (
     regression_bound,
     write_constants,
 )
+from .singular import calibrate_cns, equivalence_ratio, frac_lap_pointwise, periodized_kernel
 from .solve import NumericalError
 
 REGISTRY: dict = {}
@@ -44,15 +74,23 @@ REGISTRY: dict = {}
 RUN_OPTIONS = ("grid", "box", "s", "scales", "constants", "m1", "m2")
 
 
-def experiment(name: str, **defaults):
-    """Register an experiment under `name`; `defaults` maps each RUN_OPTIONS
-    key it reads to the value that runs when the option is not given, and
-    `main` refuses any other option given on the command line."""
+def experiment(name: str, dim=None, **defaults):
+    """Register the body `fn(cfg, rep)` of experiment `name`: the registered
+    run hands it a Report named `name`, configured as `cfg` plus the `dim`
+    the experiment pins (if any), and returns that report.  `defaults` maps
+    each RUN_OPTIONS key the body reads to the value that runs when the
+    option is not given, and `main` refuses any other option given."""
 
     def wrap(fn):
-        fn.defaults = defaults
-        REGISTRY[name] = fn
-        return fn
+        @functools.wraps(fn)
+        def run(cfg) -> Report:
+            rep = Report(name, dict(cfg) if dim is None else {**cfg, "dim": dim})
+            fn(cfg, rep)
+            return rep
+
+        run.defaults = defaults
+        REGISTRY[name] = run
+        return run
 
     return wrap
 
@@ -103,11 +141,9 @@ def split_seed_regression(rep, sample, cal_seeds, fresh_seeds, verdicts, floor=0
 # -- acceptance experiments ---------------------------------------------------
 
 @experiment("partition-of-unity", scales=(10,))
-def run_partition(cfg) -> Report:
-    from .cutoffs import build_family
-
+def run_partition(cfg, rep):
     depth = int(cfg["scales"][0])
-    rep = Report("partition-of-unity", {**cfg, "depth": depth})
+    rep.config["depth"] = depth
     fam = build_family(depth)  # build_family already asserts the invariants
     rho = np.linspace(0.0, 2.0**depth, 200001)
     dev = float(np.max(np.abs(fam.partial(depth, rho)[0] - 1.0)))
@@ -120,14 +156,10 @@ def run_partition(cfg) -> Report:
         worst = max(worst, float(np.max(np.abs(vals[outside]))))
     rep.add_verdict("support_annuli_exact", worst <= 1e-14, worst, 1e-14)
     rep.add_table("deviation", [{"depth": depth, "partition_dev": dev, "support_leak": worst}])
-    return rep
 
 
 @experiment("cutoff-norm-scaling", box=1.0)
-def run_cutoff_scaling(cfg) -> Report:
-    from .cutoffs import build_family, norm_scaling_experiment
-
-    rep = Report("cutoff-norm-scaling", cfg)
+def run_cutoff_scaling(cfg, rep):
     fam = build_family(6)
     cases = [
         {"dim": 1, "grid": 8192, "s": 0.5, "p_prime": math.inf, "r": 1.0 / 160, "k": [1, 2, 3, 4]},
@@ -145,19 +177,13 @@ def run_cutoff_scaling(cfg) -> Report:
         )
         rows.append({"dim": case["dim"], "s": case["s"], "slope": out["slope"], "target": target})
     rep.add_table("slopes", rows)
-    return rep
 
 
-@experiment("definition-equivalence", grid=4096, box=1.0, s=0.5)
-def run_definition_equivalence(cfg) -> Report:
-    from .fields import confined_field
-    from .multipliers import frac_laplacian
-    from .singular import calibrate_cns, frac_lap_pointwise, periodized_kernel
-
+@experiment("definition-equivalence", dim=1, grid=4096, box=1.0, s=0.5)
+def run_definition_equivalence(cfg, rep):
     t0 = time.time()
     g = _grid(cfg, dim=1, n=cfg["grid"])
     s = cfg["s"]
-    rep = Report("definition-equivalence", {**cfg, "dim": 1})
     kernel = periodized_kernel(g, s)
     const = calibrate_cns(g, s, kernel)
     bump = confined_field(g, cfg["seed"] + 11, radius=g.box_length / 6, cutoff=40, envelope=20)
@@ -170,17 +196,12 @@ def run_definition_equivalence(cfg) -> Report:
     rep.add_verdict("runtime_seconds", elapsed <= 10.0, elapsed, 10.0)
     rep.constants_used.append({"name": const.name, "value": const.value, "provenance": const.provenance})
     rep.add_table("error", [{"points": len(inner), "linf_rel": err, "c_ns": const.value}])
-    return rep
 
 
-@experiment("equivalence-ratio", grid=2048, box=1.0, s=0.25)
-def run_equivalence_ratio(cfg) -> Report:
-    from .fields import confined_field
-    from .singular import equivalence_ratio, periodized_kernel
-
+@experiment("equivalence-ratio", dim=1, grid=2048, box=1.0, s=0.25)
+def run_equivalence_ratio(cfg, rep):
     g = _grid(cfg, dim=1, n=cfg["grid"])
     s = cfg["s"]
-    rep = Report("equivalence-ratio", {**cfg, "dim": 1})
     kernel = periodized_kernel(g, 2.0 * s)
     ratios = []
     for k in range(10):
@@ -189,18 +210,13 @@ def run_equivalence_ratio(cfg) -> Report:
     spread = max(ratios) / min(ratios)
     rep.add_verdict("max_over_min", spread <= 1.02, spread, 1.02)
     rep.add_table("ratios", [{"seed": cfg["seed"] + k, "ratio": r} for k, r in enumerate(ratios)])
-    return rep
 
 
-@experiment("hodge", grid=1024, box=1.0, s=0.5)
-def run_hodge(cfg) -> Report:
-    from .fields import band_limited_field
-    from .hodge import hodge_decompose
-
+@experiment("hodge", dim=1, grid=1024, box=1.0, s=0.5)
+def run_hodge(cfg, rep):
     g = _grid(cfg, dim=1, n=cfg["grid"])
     s = cfg["s"]
     _check_order(s)
-    rep = Report("hodge", {**cfg, "dim": 1})
     D = ball_mask(g, g.center, g.box_length / 6)
     rows = []
     worst = {"residual": 0.0, "orthogonality": 0.0, "factor": 0.0, "iterations": 0}
@@ -221,18 +237,13 @@ def run_hodge(cfg) -> Report:
     rep.add_verdict("factor_five", worst["factor"] <= 5.0, worst["factor"], 5.0)
     rep.add_verdict("cg_iterations", worst["iterations"] <= 500, worst["iterations"], 500)
     rep.add_table("cases", rows)
-    return rep
 
 
-@experiment("harmonic-decay", grid=4096, box=1.0, s=0.5)
-def run_harmonic_decay(cfg) -> Report:
-    from .fields import band_limited_field
-    from .hodge import harmonic_decay_check
-
+@experiment("harmonic-decay", dim=1, grid=4096, box=1.0, s=0.5)
+def run_harmonic_decay(cfg, rep):
     g = _grid(cfg, dim=1, n=cfg["grid"])
     s = cfg["s"]
     _check_order(s)
-    rep = Report("harmonic-decay", {**cfg, "dim": 1})
     f = band_limited_field(g, cfg["seed"] + 42, cutoff=g.points_per_axis / 16)
     out = harmonic_decay_check(f, g.box_length / 128, g.center, [8, 16, 32], s)
     rep.add_verdict("quarter_power_decay", out["decay_ratio"] <= out["bound"],
@@ -241,14 +252,10 @@ def run_harmonic_decay(cfg) -> Report:
     rep.add_verdict("monotone_5pct", mono, out["rho"], None)
     rep.add_table("rho", [{"Lambda": l, "rho": r, "orthogonality": m}
                           for l, r, m in zip(out["lambdas"], out["rho"], out["orthogonality"])])
-    return rep
 
 
 @experiment("disjoint-support-decay", box=1.0)
-def run_disjoint_decay(cfg) -> Report:
-    from .hodge import disjoint_pairing_decay
-
-    rep = Report("disjoint-support-decay", cfg)
+def run_disjoint_decay(cfg, rep):
     cases = [
         {"dim": 1, "grid": 8192, "s": 0.25, "t": 0.25, "r": 1.0 / 320, "gamma_cells": 12},
         {"dim": 2, "grid": 2048, "s": 0.5, "t": 0.5, "r": 1.0 / 128, "gamma_cells": 8},
@@ -264,15 +271,11 @@ def run_disjoint_decay(cfg) -> Report:
         rep.add_verdict(f"slope_n{case['dim']}", ok, out["slope"], target)
         rows.append({"dim": case["dim"], "slope": out["slope"], "target": target})
     rep.add_table("slopes", rows)
-    return rep
 
 
-@experiment("poincare-scaling", grid=1024, box=1.0)
-def run_poincare_scaling(cfg) -> Report:
-    from .meanvalue import poincare_constant
-
+@experiment("poincare-scaling", dim=1, grid=1024, box=1.0)
+def run_poincare_scaling(cfg, rep):
     g = _grid(cfg, dim=1, n=cfg["grid"])
-    rep = Report("poincare-scaling", {**cfg, "dim": 1})
     radii = [g.box_length / 64, g.box_length / 32, g.box_length / 16]
     rows = []
     for s in (0.5, 1.0):
@@ -282,21 +285,11 @@ def run_poincare_scaling(cfg) -> Report:
         rep.add_verdict(f"exponent_s{s:g}", ok, slope, s)
         rows.append({"s": s, "slope": slope, "constants": consts})
     rep.add_table("fits", rows)
-    return rep
 
 
-@experiment("lorentz-algebra", grid=512, box=1.0)
-def run_lorentz_algebra(cfg) -> Report:
-    from .fields import band_limited_field
-    from .lorentz import (
-        decreasing_rearrangement,
-        lorentz_norm,
-        product_rearrangement_gaps,
-        weak_norm_bound_margin,
-    )
-
+@experiment("lorentz-algebra", dim=1, grid=512, box=1.0)
+def run_lorentz_algebra(cfg, rep):
     g = _grid(cfg, dim=1, n=cfg["grid"])
-    rep = Report("lorentz-algebra", {**cfg, "dim": 1})
     f = band_limited_field(g, cfg["seed"], cutoff=32)
     h = band_limited_field(g, cfg["seed"] + 1, cutoff=32)
     gaps = product_rearrangement_gaps(f, h)
@@ -335,15 +328,11 @@ def run_lorentz_algebra(cfg) -> Report:
     rep.add_verdict("weak_norm_constant", worst >= -1e-12, worst, 0.0)
     rep.add_table("summary", [{"product_gap": worst_gap, "scaling_err": scale_err,
                                "weak_margin": worst}])
-    return rep
 
 
 def _h_ratio_sample(g, seed) -> dict:
     """H(u, v) norm ratios, maxed over an independent pair (u, v) and the
     diagonal pair (u, u); u, v are band-limited at N/8 from `seed`, `seed + 1`."""
-    from .compensation import h_norm_ratio
-    from .fields import band_limited_field
-
     cut = g.points_per_axis / 8
     u = band_limited_field(g, seed, cutoff=cut)
     v = band_limited_field(g, seed + 1, cutoff=cut)
@@ -352,19 +341,12 @@ def _h_ratio_sample(g, seed) -> dict:
 
 
 def _defect_sample(seed) -> dict:
-    from .compensation import defect_scan
-
     return {"defect_p0.5": defect_scan(1, 0.5, samples=200000, seed=seed)["sup"]}
 
 
-@experiment("compensation", grid=512, box=1.0, constants=None)
-def run_compensation(cfg) -> Report:
-    from .compensation import SphereValuedMap, structure_identity_residual
-    from .cutoffs import build_family, evaluate
-    from .fields import sphere_valued_map
-
+@experiment("compensation", dim=1, grid=512, box=1.0, constants=None)
+def run_compensation(cfg, rep):
     g = _grid(cfg, dim=1, n=cfg["grid"])
-    rep = Report("compensation", {**cfg, "dim": 1})
     fam = build_family(4)
     eta = evaluate(fam, 0, g.box_length / 8, g.center, g)
     worst_resid = 0.0
@@ -386,21 +368,10 @@ def run_compensation(cfg) -> Report:
                                       {"defect_regression": "defect_p0.5"}, constants=payload)
     rep.add_table("ratios", [{"structure_worst": worst_resid, "h_l2_fresh": h["h_l2"],
                               "defect_fresh": defect["defect_p0.5"]}])
-    return rep
 
 
 @experiment("iteration-lemmas")
-def run_iteration(cfg) -> Report:
-    from .growth import (
-        GrowthError,
-        counterexample_driteration,
-        driteration,
-        generate_driteration_input,
-        generate_iteration_input,
-        iteration_reduce,
-    )
-
-    rep = Report("iteration-lemmas", cfg)
+def run_iteration(cfg, rep):
     n_ok = 0
     for k in range(500):
         a, lam = generate_driteration_input(cfg["seed"] + k, 1.0, 1.0)
@@ -420,16 +391,11 @@ def run_iteration(cfg) -> Report:
         except GrowthError as exc:
             witnesses_ok = witnesses_ok and (exc.witness == target)
     rep.add_verdict("counterexample_witness", witnesses_ok, witnesses_ok, True)
-    return rep
 
 
-@experiment("dirichlet-growth", grid=16384, box=1.0)
-def run_dirichlet_growth(cfg) -> Report:
-    from .cutoffs import base_profile_values
-    from .growth import holder_exponent_estimate
-
+@experiment("dirichlet-growth", dim=1, grid=16384, box=1.0)
+def run_dirichlet_growth(cfg, rep):
     g = _grid(cfg, dim=1, n=cfg["grid"])
-    rep = Report("dirichlet-growth", {**cfg, "dim": 1})
     rho = g.periodic_distance(g.center)
     window = base_profile_values(4.0 * rho / g.box_length)
     E = ball_mask(g, g.center, g.box_length / 6)
@@ -443,17 +409,12 @@ def run_dirichlet_growth(cfg) -> Report:
             rep.add_verdict(f"{nm}_alpha{alpha:g}", ok, out[nm], alpha)
         rows.append({"alpha": alpha, **{nm: out[nm] for nm in names}})
     rep.add_table("estimates", rows)
-    return rep
 
 
 # -- module-level extras -------------------------------------------------------
 
 @experiment("product-rule", box=1.0)
-def run_product_rule(cfg) -> Report:
-    from .fields import moment_free_bump
-    from .multipliers import product_rule_residual
-
-    rep = Report("product-rule", cfg)
+def run_product_rule(cfg, rep):
     g2 = _grid(cfg, dim=2, n=512)
     phi = moment_free_bump(g2, radius=g2.box_length / 6)
     win = ball_mask(g2, g2.center, g2.box_length / 8)
@@ -472,31 +433,20 @@ def run_product_rule(cfg) -> Report:
             ratios.append(prev / val)
         prev = val
     rep.add_verdict("x1sq_s2_refinement", all(q >= 4.0 for q in ratios), ratios, 4.0)
-    return rep
 
 
-@experiment("polynomial-annihilation", grid=2048, box=1.0)
-def run_poly_annihilation(cfg) -> Report:
-    from .fields import smooth_bump
-    from .multipliers import polynomial_annihilation
-
+@experiment("polynomial-annihilation", dim=1, grid=2048, box=1.0)
+def run_poly_annihilation(cfg, rep):
     g = _grid(cfg, dim=1, n=cfg["grid"])
-    rep = Report("polynomial-annihilation", {**cfg, "dim": 1})
     phi = smooth_bump(g, radius=g.box_length / 24)
     out = polynomial_annihilation((0,), 0.75, phi, [g.box_length / 32, g.box_length / 16, g.box_length / 8])
     rep.add_verdict("slope_below_bound", out["slope"] <= out["bound"], out["slope"], out["bound"])
     rep.add_table("decay", [{"R": R, "I": I} for R, I in zip(out["radii"], out["values"])])
-    return rep
 
 
-@experiment("mv-poincare", grid=2048, box=1.0, s=0.5)
-def run_mv_poincare(cfg) -> Report:
-    from .cutoffs import build_family
-    from .fields import band_limited_field
-    from .meanvalue import mv_poincare_ratio
-
+@experiment("mv-poincare", dim=1, grid=2048, box=1.0, s=0.5)
+def run_mv_poincare(cfg, rep):
     g = _grid(cfg, dim=1, n=cfg["grid"])
-    rep = Report("mv-poincare", {**cfg, "dim": 1})
     fam = build_family(4)
     s, t = cfg["s"], 0.0
     r = g.box_length / 32
@@ -509,16 +459,11 @@ def run_mv_poincare(cfg) -> Report:
     cal, fresh = split_seed_regression(rep, sample, range(seed, seed + 10),
                                        range(seed + 500, seed + 510), {"regression": "ratio"})
     rep.add_table("ratios", [{"calibration_max": cal["ratio"], "fresh_max": fresh["ratio"]}])
-    return rep
 
 
-@experiment("homogeneous-norm-localization", grid=2048, box=1.0, s=0.5)
-def run_homogloc(cfg) -> Report:
-    from .fields import band_limited_field
-    from .growth import homogeneous_norm_localization
-
+@experiment("homogeneous-norm-localization", dim=1, grid=2048, box=1.0, s=0.5)
+def run_homogloc(cfg, rep):
     g = _grid(cfg, dim=1, n=cfg["grid"])
-    rep = Report("homogeneous-norm-localization", {**cfg, "dim": 1})
     s = cfg["s"]
 
     def sample(seed):
@@ -528,16 +473,11 @@ def run_homogloc(cfg) -> Report:
     seed = cfg["seed"]
     split_seed_regression(rep, sample, range(seed, seed + 10), range(seed + 500, seed + 510),
                           {"regression": "ratio"})
-    return rep
 
 
-@experiment("local-norm-recovery", grid=1024, box=1.0)
-def run_local_norm(cfg) -> Report:
-    from .fields import confined_field
-    from .hodge import local_norm_recovery
-
+@experiment("local-norm-recovery", dim=1, grid=1024, box=1.0)
+def run_local_norm(cfg, rep):
     g = _grid(cfg, dim=1, n=cfg["grid"])
-    rep = Report("local-norm-recovery", {**cfg, "dim": 1})
     r = g.box_length / 64
     ratios = {}  # seed -> Lambda = 8 ratio, kept for the stability check
 
@@ -550,14 +490,10 @@ def run_local_norm(cfg) -> Report:
                           {"regression": "ratio"})
     stab = local_norm_recovery(confined_field(g, seed, radius=r), r, g.center, 16.0)["ratio"]
     rep.add_verdict("lambda_stability", stab <= ratios[seed] * 1.10 + 1e-12, stab, ratios[seed] * 1.10)
-    return rep
 
 
-@experiment("weighted-power-profile", box=1.0)
-def run_weighted_power(cfg) -> Report:
-    from .lorentz import lorentz_norm_profile, weighted_power_profile
-
-    rep = Report("weighted-power-profile", {**cfg, "dim": 1})
+@experiment("weighted-power-profile", dim=1, box=1.0)
+def run_weighted_power(cfg, rep):
     lam = 0.5  # = n/2
     # cap and grid refine together (cap = h^-lam): the capped center cell then
     # carries bounded weak-norm weight and the n/lam norm stabilizes, while
@@ -575,17 +511,11 @@ def run_weighted_power(cfg) -> Report:
     growing = all(div[i + 1] >= 2.0 * div[i] for i in range(len(div) - 1))
     rep.add_verdict("divergent_side_grows", growing, div, 2.0)
     rep.add_table("norms", [{"grid": n, "weak": w, "p4": d} for n, w, d in zip(grids, weak, div)])
-    return rep
 
 
-@experiment("annulus-mv-poincare", grid=2048, box=1.0, s=0.5)
-def run_annulus_mv(cfg) -> Report:
-    from .cutoffs import build_family
-    from .fields import band_limited_field
-    from .meanvalue import annulus_mv_poincare_ratio
-
+@experiment("annulus-mv-poincare", dim=1, grid=2048, box=1.0, s=0.5)
+def run_annulus_mv(cfg, rep):
     g = _grid(cfg, dim=1, n=cfg["grid"])
-    rep = Report("annulus-mv-poincare", {**cfg, "dim": 1})
     fam = build_family(5)
     s, t = cfg["s"], 0.0
     r = g.box_length / 64
@@ -599,17 +529,11 @@ def run_annulus_mv(cfg) -> Report:
     spread = max(per_k.values()) / min(per_k.values())
     rep.add_verdict("k_uniformity_factor_2", spread <= 2.0, spread, 2.0)
     rep.add_table("per_k", [{"k": k, "max_ratio": v} for k, v in per_k.items()])
-    return rep
 
 
-@experiment("polynomial-gap", grid=2048, box=1.0)
-def run_polynomial_gap(cfg) -> Report:
-    from .cutoffs import build_family
-    from .fields import band_limited_field
-    from .meanvalue import polynomial_gap_scan
-
+@experiment("polynomial-gap", dim=1, grid=2048, box=1.0)
+def run_polynomial_gap(cfg, rep):
     g = _grid(cfg, dim=1, n=cfg["grid"])
-    rep = Report("polynomial-gap", {**cfg, "dim": 1})
     fam = build_family(5)
     r = g.box_length / 64
 
@@ -621,16 +545,11 @@ def run_polynomial_gap(cfg) -> Report:
     seed = cfg["seed"]
     split_seed_regression(rep, sample, range(seed, seed + 10), range(seed + 500, seed + 510),
                           {"gap_regression": "g", "error_regression": "e"})
-    return rep
 
 
-@experiment("fourier-domination", grid=512, box=1.0)
-def run_fourier_domination(cfg) -> Report:
-    from .compensation import fourier_domination_check
-    from .fields import band_limited_field
-
+@experiment("fourier-domination", dim=1, grid=512, box=1.0)
+def run_fourier_domination(cfg, rep):
     g = _grid(cfg, dim=1, n=cfg["grid"])
-    rep = Report("fourier-domination", {**cfg, "dim": 1})
     cut = g.points_per_axis / 8
 
     def sample(seed):
@@ -642,18 +561,11 @@ def run_fourier_domination(cfg) -> Report:
     seed = cfg["seed"]
     split_seed_regression(rep, sample, range(seed, seed + 50, 2), range(seed + 700, seed + 720, 2),
                           {"regression": "ratio"})
-    return rep
 
 
-@experiment("localization", grid=1024, box=1.0)
-def run_localization(cfg) -> Report:
-    from .fields import smooth_bump
-    from .grid import l2_inner
-    from .hodge import localization_representative
-    from .multipliers import frac_laplacian
-
+@experiment("localization", dim=1, grid=1024, box=1.0)
+def run_localization(cfg, rep):
     g = _grid(cfg, dim=1, n=cfg["grid"])
-    rep = Report("localization", {**cfg, "dim": 1})
     gamma = g.box_length / 32
     norms = []
     rng = np.random.default_rng(cfg["seed"])
@@ -681,17 +593,11 @@ def run_localization(cfg) -> Report:
     decaying = all(norms[i + 1] <= norms[i] * 1.10 for i in range(len(norms) - 1))
     rep.add_verdict("norm_decay_with_gap", decaying, norms, None)
     rep.add_table("norms", [{"d_over_gamma": m, "ratio": v} for m, v in zip((2, 4, 8), norms)])
-    return rep
 
 
-@experiment("lower-order-product", grid=256, box=1.0, s=0.5, m1="riesz:0", m2="identity")
-def run_lower_order(cfg) -> Report:
-    from .fields import band_limited_field
-    from .hodge import lower_order_product_norm
-    from .multipliers import parse_symbol_id
-
+@experiment("lower-order-product", dim=2, grid=256, box=1.0, s=0.5, m1="riesz:0", m2="identity")
+def run_lower_order(cfg, rep):
     g = _grid(cfg, dim=2, n=cfg["grid"])
-    rep = Report("lower-order-product", {**cfg, "dim": 2})
     s = cfg["s"]
     _check_order(s, upper=g.dim / 2.0)
     # zero-multiplier factors are nameable by symbol id ("identity", "riesz:j")
@@ -706,16 +612,11 @@ def run_lower_order(cfg) -> Report:
     seed = cfg["seed"]
     split_seed_regression(rep, sample, range(seed, seed + 20, 2), range(seed + 900, seed + 920, 2),
                           {"regression": "ratio"})
-    return rep
 
 
-@experiment("campanato", grid=2048, box=1.0)
-def run_campanato(cfg) -> Report:
-    from .fields import band_limited_field
-    from .growth import campanato_functionals
-
+@experiment("campanato", dim=1, grid=2048, box=1.0)
+def run_campanato(cfg, rep):
     g = _grid(cfg, dim=1, n=cfg["grid"])
-    rep = Report("campanato", {**cfg, "dim": 1})
     D = ball_mask(g, g.center, g.box_length / 8)
     v = band_limited_field(g, cfg["seed"], cutoff=64, envelope=32)
     out = campanato_functionals(v, D, 2.0, g.box_length / 32)
@@ -724,17 +625,11 @@ def run_campanato(cfg) -> Report:
     m_invariant = abs(out["M"] - out_shift["M"]) <= 1e-10 * max(out["M"], 1e-300)
     rep.add_verdict("M_shift_invariant", m_invariant, out_shift["M"], out["M"])
     rep.add_verdict("J_not_invariant", out_shift["J"] > out["J"] * 1.5, out_shift["J"], out["J"])
-    return rep
 
 
-@experiment("seminorm-comparison", grid=4096, box=1.0)
-def run_seminorm_comparison(cfg) -> Report:
-    from .cutoffs import build_family
-    from .fields import band_limited_field
-    from .growth import seminorm_comparison_terms
-
+@experiment("seminorm-comparison", dim=1, grid=4096, box=1.0)
+def run_seminorm_comparison(cfg, rep):
     g = _grid(cfg, dim=1, n=cfg["grid"])
-    rep = Report("seminorm-comparison", {**cfg, "dim": 1})
     fam = build_family(5)
     r = g.box_length / 128
 
@@ -748,7 +643,6 @@ def run_seminorm_comparison(cfg) -> Report:
     cal, fresh = split_seed_regression(rep, sample, range(seed, seed + 8), range(seed + 500, seed + 508),
                                        {"regression": "needed"}, floor=1e-12)
     rep.add_table("needed", [{"calibration_max": cal["needed"], "fresh_max": fresh["needed"]}])
-    return rep
 
 
 EXPERIMENTS_HELP = ", ".join(sorted(REGISTRY))
@@ -757,9 +651,6 @@ EXPERIMENTS_HELP = ", ".join(sorted(REGISTRY))
 # -- calibration suites --------------------------------------------------------
 
 def calibrate_suite(suite: str, seed: int, out_path: str) -> dict:
-    from .compensation import triangle_defect_scan
-    from .fields import band_limited_field
-
     g = Grid(**CALIBRATION_GRID)
     constants: dict = {}
     if suite in ("compensation", "all"):
@@ -776,9 +667,6 @@ def calibrate_suite(suite: str, seed: int, out_path: str) -> dict:
             "provenance": "200k samples",
         }
     if suite in ("lorentz", "all"):
-        from .lorentz import compact_support_ratio, holder_product_ratio, oneil_convolution_ratio
-        from .fields import confined_field
-
         def sample(k):
             f = band_limited_field(g, k + 100, cutoff=32)
             h = band_limited_field(g, k + 200, cutoff=32)

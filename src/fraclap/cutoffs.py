@@ -95,7 +95,7 @@ class DyadicCutoffFamily:
     """
 
     depth: int
-    derivative_constants: dict = field(default_factory=dict)
+    derivative_constants: dict = field(init=False)
 
     def __post_init__(self):
         if self.depth < 1:

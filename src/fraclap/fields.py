@@ -12,6 +12,7 @@ import numpy as np
 
 from .grid import Grid, GridFunction, ball_mask, per_axis
 from .cutoffs import base_profile_values
+from .multipliers import derivative
 
 
 def band_limited_field(
@@ -112,8 +113,6 @@ def moment_free_bump(grid: Grid, radius: float) -> GridFunction:
     of order 0 and 1 vanish, so tails of nonlocal operators applied to it
     decay fast enough for interior product-rule and decay studies.  Unit L^2
     norm."""
-    from .multipliers import derivative
-
     b = smooth_bump(grid, radius=radius)
     alpha = [0] * grid.dim
     alpha[0] = 2

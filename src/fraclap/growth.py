@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _kernels
+from .cutoffs import evaluate
 from .grid import DomainMask, GridFunction, annulus_mask, ball_mask, lp_norm
 from .multipliers import frac_laplacian
 from .singular import gagliardo_seminorm
@@ -365,8 +366,6 @@ def seminorm_comparison_terms(v: GridFunction, r: float, x, family) -> dict:
 
     with eps = gamma = 1/2, returning the constant the bracket needs to
     absorb the remainder."""
-    from .cutoffs import evaluate as _eval_cutoff
-
     grid = v.grid
     n = grid.dim
     s = n / 2.0
@@ -377,7 +376,7 @@ def seminorm_comparison_terms(v: GridFunction, r: float, x, family) -> dict:
     for k in range(1, 5):
         if 2.0 ** (k + 1) * 8.0 * r > 0.5 * grid.box_length:
             break
-        eta = _eval_cutoff(family, k, 8.0 * r, x, grid)
+        eta = evaluate(family, k, 8.0 * r, x, grid)
         bracket += 2.0 ** (-n * k) * lp_norm(GridFunction(grid, eta.values * lap.values), 2)
     h = grid.spacing
     j = 0

@@ -16,8 +16,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .cutoffs import evaluate
 from .fields import smooth_bump
 from .grid import DomainMask, Grid, GridFunction, ball_mask, l2_inner, lp_norm
+from .meanvalue import default_degree, meanvalue_polynomial
 from .multipliers import (
     FrequencySymbol,
     abs_power_table,
@@ -170,7 +172,6 @@ def disjoint_pairing_decay(grid: Grid, s: float, t: float, gamma: float, d_list:
     a = smooth_bump(grid, x, gamma)
     a_on = np.flatnonzero(a.values)
     a_abs = np.abs(a.values.ravel()[a_on])
-    a_l1 = lp_norm(a, 1)
     lap_a = frac_laplacian(a, s)
     del a
     vals = []
@@ -191,7 +192,6 @@ def disjoint_pairing_decay(grid: Grid, s: float, t: float, gamma: float, d_list:
         "pairing": vals,
         "slope": slope,
         "target": -(grid.dim + s + t),
-        "a_l1": a_l1,
     }
 
 
@@ -275,9 +275,6 @@ def product_rule_localization(
     P the degree ceil(n/2)-1 mean-value polynomial of u on B_{L r}(x).
     Nontrivial only for n >= 3 (below that P is a constant and the defect
     vanishes identically, which the tests also assert)."""
-    from .cutoffs import evaluate as _eval_cutoff
-    from .meanvalue import default_degree, meanvalue_polynomial
-
     grid = u.grid
     n = grid.dim
     s = n / 2.0
@@ -291,7 +288,7 @@ def product_rule_localization(
         - P_vals * frac_laplacian(phi, s).values,
     )
     lhs = lp_norm(lhs_fun, 2, inner)
-    eta0 = _eval_cutoff(family, 0, lam * r, x, grid)
+    eta0 = evaluate(family, 0, lam * r, x, grid)
     bracket = lp_norm(
         frac_laplacian(GridFunction(grid, eta0.values * (u.values - P_vals)), s), 2
     )
@@ -301,7 +298,7 @@ def product_rule_localization(
     for k in range(1, 7):
         if 2.0 ** (k + 1) * lam * r > 0.5 * grid.box_length:
             break
-        eta = _eval_cutoff(family, k, lam * r, x, grid)
+        eta = evaluate(family, k, lam * r, x, grid)
         tail += 2.0**-k * lp_norm(GridFunction(grid, eta.values * lap_u.values), 2)
     bracket += tail / lam
     return {"lhs": lhs, "bracket": bracket,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, GridError, GridFunction
+from .grid import Grid, GridError, GridFunction, lp_norm
 
 
 class LorentzError(ValueError):
@@ -174,8 +174,6 @@ def holder_product_ratio(f, g, p1, q1, p2, q2) -> float:
 
 def compact_support_ratio(f: GridFunction, measure: float, p, q, p1) -> float:
     """||f||_{p,q} / (|D|^(1/p - 1/p1) ||f||_{p1}) for supported f."""
-    from .grid import lp_norm
-
     denom = measure ** (1.0 / p - 1.0 / p1) * lp_norm(f, p1)
     if denom == 0:
         raise LorentzError("degenerate input")

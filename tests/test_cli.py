@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from fraclap.cli import REGISTRY, RUN_OPTIONS, calibrate_suite, main, split_seed_regression
+from fraclap.cli import REGISTRY, RUN_OPTIONS, calibrate_suite, experiment, main, split_seed_regression
 from fraclap.grid import Grid
 from fraclap.reporting import SLACK, Report, ReportError, load_constants, regression_bound, write_constants
 from fraclap.solve import SolveError
@@ -71,6 +71,30 @@ def test_run_refuses_options_the_experiment_ignores(capsys, tmp_path, argv, igno
     err = capsys.readouterr().err
     assert f"does not read {', '.join(ignored)}" in err
     assert not list(tmp_path.iterdir())
+
+
+def test_registration_builds_the_report_named_by_its_key(monkeypatch):
+    monkeypatch.delitem(REGISTRY, "probe", raising=False)  # restores REGISTRY afterwards
+    monkeypatch.delitem(REGISTRY, "probe-any-dim", raising=False)
+
+    @experiment("probe", dim=2, grid=64)
+    def run_probe(cfg, rep):
+        rep.add_verdict("grid_read", cfg["grid"] == 64, cfg["grid"], 64)
+
+    cfg = {"grid": 64, "box": 1.0, "seed": 3}
+    rep = REGISTRY["probe"](cfg)
+    assert rep.experiment == "probe"
+    assert rep.config == {**cfg, "dim": 2}
+    assert cfg == {"grid": 64, "box": 1.0, "seed": 3}
+    assert rep.passed and [v["name"] for v in rep.verdicts] == ["grid_read"]
+    assert REGISTRY["probe"].defaults == {"grid": 64}
+    assert 'rep.add_verdict("grid_read"' in inspect.getsource(REGISTRY["probe"])
+
+    experiment("probe-any-dim")(lambda cfg, rep: None)
+    rep = REGISTRY["probe-any-dim"](cfg)
+    assert rep.experiment == "probe-any-dim" and rep.config == cfg
+    rep.config["depth"] = 1  # a body writes to its own copy, never to the run config
+    assert "depth" not in cfg
 
 
 def test_declared_options_are_the_options_read():
