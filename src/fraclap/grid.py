@@ -146,7 +146,6 @@ class DomainMask:
 
     grid: Grid
     values: np.ndarray
-    label: str = "mask"
 
     def __post_init__(self):
         if self.values.shape != self.grid.shape:
@@ -163,7 +162,7 @@ class DomainMask:
 
     def union(self, other: "DomainMask") -> "DomainMask":
         _check_same_grid(self.grid, other.grid)
-        return DomainMask(self.grid, self.values | other.values, f"({self.label})|({other.label})")
+        return DomainMask(self.grid, self.values | other.values)
 
 
 def _check_same_grid(g1: Grid, g2: Grid):
@@ -174,14 +173,14 @@ def _check_same_grid(g1: Grid, g2: Grid):
 def ball_mask(grid: Grid, center, radius: float) -> DomainMask:
     """Mask of B_radius(center): grid points with periodic distance < radius."""
     vals = grid.periodic_distance(center) < radius
-    return DomainMask(grid, vals, f"ball(r={radius:g})")
+    return DomainMask(grid, vals)
 
 
 def annulus_mask(grid: Grid, center, r_inner: float, r_outer: float) -> DomainMask:
     """Mask of B_r_outer \\ closure(B_r_inner): r_inner < dist < r_outer."""
     d = grid.periodic_distance(center)
     vals = (d > r_inner) & (d < r_outer)
-    return DomainMask(grid, vals, f"annulus({r_inner:g},{r_outer:g})")
+    return DomainMask(grid, vals)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,10 @@ realize the polynomial product rule
 
 which holds exactly on R^n and up to a measurable quadrature/wrap-around
 floor on the torus (monomials are only asserted against interior windows).
+Every library symbol states its expansion, a finite sum of terms
+c xi^gamma |xi|^p, and derived symbols are exact: |xi|^s m is differentiated
+term by term, d_a(c xi^gamma |xi|^p) = gamma_a c xi^(gamma - e_a) |xi|^p
++ p c xi^(gamma + e_a) |xi|^(p - 2).
 
 Symbol evaluators receive one 1D frequency array per axis, shaped to
 broadcast along its own axis (length along axis a, 1 elsewhere), and must
@@ -83,12 +87,16 @@ class FrequencySymbol:
     homogeneity_degree delta, when given, asserts
     m(lambda xi) = lambda^delta m(xi).  Both are spot-checked at
     construction on sampled frequencies (lambda in {2, 4}).
+    expansion, one (c, gamma, p) per term c xi^gamma |xi|^p, is what
+    derived_symbol differentiates; it must match the evaluator at the samples
+    to 1e-12 of the largest sum of the terms' magnitudes.
     """
 
     name: str
     dim: int
     evaluator: Callable[[Sequence[np.ndarray]], np.ndarray]
     homogeneity_degree: Optional[float] = None
+    expansion: Optional[tuple] = None
 
     def __post_init__(self):
         pts = _sample_points(self.dim)
@@ -109,6 +117,13 @@ class FrequencySymbol:
                         f"symbol {self.name} violates homogeneity of order "
                         f"{self.homogeneity_degree} (lambda={lam}, err={err:.2e})"
                     )
+        if self.expansion is not None:
+            axes = [pts[:, a] for a in range(self.dim)]
+            mag = np.sqrt(sum(x * x for x in axes))
+            terms = [_expansion_values([t], axes, mag) for t in self.expansion]
+            err = np.max(np.abs(sum(terms) - vals))
+            if err > 1e-12 * np.max(sum(np.abs(t) for t in terms)):
+                raise SymbolError(f"symbol {self.name} disagrees with its expansion (err={err:.2e})")
 
     def _eval_points(self, pts: np.ndarray) -> np.ndarray:
         axes = [pts[:, a] for a in range(self.dim)]
@@ -128,10 +143,22 @@ class FrequencySymbol:
             raise SymbolError(f"symbol is {self.dim}-dimensional, grid is {grid.dim}")
 
 
+def _expansion_values(terms, xs: Sequence[np.ndarray], mag: np.ndarray):
+    """Sum over terms (c, gamma, p) of c xi^gamma |xi|^p, each term's factors
+    multiplied in axis order (c, each xi_a gamma_a times, then |xi|^p) and the
+    terms added in order to 0; real while every c is real."""
+    out = 0
+    for c, gamma, p in terms:
+        term = c
+        for x in [x for x, k in zip(xs, gamma) for _ in range(k)]:
+            term = term * x
+        out = out + term * mag**p
+    return out
+
+
 def identity_symbol(dim: int) -> FrequencySymbol:
-    return FrequencySymbol(
-        "identity", dim, lambda xs: np.ones_like(xs[0], dtype=float), 0.0
-    )
+    ones = lambda xs: np.ones_like(xs[0], dtype=float)
+    return FrequencySymbol("identity", dim, ones, 0.0, ((1.0, (0,) * dim, 0.0),))
 
 
 def abs_power_symbol(dim: int, s: float) -> FrequencySymbol:
@@ -140,7 +167,7 @@ def abs_power_symbol(dim: int, s: float) -> FrequencySymbol:
         with np.errstate(divide="ignore", invalid="ignore"):
             return mag**s
 
-    return FrequencySymbol(f"abs_pow:{s:g}", dim, ev, float(s))
+    return FrequencySymbol(f"abs_pow:{s:g}", dim, ev, float(s), ((1.0, (0,) * dim, float(s)),))
 
 
 def riesz_symbol(dim: int, j: int) -> FrequencySymbol:
@@ -153,7 +180,7 @@ def riesz_symbol(dim: int, j: int) -> FrequencySymbol:
             out = 1j * np.asarray(xs[j], dtype=float) / mag
         return np.where(mag == 0, 0.0, out)
 
-    return FrequencySymbol(f"riesz:{j}", dim, ev, 0.0)
+    return FrequencySymbol(f"riesz:{j}", dim, ev, 0.0, ((1j, tuple(int(a == j) for a in range(dim)), -1.0),))
 
 
 def _conjugate_symmetrize(grid: Grid, symbol: FrequencySymbol) -> np.ndarray:
@@ -289,7 +316,8 @@ def derivative_symbol(dim: int, alpha) -> FrequencySymbol:
                 out = out * (2j * np.pi * np.asarray(x, dtype=float)) ** k
         return out
 
-    return FrequencySymbol(f"d:{','.join(map(str, alpha))}", dim, ev, float(sum(alpha)))
+    expansion = (((2j * np.pi) ** sum(alpha), alpha, 0.0),)
+    return FrequencySymbol(f"d:{','.join(map(str, alpha))}", dim, ev, float(sum(alpha)), expansion)
 
 
 def derivative(f: GridFunction, alpha: Sequence[int]) -> GridFunction:
@@ -328,80 +356,22 @@ def _factorial_multi(alpha) -> int:
     return out
 
 
-def _closed_form_derivative(base: str, riesz_axis: int, alpha, s: float):
-    """d^alpha (|xi|^s m(xi)) for m identity or a Riesz component, |alpha| <= 2."""
-    alpha = tuple(alpha)
-    order = sum(alpha)
-    dirs = [a for a, k in enumerate(alpha) for _ in range(k)]
-
-    def ev(xs):
-        xs = [np.asarray(x, dtype=float) for x in xs]
-        mag2 = sum(x * x for x in xs)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            mag = np.sqrt(mag2)
-            if base == "identity":
-                if order == 0:
-                    return mag**s + 0j
-                if order == 1:
-                    (j,) = dirs
-                    return (s * xs[j] * mag ** (s - 2)) + 0j
-                j, k = dirs
-                out = s * (s - 2) * xs[j] * xs[k] * mag ** (s - 4)
-                if j == k:
-                    out = out + s * mag ** (s - 2)
-                return out + 0j
-            # base == riesz, g = i xi_l |xi|^(s-1)
-            l = riesz_axis
-            if order == 0:
-                return 1j * xs[l] * mag ** (s - 1)
-            if order == 1:
-                (j,) = dirs
-                out = (s - 1) * xs[l] * xs[j] * mag ** (s - 3)
-                if j == l:
-                    out = out + mag ** (s - 1)
-                return 1j * out
-            j, k = dirs
-            out = (s - 1) * (s - 3) * xs[j] * xs[k] * xs[l] * mag ** (s - 5)
-            if j == l:
-                out = out + (s - 1) * xs[k] * mag ** (s - 3)
-            if k == l:
-                out = out + (s - 1) * xs[j] * mag ** (s - 3)
-            if j == k:
-                out = out + (s - 1) * xs[l] * mag ** (s - 3)
-            return 1j * out
-
-    return ev
-
-
-def _finite_difference_derivative(g: Callable, dirs):
-    """Nested 4th-order central differences of g along dirs, steps 5e-3 |xi|."""
-
-    def d_one(fun, axis):
-        def out(xs):
-            xs = [np.asarray(x, dtype=float) for x in xs]
-            mag = np.sqrt(sum(x * x for x in xs))
-            hstep = 5e-3 * np.where(mag > 0, mag, 1.0)
-
-            def shifted(c):
-                ys = list(xs)
-                ys[axis] = ys[axis] + c * hstep
-                return fun(ys)
-
-            return (-shifted(2.0) + 8.0 * shifted(1.0) - 8.0 * shifted(-1.0) + shifted(-2.0)) / (
-                12.0 * hstep
-            )
-
-        return out
-
-    fun = g
-    for axis in dirs:
-        fun = d_one(fun, axis)
-    return fun
+def _differentiate(terms, a: int) -> list:
+    """d/dxi_a term by term: d_a(c xi^gamma |xi|^p) = gamma_a c xi^(gamma - e_a) |xi|^p
+    + p c xi^(gamma + e_a) |xi|^(p - 2), the first term dropped where gamma_a = 0."""
+    out = []
+    for c, gamma, p in terms:
+        k = gamma[a]
+        if k:
+            out.append((k * c, gamma[:a] + (k - 1,) + gamma[a + 1 :], p))
+        out.append((p * c, gamma[:a] + (k + 1,) + gamma[a + 1 :], p - 2))
+    return out
 
 
 def derived_symbol(m: FrequencySymbol, alpha, s: float) -> FrequencySymbol:
-    """The symbol m_{alpha,s}; closed forms for identity/Riesz bases, nested
-    relative-step central differences otherwise.  |alpha| <= 2."""
+    """The symbol m_{alpha,s}, |alpha| <= 2, exact: |xi|^s m is differentiated
+    term by term in m's expansion, and the result keeps an expansion of its
+    own, so derived symbols of derived symbols are exact too."""
     alpha = _multiindex(alpha)
     if len(alpha) != m.dim:
         raise SymbolError(f"multiindex length {len(alpha)} does not match dim {m.dim}")
@@ -410,32 +380,22 @@ def derived_symbol(m: FrequencySymbol, alpha, s: float) -> FrequencySymbol:
         raise SymbolError("derived symbols support |alpha| <= 2 only")
     if order == 0:
         return m
-
-    if m.name == "identity":
-        dg = _closed_form_derivative("identity", 0, alpha, s)
-    elif m.name.startswith("riesz:"):
-        dg = _closed_form_derivative("riesz", int(m.name.split(":")[1]), alpha, s)
-    else:
-        def g(xs):
-            xs = [np.asarray(x, dtype=float) for x in xs]
-            mag = np.sqrt(sum(x * x for x in xs))
-            return mag**s * np.asarray(m.evaluator(xs), dtype=complex)
-
-        dirs = [a for a, k in enumerate(alpha) for _ in range(k)]
-        dg = _finite_difference_derivative(g, dirs)
-
+    if m.expansion is None:
+        raise SymbolError(f"symbol {m.name} has no expansion to differentiate")
+    terms = [(c, gamma, p + s) for c, gamma, p in m.expansion]
+    for a in [a for a, k in enumerate(alpha) for _ in range(k)]:
+        terms = _differentiate(terms, a)
     pref = (2j * np.pi) ** (-order)
 
     def ev(xs):
         xs = [np.asarray(x, dtype=float) for x in xs]
         mag = np.sqrt(sum(x * x for x in xs))
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = pref * mag ** (order - s) * np.asarray(dg(xs), dtype=complex)
-        return out
+            return pref * mag ** (order - s) * np.asarray(_expansion_values(terms, xs, mag), dtype=complex)
 
-    hom = m.homogeneity_degree
+    expansion = tuple((pref * c, gamma, p + order - s) for c, gamma, p in terms)
     name = f"derived:{m.name}:{','.join(map(str, alpha))}:{s:g}"
-    return FrequencySymbol(name, m.dim, ev, hom)
+    return FrequencySymbol(name, m.dim, ev, m.homogeneity_degree, expansion)
 
 
 # -- monomials and the product rule -----------------------------------------

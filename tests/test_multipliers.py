@@ -444,6 +444,10 @@ def test_symbol_invariant_violations():
     skew = lambda xs: 1j * np.ones_like(np.asarray(xs[0], dtype=float))
     with pytest.raises(SymbolError, match="conj"):
         FrequencySymbol("skew", 1, skew)
+    # an expansion that states another symbol than the evaluator
+    one = lambda xs: np.ones_like(np.asarray(xs[0], dtype=float))
+    with pytest.raises(SymbolError, match="expansion"):
+        FrequencySymbol("twice", 1, one, 0.0, ((2.0, (0,), 0.0),))
 
 
 # -- derived symbols ----------------------------------------------------------
@@ -484,6 +488,61 @@ def test_derived_symbol_homogeneity_and_reality_metadata():
     assert np.max(np.abs(neg - np.conjugate(pos))) <= 1e-12 * np.max(np.abs(pos))
     with pytest.raises(SymbolError, match="<= 2"):
         derived_symbol(identity_symbol(1), (3,), 3.5)
+    # a bare evaluator states no terms to differentiate
+    bare = FrequencySymbol("bare", 1, lambda xs: np.ones_like(np.asarray(xs[0], dtype=float)))
+    with pytest.raises(SymbolError, match="no expansion"):
+        derived_symbol(bare, (1,), 1.5)
+
+
+def _mp_norm(xi):
+    import mpmath
+
+    return mpmath.sqrt(mpmath.fsum(x * x for x in xi))
+
+
+def _mp_derived(m, alpha, s):
+    """m_{alpha,s} = (2 pi i)^-|alpha| |xi|^(|alpha|-s) d^alpha(|xi|^s m) by
+    mpmath.diff of the mpmath base m."""
+    import mpmath
+
+    order = sum(alpha)
+
+    def out(*xi):
+        d = mpmath.diff(lambda *y: _mp_norm(y) ** s * m(*y), xi, alpha)
+        return (2j * mpmath.pi) ** -order * _mp_norm(xi) ** (order - s) * d
+
+    return out
+
+
+def _derived_cases(dim):
+    """(library base, its mpmath form) for every kind of base in dim."""
+    import mpmath
+
+    first = (1,) + (0,) * (dim - 1)
+    cases = [
+        (identity_symbol(dim), lambda *y: mpmath.mpf(1)),
+        (abs_power_symbol(dim, 0.25), lambda *y: _mp_norm(y) ** 0.25),
+        (multipliers.derivative_symbol(dim, first), lambda *y: 2j * mpmath.pi * y[0]),
+        (derived_symbol(identity_symbol(dim), first, 0.7), _mp_derived(lambda *y: mpmath.mpf(1), first, 0.7)),
+    ]
+    cases += [(riesz_symbol(dim, l), lambda *y, l=l: 1j * y[l] / _mp_norm(y)) for l in range(dim)]
+    return cases
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_derived_symbol_matches_mpmath_oracle(dim):
+    mpmath = pytest.importorskip("mpmath")
+    points = {1: [(0.5,), (-3.0,), (7.0,)], 2: [(0.5, 1.0), (-3.0, 0.25), (0.0, -2.0)]}[dim]
+    xs = [np.array(axis) for axis in zip(*points)]
+    with mpmath.workdps(40):
+        for base, mp_base in _derived_cases(dim):
+            for alpha in list(multipliers._multi_indices_upto(dim, 2))[1:]:
+                for s in (0.5, 1.5):
+                    got = np.asarray(derived_symbol(base, alpha, s).evaluator(xs))
+                    oracle = _mp_derived(mp_base, alpha, s)
+                    ref = np.array([complex(oracle(*map(mpmath.mpf, xi))) for xi in points])
+                    err = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+                    assert err <= 1e-12, (base.name, alpha, s, err)
 
 
 def test_parse_symbol_ids():

@@ -139,8 +139,8 @@ def test_upper_gamma_negative_order_matches_mpmath(a):
 
 
 def test_package_import_does_not_load_scipy():
-    # scipy serves the oracles above only; it is not a runtime dependency
-    code = "import sys, fraclap, fraclap.cli; sys.exit(int('scipy' in sys.modules))"
+    # scipy and mpmath serve the oracles only; neither is a runtime dependency
+    code = "import sys, fraclap, fraclap.cli; sys.exit(int('scipy' in sys.modules or 'mpmath' in sys.modules))"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
