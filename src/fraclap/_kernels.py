@@ -19,37 +19,69 @@ depends on the offset alone, so with w = 1_D, v scattered onto the grid
 * ``second_difference_sum``: 1/2 sum_z (2 f(x) - f(x+z) - f(x-z)) K(z)
   = f(x) sum K - (f * K_sym)(x), K_sym(z) = (K(z) + K(-z)) / 2.
 
-The convolutions are real FFTs on the grid, exact up to roundoff; the
-modulus scan takes maxima of the pairwise differences themselves.
+The masked sums work on the points' padded box, not the whole grid.  Per
+axis the point indices lie on a shortest periodic arc of E cells, so two of
+them differ by an offset in -(E-1)..E-1.  The pair sum and the ball scan
+convolve on M = min(N, smallest power of two >= 2E - 1) cells per axis, so
+those offsets stay distinct mod M; local index k stands for the offset k
+(k <= M/2) or k - M, weighted at its minimum-image torus distance.  The
+circular convolution on the box thus equals the torus one at every masked
+point (at M = N it is the torus one).  These are real FFTs, exact up to
+roundoff.  The modulus scan gathers the field (NaN off D) once on the box
+widened by the largest offset, with indices mod N, and takes maxima, which
+are exact, over blocks of offsets through sliding windows, one offset per
+pair {m, -m}.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
+from .grid import per_axis
+
+# elements of the (offsets, *box) difference array a modulus-scan block holds
+_MODULUS_BLOCK = 2**15
 
 
-def _offset_dist2(grid) -> np.ndarray:
-    """|m h|^2 for every lattice offset m (minimum image), shaped like the grid."""
+def _dist2(offsets, h):
+    """|m h|^2 for minimum-image lattice offsets m (|m_a| <= N/2), one integer
+    array per axis, broadcasting against each other."""
+    return sum(a * a for a in (np.abs(m) * h for m in offsets))
+
+
+def _arcs(points, N) -> tuple:
+    """Per axis, the start and the extent E of the shortest periodic arc
+    [start, start + E) that holds the points' indices."""
+    starts, extents = [], []
+    for col in points.T:
+        u = np.sort(col)  # a repeated index leaves a zero gap, never the largest
+        gaps = np.diff(u, append=u[0] + N)
+        i = int(np.argmax(gaps))
+        starts.append(int(u[(i + 1) % u.size]))
+        extents.append(N - int(gaps[i]) + 1)
+    return np.array(starts), extents
+
+
+def _box_convolutions(points, columns, weight, grid):
+    """columns[:, c] * K read at the points, K(m) = weight(|m h|^2), as
+    circular convolutions on the points' padded box (module docstring)."""
     N = grid.points_per_axis
-    m = np.arange(N)
-    d = np.minimum(m, N - m) * grid.spacing
-    return sum(a * a for a in np.meshgrid(*([d] * grid.dim), indexing="ij", sparse=True))
-
-
-def _masked_convolutions(points, fields, kernel):
-    """fields[c] * kernel (periodic, over the trailing grid axes) at the points."""
+    start, extents = _arcs(points, N)
+    local = (points - start) % N
+    offsets = []
+    for E in extents:
+        M = min(N, 1 << (2 * E - 2).bit_length())
+        k = np.arange(M)
+        offsets.append(np.where(k <= M // 2, k, k - M))
+    kernel = weight(_dist2(per_axis(offsets), grid.spacing))
+    fields = np.zeros((columns.shape[1], *kernel.shape))
+    fields[(slice(None), *local.T)] = columns.T
     axes = tuple(range(1, kernel.ndim + 1))
     conv = np.fft.irfftn(
         np.fft.rfftn(fields, axes=axes) * np.fft.rfftn(kernel), s=kernel.shape, axes=axes
     )
-    return conv[(slice(None), *points.T)]
-
-
-def _scatter(points, columns, shape) -> np.ndarray:
-    """(C, *shape) fields holding columns[:, c] at the points, zero elsewhere."""
-    out = np.zeros((columns.shape[1], *shape))
-    out[(slice(None), *points.T)] = columns.T
-    return out
+    return conv[(slice(None), *local.T)]
 
 
 def pair_sum_sq_diff(points, comps, expo, grid) -> float:
@@ -57,11 +89,12 @@ def pair_sum_sq_diff(points, comps, expo, grid) -> float:
     points = np.asarray(points)
     v = np.asarray(comps, dtype=np.float64).reshape(points.shape[0], -1)
     v = v - v.mean(axis=0)
-    with np.errstate(divide="ignore"):
-        K = _offset_dist2(grid) ** (-0.5 * float(expo))
-    K.flat[0] = 0.0
-    fields = _scatter(points, np.column_stack([np.ones(len(v)), v]), grid.shape)
-    conv = _masked_convolutions(points, fields, K)
+
+    def weight(d2):
+        with np.errstate(divide="ignore"):
+            return np.where(d2 > 0, d2 ** (-0.5 * float(expo)), 0.0)
+
+    conv = _box_convolutions(points, np.column_stack([np.ones(len(v)), v]), weight, grid)
     total = 2.0 * np.sum(v * v * conv[0][:, None]) - 2.0 * np.sum(v.T * conv[1:])
     return max(float(total), 0.0)  # nonnegative; clamp the roundoff of a zero sum
 
@@ -71,9 +104,8 @@ def ball_scan(points, vals, rho, grid):
     masked points within periodic distance < rho."""
     points = np.asarray(points)
     v = np.asarray(vals, dtype=np.float64)
-    ball = (_offset_dist2(grid) < rho * rho).astype(np.float64)
-    fields = _scatter(points, np.column_stack([v * v, v, np.ones_like(v)]), grid.shape)
-    sum_sq, sums, cnt = _masked_convolutions(points, fields, ball)
+    columns = np.column_stack([v * v, v, np.ones_like(v)])
+    sum_sq, sums, cnt = _box_convolutions(points, columns, lambda d2: (d2 < rho * rho) * 1.0, grid)
     return sum_sq, sums, np.rint(cnt)
 
 
@@ -82,19 +114,32 @@ def modulus_scan(points, vals, edges, grid) -> np.ndarray:
     points = np.asarray(points)
     v = np.asarray(vals, dtype=np.float64)
     edges = np.asarray(edges, dtype=np.float64)
-    N = grid.points_per_axis
-    d2 = _offset_dist2(grid)
+    N, h = grid.points_per_axis, grid.spacing
+    start, extents = _arcs(points, N)
+    # every pair's minimum-image offset has |m_a| <= min(E_a - 1, N/2) and, to
+    # count, |m_a| h < edges[-1]; -N/2 is the residue of N/2, so it is left out
+    reach = [max(0, int(min(E - 1, N // 2, edges[-1] / h + 1))) for E in extents]
+    ranges = [np.arange(-min(r, (N - 1) // 2), r + 1) for r in reach]
+    m = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, grid.dim)
+    d2 = _dist2(m.T, h)
     bins = np.searchsorted(edges, np.sqrt(d2), side="right") - 1
     # offsets m and -m give the same pairs: keep the one with the smaller flat index
-    flat = np.arange(d2.size).reshape(d2.shape)
-    mirror = np.ravel_multi_index(tuple(-np.indices(d2.shape) % N), d2.shape)
+    flat = np.ravel_multi_index(tuple((m % N).T), grid.shape)
+    mirror = np.ravel_multi_index(tuple((-m % N).T), grid.shape)
     keep = (d2 > 0) & (bins >= 0) & (bins < edges.size - 1) & (flat <= mirror)
+    m, bins = m[keep] + reach, bins[keep]  # window index of each offset
     field = np.full(grid.shape, np.nan)  # NaN off the mask; fmax skips it
     field[tuple(points.T)] = v
+    window = field[np.ix_(*[(s - r + np.arange(E + 2 * r)) % N
+                            for s, E, r in zip(start, extents, reach)])]
+    box = window[tuple(slice(r, r + E) for r, E in zip(reach, extents))]
+    shifted = sliding_window_view(window, tuple(extents))  # shifted[j] = window[j : j + E]
     best = np.zeros(edges.size - 1)
-    for m, b in zip(np.argwhere(keep), bins[keep]):
-        partner = field[tuple(((points + m) % N).T)]
-        best[b] = np.fmax.reduce(np.abs(v - partner), initial=best[b])
+    step = max(1, _MODULUS_BLOCK // box.size)
+    for i in range(0, len(m), step):
+        diff = shifted[tuple(m[i : i + step].T)]  # a copy: the partners v(x + m)
+        np.abs(np.subtract(box, diff, out=diff), out=diff)
+        np.fmax.at(best, bins[i : i + step], np.fmax.reduce(diff.reshape(len(diff), -1), axis=1))
     return best
 
 

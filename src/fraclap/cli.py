@@ -64,7 +64,7 @@ from .reporting import (
     regression_bound,
     write_constants,
 )
-from .singular import calibrate_cns, equivalence_ratio, frac_lap_pointwise, periodized_kernel
+from .singular import calibrate_cns, equivalence_ratio, frac_lap_pointwise
 from .solve import NumericalError
 
 REGISTRY: dict = {}
@@ -184,12 +184,11 @@ def run_definition_equivalence(cfg, rep):
     t0 = time.time()
     g = _grid(cfg, dim=1, n=cfg["grid"])
     s = cfg["s"]
-    kernel = periodized_kernel(g, s)
-    const = calibrate_cns(g, s, kernel)
+    const = calibrate_cns(g, s)
     bump = confined_field(g, cfg["seed"] + 11, radius=g.box_length / 6, cutoff=40, envelope=20)
     spectral = frac_laplacian(bump, s)
     inner = np.nonzero(ball_mask(g, g.center, g.box_length / 5).values)[0]
-    vals = frac_lap_pointwise(bump, s, (inner,), const, kernel)
+    vals = frac_lap_pointwise(bump, s, (inner,), const)
     err = float(np.max(np.abs(vals - spectral.values[inner])) / np.max(np.abs(spectral.values)))
     elapsed = time.time() - t0
     rep.add_verdict("interior_linf_relative", err <= 1e-3, err, 1e-3)
@@ -202,11 +201,10 @@ def run_definition_equivalence(cfg, rep):
 def run_equivalence_ratio(cfg, rep):
     g = _grid(cfg, dim=1, n=cfg["grid"])
     s = cfg["s"]
-    kernel = periodized_kernel(g, 2.0 * s)
     ratios = []
     for k in range(10):
         f = confined_field(g, cfg["seed"] + k, radius=g.box_length / 6, cutoff=48, envelope=24)
-        ratios.append(equivalence_ratio(f, s, kernel))
+        ratios.append(equivalence_ratio(f, s))
     spread = max(ratios) / min(ratios)
     rep.add_verdict("max_over_min", spread <= 1.02, spread, 1.02)
     rep.add_table("ratios", [{"seed": cfg["seed"] + k, "ratio": r} for k, r in enumerate(ratios)])

@@ -161,7 +161,10 @@ def identity_symbol(dim: int) -> FrequencySymbol:
     return FrequencySymbol("identity", dim, ones, 0.0, ((1.0, (0,) * dim, 0.0),))
 
 
+@functools.cache
 def abs_power_symbol(dim: int, s: float) -> FrequencySymbol:
+    """|xi|^s, built and checked once per (dim, s) and shared: the symbol is immutable."""
+
     def ev(xs):
         mag = np.sqrt(sum(np.asarray(x, dtype=float) ** 2 for x in xs))
         with np.errstate(divide="ignore", invalid="ignore"):

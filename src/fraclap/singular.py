@@ -5,7 +5,9 @@ The pointwise quadrature uses the symmetric second-difference form
     Lap^s f(x) ~ c_{n,s} * 1/2 * sum_z (2 f(x) - f(x+z) - f(x-z)) K(z) h^n
 
 with K the periodized kernel sum_k |z + L k|^(-n-s), summed exactly over
-the whole lattice by an Ewald split (see ``periodized_kernel``).
+the whole lattice by an Ewald split (see ``periodized_kernel``) and memoized
+per (grid, order): the functions here read that one read-only table and take
+no kernel argument.
 The constant c_{n,s} is never taken from a formula: it is calibrated once
 against the spectral operator on the reference eigenfunction cos(2 pi x_1/L)
 and must then transfer to other functions, which is what the tests check.
@@ -19,6 +21,7 @@ tests via ``raw_second_difference``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -114,6 +117,7 @@ def upper_gamma(a: float, x) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=1)
 def periodized_kernel(grid: Grid, s: float) -> np.ndarray:
     """Kernel table K(z) h^dim with K(z) = sum_k |z + L k|^(-p), p = dim + s.
 
@@ -128,6 +132,9 @@ def periodized_kernel(grid: Grid, s: float) -> np.ndarray:
     inverse FFT sums them exactly on any grid size.
     The z = 0 cell carries 0; every other offset is at distance >= h and
     carries a positive value.
+
+    The last table built is memoized per (grid, s) and returned read-only;
+    ``periodized_kernel.cache_clear()`` drops it.
     """
     _validate_order(s)
     n, N, L, h = grid.dim, grid.points_per_axis, grid.box_length, grid.spacing
@@ -155,16 +162,14 @@ def periodized_kernel(grid: Grid, s: float) -> np.ndarray:
     K += math.pi ** (0.5 * n) * eta**s / L**n * grid.npoints * series
     K /= math.gamma(0.5 * p)
     K[(0,) * n] = 0.0
-    return K * grid.cell_measure
+    K *= grid.cell_measure
+    K.flags.writeable = False
+    return K
 
 
-def raw_second_difference(
-    f: GridFunction,
-    s: float,
-    points,
-    kernel: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Uncalibrated 1/2 sum_z (2f(x) - f(x+z) - f(x-z)) K(z) h^n at points.
+def raw_second_difference(f: GridFunction, s: float, points) -> np.ndarray:
+    """Uncalibrated 1/2 sum_z (2f(x) - f(x+z) - f(x-z)) K(z) h^n at points,
+    with the memoized kernel of (f.grid, s).
 
     points: tuple of index arrays (one per axis).  Nonpositive at interior
     maxima of even data up to roundoff; multiply by -1 for the orientation
@@ -172,37 +177,32 @@ def raw_second_difference(
     """
     if f.grid.dim > 2:
         raise SingularError("pointwise quadrature supports dim 1 and 2")
-    if kernel is None:
-        kernel = periodized_kernel(f.grid, s)
     if f.grid.dim == 1 and not isinstance(points, tuple):
         points = (points,)
     index = tuple(np.atleast_1d(np.asarray(points[a], dtype=np.int64)) for a in range(f.grid.dim))
-    return _kernels.second_difference_sum(f.values, index, kernel)
+    return _kernels.second_difference_sum(f.values, index, periodized_kernel(f.grid, s))
 
 
-def raw_operator_field(f: GridFunction, s: float, kernel: Optional[np.ndarray] = None) -> GridFunction:
+def raw_operator_field(f: GridFunction, s: float) -> GridFunction:
     """The same raw quadrature at every grid point, via FFT convolution.
 
     raw_second_difference reads the same field at its points: the symmetric
     sum collapses to f * sum(K) - f conv K for symmetric K.
     """
-    if kernel is None:
-        kernel = periodized_kernel(f.grid, s)
-    return GridFunction(f.grid, _kernels.second_difference_field(f.values, kernel))
+    return GridFunction(f.grid, _kernels.second_difference_field(f.values, periodized_kernel(f.grid, s)))
 
 
-def calibrate_cns(grid: Grid, s: float, kernel: Optional[np.ndarray] = None) -> CalibratedConstant:
+def calibrate_cns(grid: Grid, s: float) -> CalibratedConstant:
     """Fix c_{n,s} = spectral / raw on the reference eigenfunction cos(2 pi x_1/L).
 
     Idempotent and grid-deterministic.  Raises when the raw value degenerates.
-    Pass the periodized kernel of (grid, s) as `kernel` to reuse one table.
     """
     _validate_order(s)
     x1 = grid.coords()[0]
     ref = GridFunction(grid, np.cos(2 * np.pi * x1 / grid.box_length))
     spectral = frac_laplacian(ref, s)
     pt = (0,) * grid.dim  # cos == 1 there
-    raw = raw_second_difference(ref, s, tuple(np.array([0]) for _ in range(grid.dim)), kernel)[0]
+    raw = raw_second_difference(ref, s, tuple(np.array([0]) for _ in range(grid.dim)))[0]
     if abs(raw) < 1e-12:
         raise SingularError("degenerate reference: raw quadrature value below 1e-12")
     value = float(spectral.values[pt] / raw)
@@ -217,17 +217,12 @@ def calibrate_cns(grid: Grid, s: float, kernel: Optional[np.ndarray] = None) -> 
     )
 
 
-def frac_lap_pointwise(
-    f: GridFunction,
-    s: float,
-    points,
-    constant: Optional[CalibratedConstant] = None,
-    kernel: Optional[np.ndarray] = None,
-) -> np.ndarray:
+def frac_lap_pointwise(f: GridFunction, s: float, points,
+                       constant: Optional[CalibratedConstant] = None) -> np.ndarray:
     """Calibrated singular-integral fractional Laplacian at grid points."""
     if constant is None:
         raise SingularError("uncalibrated constant: run calibrate_cns first")
-    return constant.value * raw_second_difference(f, s, points, kernel)
+    return constant.value * raw_second_difference(f, s, points)
 
 
 def _masked_pair_data(f_comps, grid: Grid, mask: Optional[DomainMask]):
@@ -262,25 +257,23 @@ def gagliardo_seminorm(f: GridFunction, D: Optional[DomainMask], s: float) -> fl
     return math.sqrt(total) * grid.cell_measure
 
 
-def equivalence_ratio(f: GridFunction, s: float, kernel: Optional[np.ndarray] = None) -> float:
+def equivalence_ratio(f: GridFunction, s: float) -> float:
     """||Lap^s f||_2^2 divided by the raw Gagliardo double sum (exponent n+2s).
 
     f-independence of this ratio is the numerical content of the spectral /
     integral equivalence; the ratio itself plays the role of the unspecified
     normalization constant.  The whole-box double sum uses the exact
     periodized kernel of order 2s (the |z|^(-n-2s) tail is long-range, so a
-    truncated kernel would leak an f-dependent error); pass it as `kernel`
-    to reuse one table across fields.  The sum is evaluated through the
+    truncated kernel would leak an f-dependent error), memoized, so calls
+    on one grid and order share one table.  The sum is evaluated through the
     exact rearrangement  sumsum |f(x)-f(y)|^2 K = 2 <f S - f conv K, f>.
     """
     if not (0 < s < 1):
         raise SingularError(f"equivalence ratio needs s in (0,1), got {s}")
     num = lp_norm(frac_laplacian(f, s), 2) ** 2
-    if kernel is None:
-        kernel = periodized_kernel(f.grid, 2.0 * s)
-    raw = raw_operator_field(f, 2.0 * s, kernel)
+    raw = raw_operator_field(f, 2.0 * s)
     denom = 2.0 * l2_inner(raw, f)
-    floor = 1e-12 * float(np.sum(kernel)) * lp_norm(f, 2) ** 2
+    floor = 1e-12 * float(np.sum(periodized_kernel(f.grid, 2.0 * s))) * lp_norm(f, 2) ** 2
     if denom <= floor:
         raise SingularError("zero seminorm (constant input)")
     return num / denom

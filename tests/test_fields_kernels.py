@@ -249,3 +249,56 @@ def test_second_difference_matches_brute_force(dim, box, seed):
     ref = _second_difference_reference(values, index, kernel)
     got = _kernels.second_difference_sum(values, index, kernel)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+# -- the padded-box path: small balls on large grids, transform length M << N ------
+
+def _ball_points(g, cells, where):
+    """Lattice points within `cells` cells of the grid point with index 0,
+    N/2 or N - 1 on every axis."""
+    N = g.points_per_axis
+    centre = {"origin": 0, "middle": N // 2, "last": N - 1}[where] * g.spacing
+    return np.argwhere(ball_mask(g, np.full(g.dim, centre), (cells + 0.5) * g.spacing).values)
+
+
+@pytest.mark.parametrize("where", ["origin", "middle", "last"])
+@pytest.mark.parametrize("dim,N,cells", [(1, 2048, c) for c in (1, 2, 7, 40)] + [(2, 128, c) for c in (3, 10)])
+def test_box_path_matches_brute_force(dim, N, cells, where):
+    g = Grid(dim, N, 1.0)
+    points = _ball_points(g, cells, where)
+    rng = np.random.default_rng(cells)
+    vals = rng.standard_normal(len(points))
+    h = g.spacing
+
+    ref = _pair_sum_reference(points, vals[:, None], dim + 0.5, g)
+    assert abs(_kernels.pair_sum_sq_diff(points, vals, dim + 0.5, g) - ref) <= 1e-12 * ref
+
+    for rho in (1.5 * h, (cells + 0.5) * h):
+        sum_sq, sums, cnt, abs_sums = _ball_scan_reference(points, vals, rho, g)
+        got_sq, got_sums, got_cnt = _kernels.ball_scan(points, vals, rho, g)
+        assert np.array_equal(got_cnt, cnt)
+        assert np.max(np.abs(got_sq - sum_sq)) <= 1e-12 * np.max(sum_sq)
+        assert np.max(np.abs(got_sums - sums)) <= 1e-12 * np.max(abs_sums)
+
+    edges = h * np.array([0.0, 1.0, 2.5, 7.0, 30.0])
+    assert np.array_equal(_kernels.modulus_scan(points, vals, edges, g),
+                          _modulus_scan_reference(points, vals, edges, g))
+
+
+def test_box_path_transform_length(monkeypatch):
+    # a ball of 683 points on 16384 spans E = 683 cells: M = 2048 >= 2E - 1, not N
+    g = Grid(1, 16384, 1.0)
+    points = _ball_points(g, 341, "middle")
+    assert len(points) == 683
+    shapes = []
+    rfftn = np.fft.rfftn
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return rfftn(a, *args, **kwargs)
+
+    monkeypatch.setattr(_kernels.np.fft, "rfftn", recording)
+    vals = np.random.default_rng(0).standard_normal(len(points))
+    _kernels.pair_sum_sq_diff(points, vals, 1.5, g)
+    _kernels.ball_scan(points, vals, 10 * g.spacing, g)
+    assert shapes == [(2, 2048), (2048,), (3, 2048), (2048,)]

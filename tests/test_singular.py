@@ -25,7 +25,7 @@ from fraclap.singular import (
 @pytest.fixture(scope="module")
 def calib():
     g = Grid(1, 2048, 1.0)
-    return g, calibrate_cns(g, 0.5), periodized_kernel(g, 0.5)
+    return g, calibrate_cns(g, 0.5)
 
 
 def test_kernel_rejects_order_outside_0_2():
@@ -34,25 +34,25 @@ def test_kernel_rejects_order_outside_0_2():
 
 
 def test_calibration_idempotent(calib):
-    g, const, _ = calib
+    g, const = calib
     again = calibrate_cns(g, 0.5)
     assert abs(again.value - const.value) <= 1e-12 * const.value
 
 
 def test_calibrated_constant_positive(calib):
-    _, const, _ = calib
+    _, const = calib
     assert const.value > 0
     with pytest.raises(SingularError):
         CalibratedConstant("bad", -1.0)
 
 
 def test_cross_validation_on_second_harmonic(calib):
-    g, const, kernel = calib
+    g, const = calib
     x = g.coords()[0]
     f = GridFunction(g, np.cos(4 * np.pi * x))
     spectral = frac_laplacian(f, 0.5)
     pts = np.arange(0, g.points_per_axis, 61)
-    vals = frac_lap_pointwise(f, 0.5, (pts,), const, kernel)
+    vals = frac_lap_pointwise(f, 0.5, (pts,), const)
     err = np.max(np.abs(vals - spectral.values[pts])) / np.max(np.abs(spectral.values))
     assert err <= 1e-3
 
@@ -70,37 +70,37 @@ def test_constant_scan_continuous_no_sign_flips():
 
 
 def test_pointwise_constant_input_vanishes(calib):
-    g, const, kernel = calib
+    g, const = calib
     f = GridFunction(g, np.full(g.shape, 3.3))
-    vals = frac_lap_pointwise(f, 0.5, (np.array([0, 7, 100]),), const, kernel)
+    vals = frac_lap_pointwise(f, 0.5, (np.array([0, 7, 100]),), const)
     assert np.max(np.abs(vals)) == 0.0
 
 
 def test_second_difference_sign_structure(calib):
     # at an interior maximum of even data the symmetric second differences are
     # nonpositive, i.e. the first-difference orientation of the raw sum is <= 0
-    g, _, kernel = calib
+    g, _ = calib
     x = g.coords()[0]
     f = GridFunction(g, np.cos(2 * np.pi * (x - 0.5)))
     at_max = np.array([g.points_per_axis // 2])
-    raw_standard = raw_second_difference(f, 0.5, (at_max,), kernel)[0]
+    raw_standard = raw_second_difference(f, 0.5, (at_max,))[0]
     assert -raw_standard <= 0.0
 
 
 def test_pointwise_matches_convolution_field(calib):
-    g, _, kernel = calib
+    g, _ = calib
     f = band_limited_field(g, 8, cutoff=64)
-    field = raw_operator_field(f, 0.5, kernel)
+    field = raw_operator_field(f, 0.5)
     pts = np.arange(0, g.points_per_axis, 97)
-    direct = raw_second_difference(f, 0.5, (pts,), kernel)
+    direct = raw_second_difference(f, 0.5, (pts,))
     assert np.max(np.abs(direct - field.values[pts])) <= 1e-10 * np.max(np.abs(field.values))
 
 
 def test_pointwise_uncalibrated_errors(calib):
-    g, _, kernel = calib
+    g, _ = calib
     f = band_limited_field(g, 0)
     with pytest.raises(SingularError, match="[Uu]ncalibrated"):
-        frac_lap_pointwise(f, 0.5, (np.array([0]),), None, kernel)
+        frac_lap_pointwise(f, 0.5, (np.array([0]),), None)
 
 
 def test_refinement_convergence():
@@ -109,11 +109,10 @@ def test_refinement_convergence():
     for n_pts in (512, 1024, 2048):
         g = Grid(1, n_pts, 1.0)
         const = calibrate_cns(g, 0.5)
-        kernel = periodized_kernel(g, 0.5)
         f = confined_field(g, 4, radius=1 / 6, cutoff=30, envelope=15)
         spectral = frac_laplacian(f, 0.5)
         pts = np.nonzero(ball_mask(g, g.center, 1 / 5).values)[0][::7]
-        vals = frac_lap_pointwise(f, 0.5, (pts,), const, kernel)
+        vals = frac_lap_pointwise(f, 0.5, (pts,), const)
         errs.append(np.max(np.abs(vals - spectral.values[pts])) / np.max(np.abs(spectral.values)))
     assert errs[1] <= errs[0] * 1.1
     assert errs[2] <= errs[1] * 1.1
@@ -261,7 +260,7 @@ def bilinear_form(v, w, s, constant):
 
 
 def test_bilinear_symmetry_and_const(calib):
-    g, const, _ = calib
+    g, const = calib
     v = band_limited_field(g, 6, cutoff=48)
     w = band_limited_field(g, 7, cutoff=48)
     a = bilinear_form(v, w, 0.5, const)
@@ -272,13 +271,13 @@ def test_bilinear_symmetry_and_const(calib):
 
 
 def test_bilinear_positivity(calib):
-    g, const, _ = calib
+    g, const = calib
     v = band_limited_field(g, 9, cutoff=48)
     assert bilinear_form(v, v, 0.5, const) >= -1e-10 * lp_norm(v, 2) ** 2
 
 
 def test_bilinear_matches_spectral_pairing(calib):
-    g, const, _ = calib
+    g, const = calib
     x = g.coords()[0]
     v = GridFunction(g, np.cos(2 * np.pi * x))
     pairing = bilinear_form(v, v, 0.5, const)
@@ -287,7 +286,7 @@ def test_bilinear_matches_spectral_pairing(calib):
 
 
 def test_bilinear_requires_constant(calib):
-    g, _, _ = calib
+    g, _ = calib
     v = band_limited_field(g, 1)
     with pytest.raises(SingularError, match="[Uu]ncalibrated"):
         bilinear_form(v, v, 0.5, None)
@@ -316,3 +315,17 @@ def test_equivalence_ratio_rejects_constants():
     g = Grid(1, 512, 1.0)
     with pytest.raises(SingularError):
         equivalence_ratio(GridFunction(g, np.ones(g.shape)), 0.25)
+
+
+def test_kernel_memo_is_shared_and_read_only():
+    g = Grid(2, 16, 1.0)
+    first = periodized_kernel(g, 0.5)
+    assert periodized_kernel(g, 0.5) is first
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0, 1] = 1.0
+    other = periodized_kernel(g, 0.75)  # a new order rebuilds
+    assert other is not first and not np.array_equal(other, first)
+    periodized_kernel.cache_clear()
+    again = periodized_kernel(g, 0.5)
+    assert again is not first and np.array_equal(again, first)
