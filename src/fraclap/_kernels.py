@@ -25,12 +25,14 @@ them differ by an offset in -(E-1)..E-1.  The pair sum and the ball scan
 convolve on M = min(N, smallest power of two >= 2E - 1) cells per axis, so
 those offsets stay distinct mod M; local index k stands for the offset k
 (k <= M/2) or k - M, weighted at its minimum-image torus distance.  The
-circular convolution on the box thus equals the torus one at every masked
-point (at M = N it is the torus one).  These are real FFTs, exact up to
-roundoff.  The modulus scan gathers the field (NaN off D) once on the box
-widened by the largest offset, with indices mod N, and takes maxima, which
-are exact, over blocks of offsets through sliding windows, one offset per
-pair {m, -m}.
+ball weight vanishes past the largest one-axis offset R closer than rho, so
+the ball scan needs only M >= E + R: an offset |d| <= R < M/2 stays itself,
+and R < |d| < E lands more than R cells from 0.  The circular convolution
+on the box thus equals the torus one at every masked point (at M = N it is
+the torus one).  These are real FFTs, exact up to roundoff.  The modulus scan
+gathers the field (NaN off D) once on the box widened by the largest
+offset, with indices mod N, and takes maxima, which are exact, over blocks
+of offsets through sliding windows, one offset per pair {m, -m}.
 """
 
 from __future__ import annotations
@@ -63,15 +65,16 @@ def _arcs(points, N) -> tuple:
     return np.array(starts), extents
 
 
-def _box_convolutions(points, columns, weight, grid):
+def _box_convolutions(points, columns, weight, grid, reach):
     """columns[:, c] * K read at the points, K(m) = weight(|m h|^2), as
-    circular convolutions on the points' padded box (module docstring)."""
+    circular convolutions on the points' padded box (module docstring);
+    K vanishes wherever some |m_a| > reach."""
     N = grid.points_per_axis
     start, extents = _arcs(points, N)
     local = (points - start) % N
     offsets = []
     for E in extents:
-        M = min(N, 1 << (2 * E - 2).bit_length())
+        M = min(N, 1 << (E + min(E - 1, reach) - 1).bit_length())
         k = np.arange(M)
         offsets.append(np.where(k <= M // 2, k, k - M))
     kernel = weight(_dist2(per_axis(offsets), grid.spacing))
@@ -94,7 +97,7 @@ def pair_sum_sq_diff(points, comps, expo, grid) -> float:
         with np.errstate(divide="ignore"):
             return np.where(d2 > 0, d2 ** (-0.5 * float(expo)), 0.0)
 
-    conv = _box_convolutions(points, np.column_stack([np.ones(len(v)), v]), weight, grid)
+    conv = _box_convolutions(points, np.column_stack([np.ones(len(v)), v]), weight, grid, grid.points_per_axis)
     total = 2.0 * np.sum(v * v * conv[0][:, None]) - 2.0 * np.sum(v.T * conv[1:])
     return max(float(total), 0.0)  # nonnegative; clamp the roundoff of a zero sum
 
@@ -105,7 +108,9 @@ def ball_scan(points, vals, rho, grid):
     points = np.asarray(points)
     v = np.asarray(vals, dtype=np.float64)
     columns = np.column_stack([v * v, v, np.ones_like(v)])
-    sum_sq, sums, cnt = _box_convolutions(points, columns, lambda d2: (d2 < rho * rho) * 1.0, grid)
+    axis_d2 = _dist2([np.arange(grid.points_per_axis // 2 + 1)], grid.spacing)
+    reach = max(0, int(np.count_nonzero(axis_d2 < rho * rho)) - 1)  # the weight's own test
+    sum_sq, sums, cnt = _box_convolutions(points, columns, lambda d2: (d2 < rho * rho) * 1.0, grid, reach)
     return sum_sq, sums, np.rint(cnt)
 
 

@@ -23,7 +23,11 @@ per-axis arrays that broadcast along their own axis (per_axis);
 Grid.support_box gives the per-axis index box of a ball, so a compactly
 supported field is evaluated there alone.
 
-Balls, annuli and all distances are periodic (minimum image).
+Balls, annuli and all distances are periodic (minimum image): per axis,
+(t % L) - L/2 with t = x - c + L/2, bit for bit but without the float
+modulo.  numpy's % is fmod, plus L when the signs differ: on [L, 2L) it is
+t - L, exact (Sterbenz), and on [-L, 0) the rounded t + L, which may be L
+itself, so both ranges are read from the unwrapped t.
 """
 
 from __future__ import annotations
@@ -103,7 +107,18 @@ class Grid:
         if center.shape[0] != self.dim:
             raise GridError(f"center must have {self.dim} components")
         x = self.axis_coords()
-        return per_axis([(x - center[a] + 0.5 * L) % L - 0.5 * L for a in range(self.dim)])
+        out = []
+        for c in center:
+            t = x - c
+            t += 0.5 * L  # nondecreasing in x: the wrap is a prefix and a suffix
+            if -L <= t[0] and t[-1] < 2 * L:  # t % L (module docstring)
+                lo, hi = np.searchsorted(t, [0.0, L])
+                t[hi:] -= L
+                t[:lo] += L
+            else:  # a center far outside the box, or NaN
+                t %= L
+            out.append(np.subtract(t, 0.5 * L, out=t))
+        return per_axis(out)
 
     def support_box(self, center, radius: float) -> tuple:
         """The per-axis index box of grid points with |x_a - center_a| < radius

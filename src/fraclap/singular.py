@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .grid import DomainMask, Grid, GridFunction, l2_inner, lp_norm, per_axis
+from .grid import DomainMask, Grid, GridFunction, lp_norm, per_axis
 from .multipliers import derivative_tensor, frac_laplacian
 
 # Pair sums are exact over every masked point and no longer use these caps;
@@ -71,6 +71,7 @@ _EWALD_ETA_L = 8.0
 _EWALD_CUT = 40.0
 _CF_TERMS = 50
 _SERIES_TERMS = 40
+_GAMMA_CHUNK = 2**14
 
 
 def upper_gamma(a: float, x) -> np.ndarray:
@@ -79,17 +80,22 @@ def upper_gamma(a: float, x) -> np.ndarray:
 
     A power series for x < max(a, 0) + 1.5, a fixed-length modified Lentz
     continued fraction beyond; for a < 0 the series side uses the recurrence
-    Gamma(a, x) = (Gamma(a+1, x) - x^a e^-x) / a.
+    Gamma(a, x) = (Gamma(a+1, x) - x^a e^-x) / a.  A long input goes through
+    in chunks, so the half-dozen temporaries stay small on a whole grid.
     """
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)
+    if x.size > _GAMMA_CHUNK:
+        for i in range(0, x.size, _GAMMA_CHUNK):
+            out.flat[i : i + _GAMMA_CHUNK] = upper_gamma(a, x.flat[i : i + _GAMMA_CHUNK])
+        return out
     big = x >= max(a, 0.0) + 1.5
     xb = x[big]
     b = xb + (1.0 - a)
     c = np.full_like(xb, 1e300)
     d = 1.0 / b
     cf = d.copy()
-    for i in range(1, _CF_TERMS):  # in place: these arrays span the whole grid
+    for i in range(1, _CF_TERMS):  # in place
         an = -i * (i - a)
         b += 2.0
         d *= an
@@ -265,15 +271,24 @@ def equivalence_ratio(f: GridFunction, s: float) -> float:
     normalization constant.  The whole-box double sum uses the exact
     periodized kernel of order 2s (the |z|^(-n-2s) tail is long-range, so a
     truncated kernel would leak an f-dependent error), memoized, so calls
-    on one grid and order share one table.  The sum is evaluated through the
-    exact rearrangement  sumsum |f(x)-f(y)|^2 K = 2 <f S - f conv K, f>.
+    on one grid and order share one table.  By Parseval, with F = rfftn(f - f(0))
+    summed over the full lattice (interior half-lattice columns twice),
+    S = sum(K) and the real K^ = rfftn(K) of the even K:
+
+        ||Lap^s f||^2 = h^n N^-n sum |F|^2 |xi|^(2s),
+        sumsum |f(x)-f(y)|^2 K = 2 <f S - f conv K, f> = 2 h^n N^-n sum |F|^2 (S - K^).
     """
     if not (0 < s < 1):
         raise SingularError(f"equivalence ratio needs s in (0,1), got {s}")
-    num = lp_norm(frac_laplacian(f, s), 2) ** 2
-    raw = raw_operator_field(f, 2.0 * s)
-    denom = 2.0 * l2_inner(raw, f)
-    floor = 1e-12 * float(np.sum(periodized_kernel(f.grid, 2.0 * s))) * lp_norm(f, 2) ** 2
-    if denom <= floor:
+    grid, N = f.grid, f.grid.points_per_axis
+    kernel = periodized_kernel(grid, 2.0 * s)  # before f's transform: a cold build peaks alone
+    total = float(np.sum(kernel))
+    weight = 2.0 * (total - np.fft.rfftn(kernel).real)
+    power = np.abs(np.fft.rfftn(f.values - f.values.flat[0]))
+    power *= power
+    power[..., 1 : N // 2] *= 2.0
+    num = float(np.sum(power * grid.frequency_magnitude()[..., : N // 2 + 1] ** (2.0 * s)))
+    denom = float(np.sum(power * weight))
+    if denom * grid.cell_measure / grid.npoints <= 1e-12 * total * lp_norm(f, 2) ** 2:
         raise SingularError("zero seminorm (constant input)")
     return num / denom

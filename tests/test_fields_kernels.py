@@ -286,7 +286,9 @@ def test_box_path_matches_brute_force(dim, N, cells, where):
 
 
 def test_box_path_transform_length(monkeypatch):
-    # a ball of 683 points on 16384 spans E = 683 cells: M = 2048 >= 2E - 1, not N
+    # a ball of 683 points on 16384 spans E = 683 cells: the pair sum convolves on
+    # M = 2048 >= 2E - 1, not N; at rho = 10h the ball weight keeps one-axis
+    # offsets up to R = 9, so the ball scan needs only M = 1024 >= E + R
     g = Grid(1, 16384, 1.0)
     points = _ball_points(g, 341, "middle")
     assert len(points) == 683
@@ -301,4 +303,36 @@ def test_box_path_transform_length(monkeypatch):
     vals = np.random.default_rng(0).standard_normal(len(points))
     _kernels.pair_sum_sq_diff(points, vals, 1.5, g)
     _kernels.ball_scan(points, vals, 10 * g.spacing, g)
-    assert shapes == [(2, 2048), (2048,), (3, 2048), (2048,)]
+    assert shapes == [(2, 2048), (2048,), (3, 1024), (1024,)]
+
+
+@pytest.mark.parametrize("dim,N,arc,reach,length", [
+    (1, 4096, (100,), 28, (128,)),  # E + R = 128, the shortest exact length
+    (1, 4096, (100,), 29, (256,)),  # E + R = 129
+    (1, 4096, (100,), 99, (256,)),  # R >= E - 1: 2E - 1, as for the pair sum
+    (2, 64, (20, 7), 11, (32, 16)),  # per axis: E + R = 31, then 2E - 1 = 13
+])
+def test_ball_scan_transform_reaches_the_weight(monkeypatch, dim, N, arc, reach, length):
+    # scattered points on an arc that wraps the boundary, both ends kept, so
+    # every offset -(E-1)..E-1 occurs; rho keeps one-axis offsets up to R
+    g = Grid(dim, N, 1.0)
+    rng = np.random.default_rng(reach)
+    box = np.argwhere(rng.random(arc) < 0.5)
+    box = np.unique(np.vstack([box, np.zeros(dim, int), np.array(arc) - 1]), axis=0)
+    points = (box + (N - arc[0] // 2)) % N
+    vals = rng.standard_normal(len(points))
+    rho = (reach + 0.5) * g.spacing
+    shapes = []
+    rfftn = np.fft.rfftn
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return rfftn(a, *args, **kwargs)
+
+    monkeypatch.setattr(_kernels.np.fft, "rfftn", recording)
+    got_sq, got_sums, got_cnt = _kernels.ball_scan(points, vals, rho, g)
+    assert shapes == [(3, *length), length]
+    sum_sq, sums, cnt, abs_sums = _ball_scan_reference(points, vals, rho, g)
+    assert np.array_equal(got_cnt, cnt)
+    assert np.max(np.abs(got_sq - sum_sq)) <= 1e-12 * np.max(sum_sq)
+    assert np.max(np.abs(got_sums - sums)) <= 1e-12 * np.max(abs_sums)

@@ -119,6 +119,37 @@ def test_ball_mask_is_exact_periodic_distance():
     assert mask.values[0]  # point at x=0 is within 0.05 < r
 
 
+def _wrap_centers(L, h, seed):
+    rng = np.random.default_rng(seed)
+    fixed = [0.0, L - h, L, -L, 2 * L, 7 * L, -7 * L, -h / 3, 2 * L - h, 0.5 * h]
+    return fixed + list(rng.uniform(-2 * L, 3 * L, 6)) + list(rng.uniform(0, L, 6))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("L", [1.0, 0.7, 3.0, 1e-3])
+def test_axis_displacements_match_float_modulo_bitwise(dim, L):
+    for N in (8, 16, 64):
+        g = Grid(dim, N, L)
+        x = g.axis_coords()
+        for c in _wrap_centers(L, g.spacing, N + dim):
+            center = [c, -c, c + 0.5 * L][:dim]
+            for d, ca in zip(g._axis_displacements(center), center):
+                assert d.ravel().tobytes() == ((x - ca + 0.5 * L) % L - 0.5 * L).tobytes()
+
+
+def test_axis_displacements_wrap_a_rounded_element_once():
+    # at c = L - h the point x_7 has t = x - c + L/2 = -5.6e-17, and t + L
+    # rounds to L itself; wrapped a second time it would read -L/2, not L/2
+    g = Grid(3, 16, 0.7)
+    L, c = g.box_length, g.box_length - g.spacing
+    t = g.axis_coords() - c + 0.5 * L
+    assert t[7] < 0 and t[7] + L == L
+    ref = (t % L - 0.5 * L).tobytes()
+    disp = g._axis_displacements([c] * 3)
+    assert all(d.ravel().tobytes() == ref for d in disp)
+    assert disp[0].ravel()[7] == 0.5 * L
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_periodic_geometry_matches_meshgrid_bitwise(dim):
     g = Grid(dim, 16, 3.0)

@@ -9,6 +9,7 @@ from fraclap.fields import band_limited_field, confined_field
 from fraclap.grid import Grid, GridFunction, ball_mask, l2_inner, lp_norm
 from fraclap.multipliers import frac_laplacian
 from fraclap.singular import (
+    _GAMMA_CHUNK,
     CalibratedConstant,
     SingularError,
     calibrate_cns,
@@ -135,6 +136,16 @@ def test_upper_gamma_negative_order_matches_mpmath(a):
     mpmath = pytest.importorskip("mpmath")
     ref = np.array([float(mpmath.gammainc(a, x)) for x in GAMMA_X])
     assert np.max(np.abs(upper_gamma(a, GAMMA_X) / ref - 1)) <= 1e-12
+
+
+def test_upper_gamma_is_elementwise_across_chunks():
+    # longer than one chunk, and evaluated again in pieces that cut it elsewhere
+    x = np.random.default_rng(0).uniform(1e-3, 45.0, 3 * _GAMMA_CHUNK + 17)
+    for a in (-0.5, 0.75, 2.2):
+        whole = upper_gamma(a, x)
+        pieces = np.concatenate([upper_gamma(a, x[i : i + 1000]) for i in range(0, x.size, 1000)])
+        assert whole.tobytes() == pieces.tobytes()
+        assert upper_gamma(a, x.reshape(-1, 1)).shape == (x.size, 1)
 
 
 def test_package_import_does_not_load_scipy():
@@ -315,6 +326,23 @@ def test_equivalence_ratio_rejects_constants():
     g = Grid(1, 512, 1.0)
     with pytest.raises(SingularError):
         equivalence_ratio(GridFunction(g, np.ones(g.shape)), 0.25)
+    with pytest.raises(SingularError, match="constant"):
+        equivalence_ratio(GridFunction(Grid(2, 32, 3.0), np.full((32, 32), -2.5)), 0.75)
+
+
+@pytest.mark.parametrize("dim,N", [(1, 2048), (2, 64)])
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+def test_equivalence_ratio_matches_field_form(dim, N, s):
+    # the field form: the spectral norm and the raw double sum built as grid
+    # functions, against the Parseval form from one transform of f
+    g = Grid(dim, N, 1.0)
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        f = confined_field(g, seed, radius=1 / 6, cutoff=N // 8, envelope=N // 16)
+        for field in (f, GridFunction(g, rng.standard_normal(g.shape) + 3.0)):
+            num = lp_norm(frac_laplacian(field, s), 2) ** 2
+            ref = num / (2.0 * l2_inner(raw_operator_field(field, 2.0 * s), field))
+            assert abs(equivalence_ratio(field, s) / ref - 1) <= 1e-13
 
 
 def test_kernel_memo_is_shared_and_read_only():
