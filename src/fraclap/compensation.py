@@ -92,6 +92,21 @@ def _commutator_from(
 
 # -- elementary defect inequalities -----------------------------------------
 
+DEFECT_SUP = 2.0
+"""Sup of defect_ratio for p in (0, 1], in every dim: the sharp C in
+| |x-xi|^p - |xi|^p - |x|^p | <= C |x|^(p/2) |xi|^(p/2).
+
+Write a = |x|^(p/2), b = |xi|^(p/2).  Subadditivity of t -> t^p (p <= 1)
+gives |a^2 - b^2| <= |x-xi|^p <= a^2 + b^2, so the defect
+a^2 + b^2 - |x-xi|^p lies in [0, 2 min(a, b)^2], a subset of [0, 2ab].
+Equality holds at x = xi, where |x-xi|^p = 0 and a = b.
+"""
+
+# roundoff allowance on DEFECT_SUP for defect_ratio in float64: 4 ulp of 2
+# (defect_ratio(xi, xi, p) reaches 2 + 2 ulp)
+DEFECT_ROUNDOFF = 4 * float(np.spacing(DEFECT_SUP))
+
+
 def defect_ratio(x: np.ndarray, xi: np.ndarray, p: float) -> np.ndarray:
     """| |x-xi|^p - |xi|^p - |x|^p | over the compensation majorant.
 
@@ -124,22 +139,6 @@ def defect_scan(dim: int, p: float, samples: int = 1_000_000, seed: int = 0) -> 
     xi /= np.linalg.norm(xi, axis=1, keepdims=True)
     ratios = defect_ratio(x, xi, p)
     return {"sup": float(np.max(ratios)), "samples": samples, "p": p}
-
-
-def triangle_defect_scan(
-    dim: int, p: float, samples: int = 1_000_000, seed: int = 0
-) -> dict:
-    """Sup of ||x-y|^p - |y|^p| / |x|^p over seeded samples, p in (0,1)."""
-    if not (0 < p < 1):
-        raise CompensationError("triangle variant needs p in (0,1)")
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((samples, dim))
-    x /= np.linalg.norm(x, axis=1, keepdims=True)
-    y = rng.standard_normal((samples, dim))
-    y /= np.linalg.norm(y, axis=1, keepdims=True)
-    y *= np.exp(rng.uniform(np.log(1e-3), np.log(1e3), size=samples))[:, None]
-    num = np.abs(np.linalg.norm(x - y, axis=1) ** p - np.linalg.norm(y, axis=1) ** p)
-    return {"sup": float(np.max(num)), "samples": samples, "p": p}
 
 
 # -- Fourier-side domination --------------------------------------------------

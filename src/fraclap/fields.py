@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import Grid, GridFunction, ball_mask, per_axis
+from .grid import DomainMask, Grid, GridFunction, per_axis
 from .cutoffs import base_profile_values
 from .multipliers import derivative
 
@@ -33,10 +33,11 @@ def band_limited_field(
     W = np.fft.fftn(rng.standard_normal(grid.shape), out=np.empty(grid.shape, complex))
     m = np.fft.fftfreq(grid.points_per_axis) * grid.points_per_axis  # integer modes
     mag = np.sqrt(sum(x**2 for x in per_axis([m] * grid.dim)))
-    W[mag > cutoff] = 0.0
-    if envelope is not None:
-        W *= np.exp(-((mag / envelope) ** 2))
-    del mag
+    keep = mag <= cutoff
+    W[~keep] = 0.0
+    if envelope is not None:  # only on kept modes: the rest are already 0
+        W[keep] *= np.exp(-((mag[keep] / envelope) ** 2))
+    del mag, keep
     W[(0,) * grid.dim] = 0.0
     vals = np.fft.ifftn(W, out=W).real
     norm = np.sqrt(np.sum(vals**2) * grid.cell_measure)
@@ -105,7 +106,7 @@ def confined_field(
     norm = np.sqrt(np.sum(vals**2) * grid.cell_measure)
     if norm == 0:
         raise ValueError("degenerate confined field")
-    return GridFunction(grid, vals / norm, ball_mask(grid, center, radius))
+    return GridFunction(grid, vals / norm, DomainMask(grid, rho < radius))
 
 
 def moment_free_bump(grid: Grid, radius: float) -> GridFunction:

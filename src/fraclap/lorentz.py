@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, GridError, GridFunction, lp_norm
+from .grid import Grid, GridFunction
 
 
 class LorentzError(ValueError):
@@ -152,41 +152,3 @@ def weighted_power_profile(grid: Grid, lam: float, cap: float) -> RearrangementP
     with np.errstate(divide="ignore"):
         vals = np.minimum(rho**-lam, cap)
     return profile_from_values(vals, grid.cell_measure)
-
-
-def periodic_convolution(f: GridFunction, g: GridFunction) -> GridFunction:
-    """f * g on the torus via the spectral core (h^dim-weighted)."""
-    if f.grid != g.grid:
-        raise GridError("grids differ")
-    F = np.fft.fftn(f.values) * np.fft.fftn(g.values)
-    return GridFunction(f.grid, (np.fft.ifftn(F) * f.grid.cell_measure).real)
-
-
-def holder_product_ratio(f, g, p1, q1, p2, q2) -> float:
-    """||fg||_{p,q} / (||f||_{p1,q1} ||g||_{p2,q2}) for the Hoelder exponents."""
-    p = 1.0 / (1.0 / p1 + 1.0 / p2)
-    q = 1.0 / (1.0 / q1 + 1.0 / q2) if not (math.isinf(q1) and math.isinf(q2)) else math.inf
-    denom = lorentz_norm(f, p1, q1) * lorentz_norm(g, p2, q2)
-    if denom == 0:
-        raise LorentzError("degenerate factors")
-    return lorentz_norm(f * g, p, q) / denom
-
-
-def compact_support_ratio(f: GridFunction, measure: float, p, q, p1) -> float:
-    """||f||_{p,q} / (|D|^(1/p - 1/p1) ||f||_{p1}) for supported f."""
-    denom = measure ** (1.0 / p - 1.0 / p1) * lp_norm(f, p1)
-    if denom == 0:
-        raise LorentzError("degenerate input")
-    return lorentz_norm(f, p, q) / denom
-
-
-def oneil_convolution_ratio(f, g, p1, q1, p2, q2) -> float:
-    """||f*g||_{p,q} / (||f||_{p1,q1} ||g||_{p2,q2}), 1/p = 1/p1 + 1/p2 - 1."""
-    p = 1.0 / (1.0 / p1 + 1.0 / p2 - 1.0)
-    if p <= 0:
-        raise LorentzError("O'Neil exponents need 1/p1 + 1/p2 > 1")
-    q = 1.0 / (1.0 / q1 + 1.0 / q2) if not (math.isinf(q1) and math.isinf(q2)) else math.inf
-    denom = lorentz_norm(f, p1, q1) * lorentz_norm(g, p2, q2)
-    if denom == 0:
-        raise LorentzError("degenerate factors")
-    return lorentz_norm(periodic_convolution(f, g), p, q) / denom

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fraclap.cli import REGISTRY, RUN_OPTIONS, calibrate_suite, experiment, main, split_seed_regression
+from fraclap.compensation import DEFECT_ROUNDOFF, DEFECT_SUP
 from fraclap.grid import Grid
 from fraclap.reporting import SLACK, Report, ReportError, load_constants, regression_bound, write_constants
 from fraclap.solve import SolveError
@@ -190,8 +191,31 @@ def test_constants_mode_records_every_bound_it_reads(tmp_path):
     out = tmp_path / "reports"
     assert main(["run", "compensation", "--constants", str(path), "--out", str(out)]) == 0
     report = json.loads((out / "compensation.json").read_text())
-    names = ("compensation/h_l2", "compensation/defect_p0.5")
-    assert report["constants_used"] == [{"name": n, "bound": regression_bound(payload, n)} for n in names]
+    name = "compensation/h_l2"
+    assert report["constants_used"] == [{"name": name, "bound": regression_bound(payload, name)}]
+
+
+def test_calibrate_writes_exactly_what_compensation_reads(tmp_path):
+    path = tmp_path / "constants.json"
+    assert main(["calibrate", "compensation", "--out", str(path)]) == 0
+    written = json.loads(path.read_text())["constants"]
+    assert main(["run", "compensation", "--constants", str(path), "--out", str(tmp_path / "reports")]) == 0
+    report = json.loads((tmp_path / "reports" / "compensation.json").read_text())
+    assert sorted(written) == sorted(used["name"] for used in report["constants_used"]) == ["compensation/h_l2"]
+    # the defect bound is the exact sup, the same with or without a constants file
+    bounds = _regression_bounds(tmp_path / "reports")
+    assert bounds["defect_regression"] == DEFECT_SUP + DEFECT_ROUNDOFF
+
+
+@pytest.mark.parametrize("suite", ["lorentz", "all"])
+def test_calibrate_refuses_other_suites(tmp_path, suite):
+    path = tmp_path / "constants.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["calibrate", suite, "--out", str(path)])
+    assert exc.value.code == 2
+    assert not path.exists()
+    with pytest.raises(ReportError, match="unknown calibration suite"):
+        calibrate_suite(suite, 0, str(path))
 
 
 def _synthetic_sample(calls):

@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fraclap.compensation import (
+    DEFECT_ROUNDOFF,
+    DEFECT_SUP,
     CompensationError,
     SphereValuedMap,
     commutator_H,
@@ -13,7 +15,6 @@ from fraclap.compensation import (
     h_norm_ratio,
     mode_convolution,
     structure_identity_residual,
-    triangle_defect_scan,
 )
 from fraclap.cutoffs import build_family, evaluate
 from fraclap.fields import band_limited_field, sphere_valued_map
@@ -102,11 +103,20 @@ def test_defect_scan_finite_and_regresses():
     assert fresh <= cal * 1.01
 
 
-def test_triangle_defect_scan():
-    out = triangle_defect_scan(2, 0.5, samples=50000, seed=1)
-    assert np.isfinite(out["sup"]) and out["sup"] <= 2.0 + 1e-12
-    with pytest.raises(CompensationError):
-        triangle_defect_scan(1, 1.5)
+def test_defect_sup_is_attained_on_the_diagonal():
+    # equality case of the proof: x = xi gives 2 |xi|^p / |xi|^p = DEFECT_SUP
+    rng = np.random.default_rng(3)
+    for dim in (1, 2, 3):
+        xi = rng.standard_normal((2000, dim)) * np.exp(rng.uniform(-10, 10, size=(2000, 1)))
+        for p in (0.25, 0.5, 1.0):
+            ratios = defect_ratio(xi, xi, p)
+            assert np.max(np.abs(ratios - DEFECT_SUP)) <= DEFECT_ROUNDOFF, (dim, p)
+
+
+def test_defect_scan_stays_within_exact_sup():
+    # the fresh draws of the compensation experiment at seeds 0-19
+    for seed in range(1000, 1020):
+        assert defect_scan(1, 0.5, samples=200000, seed=seed)["sup"] <= DEFECT_SUP + DEFECT_ROUNDOFF
 
 
 # -- Fourier domination -----------------------------------------------------------

@@ -51,14 +51,17 @@ def _meshgrid_band_limited_values(grid, seed, cutoff, envelope):
 
 def test_band_limited_field_matches_meshgrid_reference():
     # per-axis mode arrays give the same |m| at every lattice point, and the
-    # in-place cutoff, envelope and ifftn the same values as np.where and
-    # fresh arrays, bit for bit
-    for dim, n_pts in ((1, 256), (2, 32), (3, 16)):
+    # in-place cutoff, the envelope taken on kept modes only and ifftn the
+    # same values as np.where, the envelope on the whole lattice and fresh
+    # arrays, bit for bit
+    for dim, n_pts in ((1, 256), (1, 2048), (2, 32), (2, 64), (3, 16)):
         g = Grid(dim, n_pts, 2.0)
-        for cutoff, envelope in ((n_pts / 8, n_pts / 16), (n_pts / 8, None), (n_pts / 4, None)):
-            got = band_limited_field(g, 5, cutoff=cutoff, envelope=envelope).values
-            ref = _meshgrid_band_limited_values(g, 5, cutoff, envelope)
-            assert got.tobytes() == ref.tobytes(), (dim, cutoff, envelope)
+        for cutoff, envelope in ((n_pts / 8, n_pts / 16), (n_pts / 16, n_pts / 32), (n_pts / 8, None),
+                                 (n_pts / 4, None)):
+            for seed in (0, 5, 11):
+                got = band_limited_field(g, seed, cutoff=cutoff, envelope=envelope).values
+                ref = _meshgrid_band_limited_values(g, seed, cutoff, envelope)
+                assert got.tobytes() == ref.tobytes(), (dim, n_pts, cutoff, envelope, seed)
 
 
 def test_band_limited_field_peak_memory(traced_peak):
@@ -76,6 +79,12 @@ def test_confined_field_support():
     assert f.support is not None
     outside = ~f.support.values
     assert np.max(np.abs(f.values[outside])) <= 1e-14 * np.max(np.abs(f.values))
+    # the support is the ball of the window's radius, taken from its distances
+    for dim, n_pts in ((1, 1024), (1, 65536), (2, 64)):
+        g = Grid(dim, n_pts, 1.0)
+        for radius in (1 / 6, 1 / 64):
+            f = confined_field(g, 3, radius=radius)
+            assert np.array_equal(f.support.values, ball_mask(g, g.center, radius).values)
 
 
 def test_moment_free_bump_moments():
