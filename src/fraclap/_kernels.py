@@ -29,13 +29,18 @@ ball weight vanishes past the largest one-axis offset R closer than rho, so
 the ball scan needs only M >= E + R: an offset |d| <= R < M/2 stays itself,
 and R < |d| < E lands more than R cells from 0.  The circular convolution
 on the box thus equals the torus one at every masked point (at M = N it is
-the torus one).  These are real FFTs, exact up to roundoff.  The modulus scan
+the torus one).  These are real FFTs, exact up to roundoff.  The kernel
+depends on (grid, box shape, weight) alone and is one of few in a run, so
+its rfftn comes from a small bounded memo and only the fields are
+transformed per call.  The modulus scan
 gathers the field (NaN off D) once on the box widened by the largest
 offset, with indices mod N, and takes maxima, which are exact, over blocks
 of offsets through sliding windows, one offset per pair {m, -m}.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -65,24 +70,42 @@ def _arcs(points, N) -> tuple:
     return np.array(starts), extents
 
 
+@functools.lru_cache(maxsize=32)  # a direct-sum study uses under 30 kernels
+def _kernel_spectrum(grid, shape, weight) -> np.ndarray:
+    """rfftn of the pair weight K on a box of the given shape, local index k
+    standing for the offset k (k <= M/2) or k - M: K(m) = |m h|^-expo with
+    K(0) = 0 for weight ("power", expo), 1{|m h| < rho} for ("ball", rho).
+    Memoized per (grid, shape, weight) and returned read-only;
+    ``_kernel_spectrum.cache_clear()`` drops the memo."""
+    offsets = []
+    for M in shape:
+        k = np.arange(M)
+        offsets.append(np.where(k <= M // 2, k, k - M))
+    d2 = _dist2(per_axis(offsets), grid.spacing)
+    kind, param = weight
+    if kind == "ball":
+        kernel = (d2 < param * param) * 1.0
+    else:
+        with np.errstate(divide="ignore"):
+            kernel = np.where(d2 > 0, d2 ** (-0.5 * param), 0.0)
+    spectrum = np.fft.rfftn(kernel)
+    spectrum.flags.writeable = False
+    return spectrum
+
+
 def _box_convolutions(points, columns, weight, grid, reach):
-    """columns[:, c] * K read at the points, K(m) = weight(|m h|^2), as
+    """columns[:, c] * K read at the points, K as in _kernel_spectrum, as
     circular convolutions on the points' padded box (module docstring);
     K vanishes wherever some |m_a| > reach."""
     N = grid.points_per_axis
     start, extents = _arcs(points, N)
     local = (points - start) % N
-    offsets = []
-    for E in extents:
-        M = min(N, 1 << (E + min(E - 1, reach) - 1).bit_length())
-        k = np.arange(M)
-        offsets.append(np.where(k <= M // 2, k, k - M))
-    kernel = weight(_dist2(per_axis(offsets), grid.spacing))
-    fields = np.zeros((columns.shape[1], *kernel.shape))
+    shape = tuple(min(N, 1 << (E + min(E - 1, reach) - 1).bit_length()) for E in extents)
+    fields = np.zeros((columns.shape[1], *shape))
     fields[(slice(None), *local.T)] = columns.T
-    axes = tuple(range(1, kernel.ndim + 1))
+    axes = tuple(range(1, len(shape) + 1))
     conv = np.fft.irfftn(
-        np.fft.rfftn(fields, axes=axes) * np.fft.rfftn(kernel), s=kernel.shape, axes=axes
+        np.fft.rfftn(fields, axes=axes) * _kernel_spectrum(grid, shape, weight), s=shape, axes=axes
     )
     return conv[(slice(None), *local.T)]
 
@@ -92,12 +115,8 @@ def pair_sum_sq_diff(points, comps, expo, grid) -> float:
     points = np.asarray(points)
     v = np.asarray(comps, dtype=np.float64).reshape(points.shape[0], -1)
     v = v - v.mean(axis=0)
-
-    def weight(d2):
-        with np.errstate(divide="ignore"):
-            return np.where(d2 > 0, d2 ** (-0.5 * float(expo)), 0.0)
-
-    conv = _box_convolutions(points, np.column_stack([np.ones(len(v)), v]), weight, grid, grid.points_per_axis)
+    columns = np.column_stack([np.ones(len(v)), v])
+    conv = _box_convolutions(points, columns, ("power", float(expo)), grid, grid.points_per_axis)
     total = 2.0 * np.sum(v * v * conv[0][:, None]) - 2.0 * np.sum(v.T * conv[1:])
     return max(float(total), 0.0)  # nonnegative; clamp the roundoff of a zero sum
 
@@ -110,7 +129,7 @@ def ball_scan(points, vals, rho, grid):
     columns = np.column_stack([v * v, v, np.ones_like(v)])
     axis_d2 = _dist2([np.arange(grid.points_per_axis // 2 + 1)], grid.spacing)
     reach = max(0, int(np.count_nonzero(axis_d2 < rho * rho)) - 1)  # the weight's own test
-    sum_sq, sums, cnt = _box_convolutions(points, columns, lambda d2: (d2 < rho * rho) * 1.0, grid, reach)
+    sum_sq, sums, cnt = _box_convolutions(points, columns, ("ball", float(rho)), grid, reach)
     return sum_sq, sums, np.rint(cnt)
 
 

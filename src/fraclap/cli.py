@@ -333,7 +333,7 @@ def _h_ratio_sample(g, seed) -> dict:
     cut = g.points_per_axis / 8
     u = band_limited_field(g, seed, cutoff=cut)
     v = band_limited_field(g, seed + 1, cutoff=cut)
-    return {"h_l2": max(h_norm_ratio(u, v)["l2"], h_norm_ratio(u, u)["l2"])}
+    return {"h_l2": max(h_norm_ratio(u, v), h_norm_ratio(u, u))}
 
 
 @experiment("compensation", dim=1, grid=512, box=1.0, constants=None)

@@ -15,14 +15,12 @@ discrete operations once |u| = 1 everywhere.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .grid import Grid, GridError, GridFunction, lp_norm, spectral_mass_fraction_above, transform_forward
-from .lorentz import lorentz_norm_profile, profile_from_values
 from .multipliers import frac_laplacian
 
 ALIAS_GUARD_FRACTION = 1e-8
@@ -196,15 +194,8 @@ def fourier_domination_check(u: GridFunction, v: GridFunction) -> dict:
     return {"max_ratio": float(np.max(ratios)), "points": int(sel.sum())}
 
 
-def h_norm_ratio(u: GridFunction, v: GridFunction) -> dict:
-    """The three compensation ratio families for H(u,v).
-
-    l2: ||H||_2 / (||Lap^{n/2}u||_2 ||Lap^{n/2}v||_2);
-    lorentz21: ||H^||_{2,1} over the same product;
-    weak_factor: ||H||_2 / (||(Lap^{n/2}u)^||_{2,inf} ||Lap^{n/2}v||_2).
-    """
-    grid = u.grid
-    n = grid.dim
+def h_norm_ratio(u: GridFunction, v: GridFunction) -> float:
+    """||H(u,v)||_2 / (||Lap^{n/2}u||_2 ||Lap^{n/2}v||_2)."""
     s = _checked_order(u, v, None, guard=True)
     lap_u = frac_laplacian(u, s)
     lap_v = frac_laplacian(v, s)
@@ -212,15 +203,7 @@ def h_norm_ratio(u: GridFunction, v: GridFunction) -> dict:
     nu, nv = lp_norm(lap_u, 2), lp_norm(lap_v, 2)
     if nu == 0 or nv == 0:
         raise CompensationError("zero energy denominators")
-    cell = grid.box_length ** (-grid.dim)
-    H_prof = profile_from_values(np.abs(transform_forward(H)), cell)
-    u_prof = profile_from_values(np.abs(transform_forward(lap_u)), cell)
-    weak_u = lorentz_norm_profile(u_prof, 2.0, math.inf)
-    return {
-        "l2": lp_norm(H, 2) / (nu * nv),
-        "lorentz21": lorentz_norm_profile(H_prof, 2.0, 1.0) / (nu * nv),
-        "weak_factor": lp_norm(H, 2) / (weak_u * nv) if weak_u > 0 else 0.0,
-    }
+    return lp_norm(H, 2) / (nu * nv)
 
 
 def structure_identity_residual(u: SphereValuedMap, eta: GridFunction) -> dict:

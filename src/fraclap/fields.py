@@ -4,6 +4,8 @@ One documented family underlies every calibrated constant: band-limited
 Gaussian fields (hard spectral cutoff at N/8 unless stated, unit L^2 norm),
 optionally confined to the central third of the box by the smooth base bump.
 Everything is deterministic given (grid, seed).
+Spectra are cut and weighted on the rfftn half lattice, and windows and
+bumps are evaluated only on the box their support can reach (support_box).
 """
 
 from __future__ import annotations
@@ -26,20 +28,25 @@ def band_limited_field(
 
     envelope, when given, multiplies coefficients by exp(-(|m|/envelope)^2)
     for a smoother family (used where quadrature floors must stay small).
+    Drawn on the rfftn half lattice: the full complex lattice gives the
+    same field to ~1e-15 of max|f|.
     """
     if cutoff is None:
         cutoff = grid.points_per_axis / 8
+    N = grid.points_per_axis
     rng = np.random.default_rng(seed)
-    W = np.fft.fftn(rng.standard_normal(grid.shape), out=np.empty(grid.shape, complex))
-    m = np.fft.fftfreq(grid.points_per_axis) * grid.points_per_axis  # integer modes
-    mag = np.sqrt(sum(x**2 for x in per_axis([m] * grid.dim)))
+    W = np.fft.rfftn(rng.standard_normal(grid.shape))
+    # integer modes per axis; the half lattice's last axis holds 0..N/2
+    modes = [np.fft.fftfreq(N) * N for _ in range(grid.dim - 1)] + [np.arange(N // 2 + 1.0)]
+    mag = np.sqrt(sum(x**2 for x in per_axis(modes)))
     keep = mag <= cutoff
     W[~keep] = 0.0
     if envelope is not None:  # only on kept modes: the rest are already 0
         W[keep] *= np.exp(-((mag[keep] / envelope) ** 2))
     del mag, keep
     W[(0,) * grid.dim] = 0.0
-    vals = np.fft.ifftn(W, out=W).real
+    vals = np.fft.irfftn(W, s=grid.shape, axes=tuple(range(grid.dim)))
+    del W
     norm = np.sqrt(np.sum(vals**2) * grid.cell_measure)
     if norm == 0:
         raise ValueError("degenerate field (seed produced zero spectrum)")
@@ -95,18 +102,31 @@ def confined_field(
     mean_zero: bool = False,
 ) -> GridFunction:
     """Band-limited field times the smooth bump window about the box center:
-    compact support with rapidly decaying spectrum.  Normalized to unit L^2."""
-    center = grid.center
+    compact support with rapidly decaying spectrum.  Normalized to unit L^2.
+
+    The window and the support mask (the ball of the given radius) are
+    evaluated on the support box alone, where the window can be nonzero; the
+    mean and norm sums still run over the whole grid, in its order.
+    """
     f = band_limited_field(grid, seed, cutoff=cutoff, envelope=envelope)
-    rho = grid.periodic_distance(center)
+    box, disp = grid.support_box(grid.center, radius)
+    rho = np.sqrt(sum(d * d for d in disp))
     window = base_profile_values(2.0 * rho / radius)
-    vals = f.values * window
+    vals = np.zeros(grid.shape)
+    if mean_zero:  # the window summed over the whole grid, in its order
+        vals[box] = window
+        window_sum = np.sum(vals)
+    vals[box] = f.values[box] * window
+    del f
     if mean_zero:
-        vals = vals - window * (np.sum(vals) / max(np.sum(window), 1e-300))
+        vals[box] -= window * (np.sum(vals) / max(window_sum, 1e-300))
     norm = np.sqrt(np.sum(vals**2) * grid.cell_measure)
     if norm == 0:
         raise ValueError("degenerate confined field")
-    return GridFunction(grid, vals / norm, DomainMask(grid, rho < radius))
+    vals /= norm
+    support = np.zeros(grid.shape, dtype=bool)
+    support[box] = rho < radius
+    return GridFunction(grid, vals, DomainMask(grid, support))
 
 
 def moment_free_bump(grid: Grid, radius: float) -> GridFunction:

@@ -263,6 +263,20 @@ def gagliardo_seminorm(f: GridFunction, D: Optional[DomainMask], s: float) -> fl
     return math.sqrt(total) * grid.cell_measure
 
 
+@functools.lru_cache(maxsize=1)
+def _equivalence_tables(grid: Grid, s: float) -> tuple:
+    """(S, 2 (S - K^), |xi|^(2s)) for equivalence_ratio: S = sum(K) and the
+    real K^ = rfftn(K) of the even kernel K of order 2s, and the symbol, on
+    the rfftn half lattice.  The last tables built are memoized per (grid, s)
+    and returned read-only; ``_equivalence_tables.cache_clear()`` drops them."""
+    kernel = periodized_kernel(grid, 2.0 * s)
+    total = float(np.sum(kernel))
+    weight = 2.0 * (total - np.fft.rfftn(kernel).real)
+    symbol = grid.frequency_magnitude()[..., : grid.points_per_axis // 2 + 1] ** (2.0 * s)
+    weight.flags.writeable = symbol.flags.writeable = False
+    return total, weight, symbol
+
+
 def equivalence_ratio(f: GridFunction, s: float) -> float:
     """||Lap^s f||_2^2 divided by the raw Gagliardo double sum (exponent n+2s).
 
@@ -270,24 +284,25 @@ def equivalence_ratio(f: GridFunction, s: float) -> float:
     integral equivalence; the ratio itself plays the role of the unspecified
     normalization constant.  The whole-box double sum uses the exact
     periodized kernel of order 2s (the |z|^(-n-2s) tail is long-range, so a
-    truncated kernel would leak an f-dependent error), memoized, so calls
-    on one grid and order share one table.  By Parseval, with F = rfftn(f - f(0))
-    summed over the full lattice (interior half-lattice columns twice),
-    S = sum(K) and the real K^ = rfftn(K) of the even K:
+    truncated kernel would leak an f-dependent error).  By Parseval, with
+    F = rfftn(f - f(0)) summed over the full lattice (interior half-lattice
+    columns twice), S = sum(K) and the real K^ = rfftn(K) of the even K:
 
         ||Lap^s f||^2 = h^n N^-n sum |F|^2 |xi|^(2s),
         sumsum |f(x)-f(y)|^2 K = 2 <f S - f conv K, f> = 2 h^n N^-n sum |F|^2 (S - K^).
+
+    S, 2 (S - K^) and |xi|^(2s) depend on (grid, s) alone and are memoized
+    (``_equivalence_tables``), so calls on one grid and order transform
+    only f.
     """
     if not (0 < s < 1):
         raise SingularError(f"equivalence ratio needs s in (0,1), got {s}")
     grid, N = f.grid, f.grid.points_per_axis
-    kernel = periodized_kernel(grid, 2.0 * s)  # before f's transform: a cold build peaks alone
-    total = float(np.sum(kernel))
-    weight = 2.0 * (total - np.fft.rfftn(kernel).real)
+    total, weight, symbol = _equivalence_tables(grid, s)  # before f's transform: a cold build peaks alone
     power = np.abs(np.fft.rfftn(f.values - f.values.flat[0]))
     power *= power
     power[..., 1 : N // 2] *= 2.0
-    num = float(np.sum(power * grid.frequency_magnitude()[..., : N // 2 + 1] ** (2.0 * s)))
+    num = float(np.sum(power * symbol))
     denom = float(np.sum(power * weight))
     if denom * grid.cell_measure / grid.npoints <= 1e-12 * total * lp_norm(f, 2) ** 2:
         raise SingularError("zero seminorm (constant input)")

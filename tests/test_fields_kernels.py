@@ -36,7 +36,24 @@ def test_band_limit_respected():
 
 
 def _meshgrid_band_limited_values(grid, seed, cutoff, envelope):
-    """band_limited_field's values computed on full integer-mode meshgrids."""
+    """band_limited_field's values computed on integer-mode meshgrids of the
+    rfftn half lattice."""
+    N = grid.points_per_axis
+    W = np.fft.rfftn(np.random.default_rng(seed).standard_normal(grid.shape))
+    m = (np.fft.fftfreq(N) * N).astype(np.int64)
+    modes = np.meshgrid(*([m] * (grid.dim - 1) + [np.arange(N // 2 + 1)]), indexing="ij")
+    mag = np.sqrt(sum(m.astype(float) ** 2 for m in modes))
+    W = np.where(mag <= cutoff, W, 0.0)
+    if envelope is not None:
+        W = W * np.exp(-((mag / envelope) ** 2))
+    W[(0,) * grid.dim] = 0.0
+    vals = np.fft.irfftn(W, s=grid.shape, axes=tuple(range(grid.dim)))
+    return vals / np.sqrt(np.sum(vals**2) * grid.cell_measure)
+
+
+def _complex_band_limited_values(grid, seed, cutoff, envelope):
+    """The same field drawn on the full complex lattice: fftn, cut, ifftn,
+    real part."""
     W = np.fft.fftn(np.random.default_rng(seed).standard_normal(grid.shape))
     m = (np.fft.fftfreq(grid.points_per_axis) * grid.points_per_axis).astype(np.int64)
     modes = np.meshgrid(*([m] * grid.dim), indexing="ij")
@@ -49,28 +66,48 @@ def _meshgrid_band_limited_values(grid, seed, cutoff, envelope):
     return vals / np.sqrt(np.sum(vals**2) * grid.cell_measure)
 
 
+_BAND_LIMITED_CASES = [
+    (dim, n_pts, cutoff, envelope)
+    for dim, n_pts in ((1, 256), (1, 2048), (2, 32), (2, 64), (3, 16))
+    for cutoff, envelope in ((n_pts / 8, n_pts / 16), (n_pts / 16, n_pts / 32), (n_pts / 8, None),
+                             (n_pts / 4, None))
+]
+
+
 def test_band_limited_field_matches_meshgrid_reference():
-    # per-axis mode arrays give the same |m| at every lattice point, and the
-    # in-place cutoff, the envelope taken on kept modes only and ifftn the
-    # same values as np.where, the envelope on the whole lattice and fresh
-    # arrays, bit for bit
-    for dim, n_pts in ((1, 256), (1, 2048), (2, 32), (2, 64), (3, 16)):
+    # per-axis mode arrays give the same |m| at every half-lattice point, and
+    # the in-place cutoff, the envelope taken on kept modes only and irfftn
+    # the same values as np.where, the envelope on the whole half lattice and
+    # fresh arrays, bit for bit
+    for dim, n_pts, cutoff, envelope in _BAND_LIMITED_CASES:
         g = Grid(dim, n_pts, 2.0)
-        for cutoff, envelope in ((n_pts / 8, n_pts / 16), (n_pts / 16, n_pts / 32), (n_pts / 8, None),
-                                 (n_pts / 4, None)):
-            for seed in (0, 5, 11):
-                got = band_limited_field(g, seed, cutoff=cutoff, envelope=envelope).values
-                ref = _meshgrid_band_limited_values(g, seed, cutoff, envelope)
-                assert got.tobytes() == ref.tobytes(), (dim, n_pts, cutoff, envelope, seed)
+        for seed in (0, 5, 11):
+            got = band_limited_field(g, seed, cutoff=cutoff, envelope=envelope).values
+            ref = _meshgrid_band_limited_values(g, seed, cutoff, envelope)
+            assert got.tobytes() == ref.tobytes(), (dim, n_pts, cutoff, envelope, seed)
+
+
+def test_band_limited_field_matches_full_complex_lattice():
+    # the half-lattice draw is the complex full-lattice field in exact
+    # arithmetic; over these cases and 1D 65536, 2D 256^2, 3D 32^3 the two
+    # differ by at most 6.9e-16 of max|f|
+    cases = _BAND_LIMITED_CASES + [(1, 65536, 8192, None), (2, 256, 32, 16), (3, 32, 4, None)]
+    for dim, n_pts, cutoff, envelope in cases:
+        g = Grid(dim, n_pts, 2.0)
+        for seed in (0, 5, 11):
+            got = band_limited_field(g, seed, cutoff=cutoff, envelope=envelope).values
+            ref = _complex_band_limited_values(g, seed, cutoff, envelope)
+            assert np.max(np.abs(got - ref)) <= 1.6e-15 * np.max(np.abs(ref)), (dim, n_pts, seed)
 
 
 def test_band_limited_field_peak_memory(traced_peak):
-    # one complex lattice holds the draw from fftn to ifftn: 5.0x the field's
-    # bytes measured at 256^2 (8.0x with np.where and fresh arrays)
+    # the draw and the half-lattice spectrum, then irfftn's copy of it and
+    # its output: 3.03x the field's bytes measured at 256^2 (5.0x on the full
+    # complex lattice, 8.0x with np.where and fresh arrays)
     g = Grid(2, 256, 1.0)
     band_limited_field(Grid(1, 8, 1.0), 0)  # numpy.random imports on first use
     peak = traced_peak(band_limited_field, g, 0)
-    assert peak <= 5.5 * g.npoints * 8
+    assert peak <= 3.1 * g.npoints * 8
 
 
 def test_confined_field_support():
@@ -85,6 +122,44 @@ def test_confined_field_support():
         for radius in (1 / 6, 1 / 64):
             f = confined_field(g, 3, radius=radius)
             assert np.array_equal(f.support.values, ball_mask(g, g.center, radius).values)
+
+
+def _full_grid_confined_values(grid, seed, radius, cutoff, envelope, mean_zero):
+    """confined_field's values and support with the window on every grid point."""
+    f = band_limited_field(grid, seed, cutoff=cutoff, envelope=envelope)
+    rho = grid.periodic_distance(grid.center)
+    window = base_profile_values(2.0 * rho / radius)
+    vals = f.values * window
+    if mean_zero:
+        vals = vals - window * (np.sum(vals) / max(np.sum(window), 1e-300))
+    return vals / np.sqrt(np.sum(vals**2) * grid.cell_measure), rho < radius
+
+
+@pytest.mark.parametrize("dim,n_pts", [(1, 256), (1, 4096), (2, 64), (3, 16)])
+@pytest.mark.parametrize("mean_zero", [False, True])
+def test_confined_field_matches_full_grid_window_bitwise(dim, n_pts, mean_zero):
+    g = Grid(dim, n_pts, 3.0)
+    h, L = g.spacing, g.box_length
+    # radii from two cells to past half the box, where the box is the grid
+    for radius in (2 * h, L / 6, 0.49 * L, 0.6 * L):
+        for seed in (0, 3):
+            f = confined_field(g, seed, radius, cutoff=n_pts / 8, envelope=n_pts / 16, mean_zero=mean_zero)
+            vals, support = _full_grid_confined_values(g, seed, radius, n_pts / 8, n_pts / 16, mean_zero)
+            # off the support box the full-grid product f * 0.0 is -0.0 where
+            # f < 0; adding 0.0 maps -0.0 to 0.0 and keeps the rest
+            assert (f.values + 0.0).tobytes() == (vals + 0.0).tobytes(), (radius, seed)
+            assert np.array_equal(f.support.values, support), (radius, seed)
+
+
+def test_confined_field_peak_memory(traced_peak):
+    # band_limited_field's peak, then the field, the windowed copy and the
+    # support check of GridFunction: 3.19x the field's bytes measured at
+    # 256^2, r = L/6 (6.96x with the window on every grid point)
+    g = Grid(2, 256, 1.0)
+    band_limited_field(Grid(1, 8, 1.0), 0)  # numpy.random imports on first use
+    for mean_zero in (False, True):
+        peak = traced_peak(confined_field, g, 0, 1 / 6, 32, 16, mean_zero)
+        assert peak <= 3.3 * g.npoints * 8, mean_zero
 
 
 def test_moment_free_bump_moments():
@@ -294,13 +369,9 @@ def test_box_path_matches_brute_force(dim, N, cells, where):
                           _modulus_scan_reference(points, vals, edges, g))
 
 
-def test_box_path_transform_length(monkeypatch):
-    # a ball of 683 points on 16384 spans E = 683 cells: the pair sum convolves on
-    # M = 2048 >= 2E - 1, not N; at rho = 10h the ball weight keeps one-axis
-    # offsets up to R = 9, so the ball scan needs only M = 1024 >= E + R
-    g = Grid(1, 16384, 1.0)
-    points = _ball_points(g, 341, "middle")
-    assert len(points) == 683
+def _record_rfftn(monkeypatch) -> list:
+    """Clear the kernel-spectrum memo and record the shape of every rfftn input."""
+    _kernels._kernel_spectrum.cache_clear()
     shapes = []
     rfftn = np.fft.rfftn
 
@@ -309,10 +380,23 @@ def test_box_path_transform_length(monkeypatch):
         return rfftn(a, *args, **kwargs)
 
     monkeypatch.setattr(_kernels.np.fft, "rfftn", recording)
+    return shapes
+
+
+def test_box_path_transform_length(monkeypatch):
+    # a ball of 683 points on 16384 spans E = 683 cells: the pair sum convolves on
+    # M = 2048 >= 2E - 1, not N; at rho = 10h the ball weight keeps one-axis
+    # offsets up to R = 9, so the ball scan needs only M = 1024 >= E + R.  Each
+    # kernel is transformed once: a second call transforms the fields alone
+    g = Grid(1, 16384, 1.0)
+    points = _ball_points(g, 341, "middle")
+    assert len(points) == 683
+    shapes = _record_rfftn(monkeypatch)
     vals = np.random.default_rng(0).standard_normal(len(points))
-    _kernels.pair_sum_sq_diff(points, vals, 1.5, g)
-    _kernels.ball_scan(points, vals, 10 * g.spacing, g)
-    assert shapes == [(2, 2048), (2048,), (3, 1024), (1024,)]
+    for _ in range(2):
+        _kernels.pair_sum_sq_diff(points, vals, 1.5, g)
+        _kernels.ball_scan(points, vals, 10 * g.spacing, g)
+    assert shapes == [(2, 2048), (2048,), (3, 1024), (1024,), (2, 2048), (3, 1024)]
 
 
 @pytest.mark.parametrize("dim,N,arc,reach,length", [
@@ -331,17 +415,29 @@ def test_ball_scan_transform_reaches_the_weight(monkeypatch, dim, N, arc, reach,
     points = (box + (N - arc[0] // 2)) % N
     vals = rng.standard_normal(len(points))
     rho = (reach + 0.5) * g.spacing
-    shapes = []
-    rfftn = np.fft.rfftn
-
-    def recording(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return rfftn(a, *args, **kwargs)
-
-    monkeypatch.setattr(_kernels.np.fft, "rfftn", recording)
+    shapes = _record_rfftn(monkeypatch)
     got_sq, got_sums, got_cnt = _kernels.ball_scan(points, vals, rho, g)
-    assert shapes == [(3, *length), length]
+    again = _kernels.ball_scan(points, vals, rho, g)
+    assert shapes == [(3, *length), length, (3, *length)]
+    assert all(np.array_equal(a, b) for a, b in zip(again, (got_sq, got_sums, got_cnt)))
     sum_sq, sums, cnt, abs_sums = _ball_scan_reference(points, vals, rho, g)
     assert np.array_equal(got_cnt, cnt)
     assert np.max(np.abs(got_sq - sum_sq)) <= 1e-12 * np.max(sum_sq)
     assert np.max(np.abs(got_sums - sums)) <= 1e-12 * np.max(abs_sums)
+
+
+def test_kernel_spectrum_memo_is_shared_and_read_only():
+    g = Grid(2, 64, 1.0)
+    first = _kernels._kernel_spectrum(g, (32, 16), ("power", 2.5))
+    assert _kernels._kernel_spectrum(g, (32, 16), ("power", 2.5)) is first
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0, 1] = 1.0
+    # another shape, weight or grid is another kernel
+    for key in ((g, (32, 32), ("power", 2.5)), (g, (32, 16), ("power", 2.25)),
+                (g, (32, 16), ("ball", 0.1)), (Grid(2, 64, 2.0), (32, 16), ("power", 2.5))):
+        other = _kernels._kernel_spectrum(*key)
+        assert other is not first and not np.array_equal(other, first), key
+    _kernels._kernel_spectrum.cache_clear()
+    again = _kernels._kernel_spectrum(g, (32, 16), ("power", 2.5))
+    assert again is not first and np.array_equal(again, first)

@@ -12,6 +12,7 @@ from fraclap.singular import (
     _GAMMA_CHUNK,
     CalibratedConstant,
     SingularError,
+    _equivalence_tables,
     calibrate_cns,
     equivalence_ratio,
     frac_lap_pointwise,
@@ -343,6 +344,36 @@ def test_equivalence_ratio_matches_field_form(dim, N, s):
             num = lp_norm(frac_laplacian(field, s), 2) ** 2
             ref = num / (2.0 * l2_inner(raw_operator_field(field, 2.0 * s), field))
             assert abs(equivalence_ratio(field, s) / ref - 1) <= 1e-13
+
+
+def _per_call_equivalence_ratio(f, s):
+    """equivalence_ratio with S, 2 (S - K^) and |xi|^(2s) built afresh."""
+    grid, N = f.grid, f.grid.points_per_axis
+    kernel = periodized_kernel(grid, 2.0 * s)
+    total = float(np.sum(kernel))
+    weight = 2.0 * (total - np.fft.rfftn(kernel).real)
+    power = np.abs(np.fft.rfftn(f.values - f.values.flat[0]))
+    power *= power
+    power[..., 1 : N // 2] *= 2.0
+    num = float(np.sum(power * grid.frequency_magnitude()[..., : N // 2 + 1] ** (2.0 * s)))
+    return num / float(np.sum(power * weight))
+
+
+@pytest.mark.parametrize("dim,N", [(1, 2048), (2, 64), (3, 16)])
+def test_equivalence_ratio_memo_matches_recomputed_tables(dim, N):
+    # orders alternate, so the one-entry memo is rebuilt and reused in turn
+    g = Grid(dim, N, 1.0)
+    for s in (0.25, 0.25, 0.75, 0.25):
+        for seed in range(2):
+            f = confined_field(g, seed, radius=1 / 6, cutoff=N // 8, envelope=N // 16)
+            assert equivalence_ratio(f, s) == _per_call_equivalence_ratio(f, s), (s, seed)
+    total, weight, symbol = _equivalence_tables(g, 0.25)
+    assert _equivalence_tables(g, 0.25)[1] is weight
+    assert not weight.flags.writeable and not symbol.flags.writeable
+    _equivalence_tables.cache_clear()
+    again = _equivalence_tables(g, 0.25)
+    assert again[0] == total and again[1] is not weight
+    assert np.array_equal(again[1], weight) and np.array_equal(again[2], symbol)
 
 
 def test_kernel_memo_is_shared_and_read_only():
