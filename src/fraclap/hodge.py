@@ -16,10 +16,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cutoffs import evaluate
 from .fields import smooth_bump
 from .grid import DomainMask, Grid, GridFunction, ball_mask, l2_inner, lp_norm
-from .meanvalue import default_degree, meanvalue_polynomial
 from .multipliers import (
     FrequencySymbol,
     abs_power_table,
@@ -100,26 +98,6 @@ def hodge_decompose(f: GridFunction, D: DomainMask, s: float, maxiter: int = 500
     phi = GridFunction(grid, phi_vals, D)
     h = GridFunction(grid, f.values - apply_table(phi_vals, table_s))
     return HodgeDecomposition(phi, h, s, f, D, iterations=iters, cg_residual=resid)
-
-
-def minimizer_optimality_check(dec: HodgeDecomposition) -> float:
-    """Smallest energy increase E(phi + eps psi) - E(phi) over 10 seeded random
-    interior directions (nonnegative up to roundoff for the discrete minimizer)."""
-    grid = dec.f.grid
-    rng = np.random.default_rng(0)
-    table_s = abs_power_table(grid, dec.s)
-    base = apply_table(np.asarray(dec.phi.values, dtype=float), table_s) - dec.f.values
-    E0 = float(np.sum(base**2)) * grid.cell_measure
-    worst = np.inf
-    eps = 1e-3 * (lp_norm(dec.phi, 2) + 1.0)
-    for _ in range(10):
-        psi = np.zeros(grid.shape)
-        psi[dec.mask.values] = rng.standard_normal(dec.mask.npoints)
-        psi /= math.sqrt(float(np.sum(psi**2)))
-        pert = apply_table(psi * eps, table_s)
-        E1 = float(np.sum((base + pert) ** 2)) * grid.cell_measure
-        worst = min(worst, (E1 - E0) / max(E0, 1e-300))
-    return worst
 
 
 def harmonic_decay_check(f: GridFunction, r: float, x, lambdas: Sequence[float], s: float) -> dict:
@@ -256,53 +234,6 @@ def local_norm_recovery(v: GridFunction, r: float, x, lam: float) -> dict:
     phi, iters, _ = restricted_cg(sel, apply_A, b, 1e-10, 4000)
     sup = math.sqrt(max(float(np.sum(b * phi)) * grid.cell_measure, 0.0))
     return {"ratio": v_norm / sup if sup > 0 else math.inf, "sup": sup, "v_norm": v_norm, "iterations": iters}
-
-
-def product_rule_localization(
-    u: GridFunction,
-    phi: GridFunction,
-    r: float,
-    x,
-    lam: float,
-    family,
-) -> dict:
-    """Commutation defect of a mean-value polynomial against the bracket that
-    absorbs it: ||Lap^{n/2}(P phi) - P Lap^{n/2} phi||_{L2(B_r)} over
-
-        ||Lap^{n/2}(eta_{L r}(u-P))||_2 + ||Lap^{n/2} u||_{L2(B_2Lr)}
-        + L^-1 sum_{k=1..6} 2^-k ||eta^k_{L r} Lap^{n/2} u||_2,
-
-    P the degree ceil(n/2)-1 mean-value polynomial of u on B_{L r}(x).
-    Nontrivial only for n >= 3 (below that P is a constant and the defect
-    vanishes identically, which the tests also assert)."""
-    grid = u.grid
-    n = grid.dim
-    s = n / 2.0
-    D = ball_mask(grid, x, lam * r)
-    P = meanvalue_polynomial(u, D, default_degree(n), center=x)
-    P_vals = P.evaluate()
-    inner = ball_mask(grid, x, r)
-    lhs_fun = GridFunction(
-        grid,
-        frac_laplacian(GridFunction(grid, P_vals * phi.values), s).values
-        - P_vals * frac_laplacian(phi, s).values,
-    )
-    lhs = lp_norm(lhs_fun, 2, inner)
-    eta0 = evaluate(family, 0, lam * r, x, grid)
-    bracket = lp_norm(
-        frac_laplacian(GridFunction(grid, eta0.values * (u.values - P_vals)), s), 2
-    )
-    lap_u = frac_laplacian(u, s)
-    bracket += lp_norm(lap_u, 2, ball_mask(grid, x, 2.0 * lam * r))
-    tail = 0.0
-    for k in range(1, 7):
-        if 2.0 ** (k + 1) * lam * r > 0.5 * grid.box_length:
-            break
-        eta = evaluate(family, k, lam * r, x, grid)
-        tail += 2.0**-k * lp_norm(GridFunction(grid, eta.values * lap_u.values), 2)
-    bracket += tail / lam
-    return {"lhs": lhs, "bracket": bracket,
-            "needed_constant": lhs / bracket if bracket > 0 else 0.0}
 
 
 def lower_order_product_norm(

@@ -98,18 +98,6 @@ def meanvalue_polynomial(v: GridFunction, D: DomainMask, degree: int, center=Non
     return MeanValuePolynomial(grid, center, degree, coeffs, stages)
 
 
-def meanvalue_residuals(v: GridFunction, D: DomainMask, P: MeanValuePolynomial) -> dict:
-    """max_alpha |mean_D d^alpha (v - P)| normalized by ||d^alpha v||_{L2(D)}."""
-    sel = D.values
-    out = {}
-    for alpha in _multi_indices_upto(v.grid.dim, P.degree):
-        dv = derivative(v, alpha).values
-        resid = abs(float(np.mean(dv[sel] - P.derivative_values(alpha)[sel])))
-        scale = float(np.sqrt(np.mean(dv[sel] ** 2))) + 1e-300
-        out[alpha] = resid / scale
-    return out
-
-
 # -- Poincare constants ------------------------------------------------------
 
 def poincare_constant(

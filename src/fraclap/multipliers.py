@@ -14,28 +14,28 @@ realize the polynomial product rule
 
 which holds exactly on R^n and up to a measurable quadrature/wrap-around
 floor on the torus (monomials are only asserted against interior windows).
-Every library symbol states its expansion, a finite sum of terms
-c xi^gamma |xi|^p, and derived symbols are exact: |xi|^s m is differentiated
-term by term, d_a(c xi^gamma |xi|^p) = gamma_a c xi^(gamma - e_a) |xi|^p
+A symbol is its term list, a finite sum of terms c xi^gamma |xi|^p, so
+derived symbols are exact: |xi|^s m is differentiated term by term,
+d_a(c xi^gamma |xi|^p) = gamma_a c xi^(gamma - e_a) |xi|^p
 + p c xi^(gamma + e_a) |xi|^(p - 2).
 
-Symbol evaluators receive one 1D frequency array per axis, shaped to
-broadcast along its own axis (length along axis a, 1 elsewhere), and must
-return an array that broadcasts to the lattice shape; tables are broadcast
+FrequencySymbol.evaluate receives one 1D frequency array per axis, shaped
+to broadcast along its own axis (length along axis a, 1 elsewhere), and
+returns an array that broadcasts to the lattice shape; tables are broadcast
 to shape only at the end, so no meshgrid is ever built.  The arithmetic per
 lattice entry is the same as on full meshgrids.
 
-Fields are real and every symbol satisfies m(-xi) = conj(m(xi)) (checked at
-construction), so apply_symbol has one path: a table evaluated per call on
-the rfftn half lattice and checked finite off the zero mode, then rfftn, the
-table multiplied into the rfftn output in place, and the steps of irfftn,
-whose output is real by construction; the zero mode is annihilated.  Real
-symbols (|xi|^s, the identity) are even, so their float64 table, half the
-size of a complex one, is used as evaluated; numpy multiplies it into
-complex coefficients exactly as its complex cast.  Only complex symbols are
-also evaluated on the mirror -xi and conjugate symmetrized, which zeroes
-their odd part on the Nyquist planes.  Spectral derivatives are apply_symbol
-with the symbol (2 pi i xi)^alpha.
+Fields are real and every symbol satisfies m(-xi) = conj(m(xi)) (checked
+term by term at construction), so apply_symbol has one path: a table
+evaluated per call on the rfftn half lattice and checked finite off the zero
+mode, then rfftn, the table multiplied into the rfftn output in place, and
+the steps of irfftn, whose output is real by construction; the zero mode is
+annihilated.  Real symbols (|xi|^s, the identity) are even, so their float64
+table, half the size of a complex one, is used as evaluated; numpy
+multiplies it into complex coefficients exactly as its complex cast.  Only
+complex symbols are also evaluated on the mirror -xi and conjugate
+symmetrized, which zeroes their odd part on the Nyquist planes.  Spectral
+derivatives are apply_symbol with the symbol (2 pi i xi)^alpha.
 
 apply_table is the raw-array path of the iterative solvers: a full-lattice
 table (abs_power_table) and complex FFTs.  Both paths transform in place in
@@ -51,7 +51,7 @@ import functools
 import math
 from dataclasses import dataclass
 from itertools import product as _iterproduct
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -62,79 +62,72 @@ class SymbolError(ValueError):
     pass
 
 
-@functools.cache
-def _sample_points(dim: int) -> np.ndarray:
-    """Deterministic nonzero test frequencies used to verify symbol metadata,
-    drawn once per dim and shared read-only by every construction."""
-    rng = np.random.default_rng(20240)
-    pts = rng.integers(-8, 9, size=(24, dim)).astype(float)
-    pts[np.all(pts == 0, axis=1)] = 1.0
-    pts = np.vstack([pts, np.eye(dim), 3.0 * np.eye(dim)])
-    pts.flags.writeable = False
-    return pts
-
-
 @dataclass(frozen=True)
 class FrequencySymbol:
-    """Multiplier m(xi) with homogeneity metadata.
+    """Multiplier m(xi) = sum of terms c xi^gamma |xi|^p, one (c, gamma, p) each.
 
-    evaluator maps a list of per-axis frequency arrays to a real or complex
-    array; tables keep it float64 when it is real and complex128 otherwise.
-    The arrays broadcast against each other (on the lattice, axis a varies
-    along axis a only) and the result must broadcast to their common shape,
-    entry by entry the value at that frequency.  Every symbol must satisfy
-    m(-xi) = conj(m(xi)), so that it maps real fields to real fields;
-    homogeneity_degree delta, when given, asserts
-    m(lambda xi) = lambda^delta m(xi).  Both are spot-checked at
-    construction on sampled frequencies (lambda in {2, 4}).
-    expansion, one (c, gamma, p) per term c xi^gamma |xi|^p, is what
-    derived_symbol differentiates; it must match the evaluator at the samples
-    to 1e-12 of the largest sum of the terms' magnitudes.
+    The term list is the whole symbol: evaluate sums it, homogeneity_degree
+    is read off it, and derived_symbol differentiates it term by term.
+    Construction checks each term exactly: gamma is a multiindex of length
+    dim, c and p are finite, and c (-1)^|gamma| = conj(c) to 1e-12 |c|, so
+    that m(-xi) = conj(m(xi)) and the symbol maps real fields to real fields.
+    Tables are float64 when every c is real and complex128 otherwise.
     """
 
     name: str
     dim: int
-    evaluator: Callable[[Sequence[np.ndarray]], np.ndarray]
-    homogeneity_degree: Optional[float] = None
-    expansion: Optional[tuple] = None
+    terms: tuple
 
     def __post_init__(self):
-        pts = _sample_points(self.dim)
-        vals = self._eval_points(pts)
-        if not np.all(np.isfinite(vals)):
-            raise SymbolError(f"symbol {self.name} not finite at sample frequencies")
-        scale = np.max(np.abs(vals)) + 1e-300
-        neg = self._eval_points(-pts)
-        if np.max(np.abs(neg - np.conjugate(vals))) > 1e-12 * scale:
-            raise SymbolError(f"symbol {self.name} violates m(-xi) = conj(m(xi))")
-        if self.homogeneity_degree is not None:
-            for lam in (2.0, 4.0):
-                scaled = self._eval_points(lam * pts)
-                expect = lam**self.homogeneity_degree * vals
-                err = np.max(np.abs(scaled - expect))
-                if err > 1e-10 * (np.max(np.abs(expect)) + 1e-300):
-                    raise SymbolError(
-                        f"symbol {self.name} violates homogeneity of order "
-                        f"{self.homogeneity_degree} (lambda={lam}, err={err:.2e})"
-                    )
-        if self.expansion is not None:
-            axes = [pts[:, a] for a in range(self.dim)]
-            mag = np.sqrt(sum(x * x for x in axes))
-            terms = [_expansion_values([t], axes, mag) for t in self.expansion]
-            err = np.max(np.abs(sum(terms) - vals))
-            if err > 1e-12 * np.max(sum(np.abs(t) for t in terms)):
-                raise SymbolError(f"symbol {self.name} disagrees with its expansion (err={err:.2e})")
+        if not self.terms:
+            raise SymbolError(f"symbol {self.name} has no terms")
+        for c, gamma, p in self.terms:
+            if len(gamma) != self.dim or not all(isinstance(k, (int, np.integer)) and k >= 0 for k in gamma):
+                raise SymbolError(f"symbol {self.name}: {gamma} is not a multiindex of length {self.dim}")
+            if not (np.isfinite(c) and np.isfinite(p)):
+                raise SymbolError(f"symbol {self.name}: term coefficient {c} and power {p} must be finite")
+            if abs(c * (-1) ** sum(gamma) - np.conjugate(c)) > 1e-12 * abs(c):
+                raise SymbolError(f"symbol {self.name} violates m(-xi) = conj(m(xi)) in its term {c} xi^{gamma}")
 
-    def _eval_points(self, pts: np.ndarray) -> np.ndarray:
-        axes = [pts[:, a] for a in range(self.dim)]
-        return np.asarray(self.evaluator(axes), dtype=complex)
+    @property
+    def homogeneity_degree(self) -> Optional[float]:
+        """delta with m(lambda xi) = lambda^delta m(xi): the degree |gamma| + p
+        common to every term (to 1e-12), or None when the degrees differ."""
+        degrees = [sum(gamma) + p for _, gamma, p in self.terms]
+        if max(degrees) - min(degrees) > 1e-12 * max(1.0, abs(degrees[0])):
+            return None
+        return float(degrees[0])
+
+    def evaluate(self, xs: Sequence[np.ndarray]):
+        """The sum of the terms at per-axis frequency arrays xs that broadcast
+        against each other; the result broadcasts to their common shape.
+
+        Each term is |xi|^p, times c, times each xi_a gamma_a times in axis
+        order, with the power skipped for p = 0 and the product for c = 1, so
+        |xi|^s allocates |xi| and then |xi|^s alone.  The terms are added in
+        order.  Non-finite entries (the zero mode of a negative power, an
+        overflow) are left for apply_symbol to refuse off the zero mode.
+        """
+        xs = [np.asarray(x, dtype=float) for x in xs]
+        if any(p for _, _, p in self.terms):
+            mag = np.sqrt(sum(x**2 for x in xs))
+        out = None
+        with np.errstate(all="ignore"):
+            for c, gamma, p in self.terms:
+                term = c
+                if p:
+                    term = mag**p if c == 1 else c * mag**p
+                for x, k in zip(xs, gamma):
+                    for _ in range(k):
+                        term = term * x
+                out = term if out is None else out + term
+        return out
 
     def on_axes(self, axes: Sequence[np.ndarray]) -> np.ndarray:
         """Table at the frequencies of per-axis arrays that broadcast against
         each other, broadcast (read-only) to their common shape: float64 for
-        a real evaluator, complex128 for a complex one."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            table = np.asarray(self.evaluator(axes))
+        real coefficients, complex128 otherwise."""
+        table = np.asarray(self.evaluate(axes))
         table = table.astype(complex if np.iscomplexobj(table) else float, copy=False)
         return np.broadcast_to(table, np.broadcast_shapes(*(np.shape(x) for x in axes)))
 
@@ -143,47 +136,21 @@ class FrequencySymbol:
             raise SymbolError(f"symbol is {self.dim}-dimensional, grid is {grid.dim}")
 
 
-def _expansion_values(terms, xs: Sequence[np.ndarray], mag: np.ndarray):
-    """Sum over terms (c, gamma, p) of c xi^gamma |xi|^p, each term's factors
-    multiplied in axis order (c, each xi_a gamma_a times, then |xi|^p) and the
-    terms added in order to 0; real while every c is real."""
-    out = 0
-    for c, gamma, p in terms:
-        term = c
-        for x in [x for x, k in zip(xs, gamma) for _ in range(k)]:
-            term = term * x
-        out = out + term * mag**p
-    return out
-
-
 def identity_symbol(dim: int) -> FrequencySymbol:
-    ones = lambda xs: np.ones_like(xs[0], dtype=float)
-    return FrequencySymbol("identity", dim, ones, 0.0, ((1.0, (0,) * dim, 0.0),))
+    return FrequencySymbol("identity", dim, ((1.0, (0,) * dim, 0.0),))
 
 
 @functools.cache
 def abs_power_symbol(dim: int, s: float) -> FrequencySymbol:
     """|xi|^s, built and checked once per (dim, s) and shared: the symbol is immutable."""
-
-    def ev(xs):
-        mag = np.sqrt(sum(np.asarray(x, dtype=float) ** 2 for x in xs))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return mag**s
-
-    return FrequencySymbol(f"abs_pow:{s:g}", dim, ev, float(s), ((1.0, (0,) * dim, float(s)),))
+    return FrequencySymbol(f"abs_pow:{s:g}", dim, ((1.0, (0,) * dim, float(s)),))
 
 
 def riesz_symbol(dim: int, j: int) -> FrequencySymbol:
+    """i xi_j / |xi|; NaN at the zero mode, which apply_symbol annihilates."""
     if not (0 <= j < dim):
         raise SymbolError(f"riesz component {j} out of range for dim {dim}")
-
-    def ev(xs):
-        mag = np.sqrt(sum(np.asarray(x, dtype=float) ** 2 for x in xs))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = 1j * np.asarray(xs[j], dtype=float) / mag
-        return np.where(mag == 0, 0.0, out)
-
-    return FrequencySymbol(f"riesz:{j}", dim, ev, 0.0, ((1j, tuple(int(a == j) for a in range(dim)), -1.0),))
+    return FrequencySymbol(f"riesz:{j}", dim, ((1j, tuple(int(a == j) for a in range(dim)), -1.0),))
 
 
 def _conjugate_symmetrize(grid: Grid, symbol: FrequencySymbol) -> np.ndarray:
@@ -311,16 +278,7 @@ def derivative_symbol(dim: int, alpha) -> FrequencySymbol:
     alpha = _multiindex(alpha)
     if len(alpha) != dim:
         raise SymbolError(f"multiindex length {len(alpha)} does not match dim {dim}")
-
-    def ev(xs):
-        out = np.ones((), dtype=complex)
-        for x, k in zip(xs, alpha):
-            if k:
-                out = out * (2j * np.pi * np.asarray(x, dtype=float)) ** k
-        return out
-
-    expansion = (((2j * np.pi) ** sum(alpha), alpha, 0.0),)
-    return FrequencySymbol(f"d:{','.join(map(str, alpha))}", dim, ev, float(sum(alpha)), expansion)
+    return FrequencySymbol(f"d:{','.join(map(str, alpha))}", dim, (((2j * np.pi) ** sum(alpha), alpha, 0.0),))
 
 
 def derivative(f: GridFunction, alpha: Sequence[int]) -> GridFunction:
@@ -373,8 +331,8 @@ def _differentiate(terms, a: int) -> list:
 
 def derived_symbol(m: FrequencySymbol, alpha, s: float) -> FrequencySymbol:
     """The symbol m_{alpha,s}, |alpha| <= 2, exact: |xi|^s m is differentiated
-    term by term in m's expansion, and the result keeps an expansion of its
-    own, so derived symbols of derived symbols are exact too."""
+    term by term in m's term list, and the result is a term list again, so
+    derived symbols of derived symbols are exact too."""
     alpha = _multiindex(alpha)
     if len(alpha) != m.dim:
         raise SymbolError(f"multiindex length {len(alpha)} does not match dim {m.dim}")
@@ -383,22 +341,12 @@ def derived_symbol(m: FrequencySymbol, alpha, s: float) -> FrequencySymbol:
         raise SymbolError("derived symbols support |alpha| <= 2 only")
     if order == 0:
         return m
-    if m.expansion is None:
-        raise SymbolError(f"symbol {m.name} has no expansion to differentiate")
-    terms = [(c, gamma, p + s) for c, gamma, p in m.expansion]
+    terms = [(c, gamma, p + s) for c, gamma, p in m.terms]
     for a in [a for a, k in enumerate(alpha) for _ in range(k)]:
         terms = _differentiate(terms, a)
     pref = (2j * np.pi) ** (-order)
-
-    def ev(xs):
-        xs = [np.asarray(x, dtype=float) for x in xs]
-        mag = np.sqrt(sum(x * x for x in xs))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return pref * mag ** (order - s) * np.asarray(_expansion_values(terms, xs, mag), dtype=complex)
-
-    expansion = tuple((pref * c, gamma, p + order - s) for c, gamma, p in terms)
-    name = f"derived:{m.name}:{','.join(map(str, alpha))}:{s:g}"
-    return FrequencySymbol(name, m.dim, ev, m.homogeneity_degree, expansion)
+    terms = tuple((pref * c, gamma, p + order - s) for c, gamma, p in terms)
+    return FrequencySymbol(f"derived:{m.name}:{','.join(map(str, alpha))}:{s:g}", m.dim, terms)
 
 
 # -- monomials and the product rule -----------------------------------------
@@ -498,16 +446,18 @@ def polynomial_annihilation(alpha, s: float, phi: GridFunction, radii: Sequence[
 def parse_symbol_id(spec: str, dim: int) -> FrequencySymbol:
     """Symbols nameable in CLI configs: 'identity', 'abs_pow:s', 'riesz:j',
     'derived:<base>:<alpha csv>:<s>'."""
-    parts = spec.split(":")
-    kind = parts[0]
+    kind, *fields = spec.split(":")
+    arity = {"identity": 0, "abs_pow": 1, "riesz": 1}.get(kind)
+    if arity is not None and len(fields) != arity or kind == "derived" and len(fields) < 3:
+        raise SymbolError(f"symbol id {spec!r} has the wrong number of fields")
     if kind == "identity":
         return identity_symbol(dim)
     if kind == "abs_pow":
-        return abs_power_symbol(dim, float(parts[1]))
+        return abs_power_symbol(dim, float(fields[0]))
     if kind == "riesz":
-        return riesz_symbol(dim, int(parts[1]))
+        return riesz_symbol(dim, int(fields[0]))
     if kind == "derived":
-        base = parse_symbol_id(":".join(parts[1:-2]), dim)
-        alpha = tuple(int(a) for a in parts[-2].split(","))
-        return derived_symbol(base, alpha, float(parts[-1]))
+        base = parse_symbol_id(":".join(fields[:-2]), dim)
+        alpha = tuple(int(a) for a in fields[-2].split(","))
+        return derived_symbol(base, alpha, float(fields[-1]))
     raise SymbolError(f"unknown symbol id {spec!r}")

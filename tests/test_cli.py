@@ -134,6 +134,23 @@ def test_order_outside_the_library_range_is_a_config_error(capsys, tmp_path, arg
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--m1", "abs_pow"], "wrong number of fields"),
+    (["--m1", "riesz"], "wrong number of fields"),
+    (["--m1", "riesz:1:2"], "wrong number of fields"),
+    (["--m2", "identity:3"], "wrong number of fields"),
+    (["--m2", "derived:identity:1"], "wrong number of fields"),
+    (["--m1", "abs_pow:nan"], "must be finite"),
+    (["--m1", "abs_pow:inf"], "must be finite"),
+])
+def test_malformed_symbol_id_is_a_config_error(capsys, tmp_path, argv, message):
+    # a missing or extra field is refused, not run as another id or read as a verdict
+    assert main(["run", "lower-order-product", *argv, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_numerical_failure_exits_3(capsys, tmp_path, monkeypatch):
     def diverges(cfg):
         raise SolveError("CG failed to reach relative residual 1e-10 within 2 iterations")

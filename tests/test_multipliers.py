@@ -13,6 +13,7 @@ from fraclap.grid import (
     ball_mask,
     l2_inner,
     lp_norm,
+    per_axis,
 )
 from fraclap.multipliers import (
     SymbolError,
@@ -157,28 +158,20 @@ def test_reality_of_flagged_symbols(g1):
 
 
 def test_symbol_singular_off_zero_rejected_at_application(g1):
-    # finite at the construction samples but infinite at a nonzero lattice
-    # frequency: application must refuse
-    def pole(xs):
-        xi = np.asarray(xs[0], dtype=float)
-        with np.errstate(divide="ignore"):
-            return (1.0 / (np.abs(xi) - 10.0)).astype(complex)
-
-    sym = FrequencySymbol("pole", 1, pole)
+    # finite terms whose table overflows at every |xi| >= 6 (i xi |xi|^400 is
+    # NaN there, and at most 5^401 below): the complex path must refuse it
+    sym = FrequencySymbol("overflow", 1, ((1j, (1,), 400.0),))
     f = band_limited_field(g1, 0)
     with pytest.raises(SymbolError, match="NaN/Inf"):
         apply_symbol(f, sym)
 
 
 def test_real_flagged_symbol_singular_off_zero_rejected_on_real_path(g1):
-    # an even symbol passes the conjugate-symmetry check at construction; its
-    # pole at |xi| = 10 must still be refused on the real-FFT half lattice
-    def pole(xs):
-        xi = np.asarray(xs[0], dtype=float)
-        with np.errstate(divide="ignore"):
-            return (1.0 / (xi * xi - 100.0)).astype(complex)
-
-    sym = FrequencySymbol("even-pole", 1, pole)
+    # an even real symbol passes the conjugate-symmetry check at construction;
+    # its overflow off the zero mode must still be refused on the real-FFT
+    # half lattice, where its float64 table is used as evaluated
+    sym = FrequencySymbol("even-overflow", 1, ((1e308, (0,), 2.0),))
+    assert multipliers._conjugate_symmetrize(g1, sym).dtype == np.float64
     f = band_limited_field(g1, 0)
     assert f.values.dtype == np.float64
     with pytest.raises(SymbolError, match="NaN/Inf"):
@@ -203,7 +196,7 @@ def _meshgrid_frequencies(grid):
 
 def _full_lattice_table(grid, symbol):
     with np.errstate(divide="ignore", invalid="ignore"):
-        table = np.asarray(symbol.evaluator(_meshgrid_frequencies(grid)), dtype=complex)
+        table = np.asarray(symbol.evaluate(_meshgrid_frequencies(grid)), dtype=complex)
     return np.broadcast_to(table, grid.shape)
 
 
@@ -437,17 +430,131 @@ def test_apply_table_peak_memory(traced_peak, dim, n):
 
 
 def test_symbol_invariant_violations():
-    bad = lambda xs: np.asarray(xs[0], dtype=complex) ** 2  # homogeneity 2, not 0
-    with pytest.raises(SymbolError, match="homogeneity"):
-        FrequencySymbol("bad", 1, bad, homogeneity_degree=0.0)
-    # reality violation: m(-xi) != conj(m(xi))
-    skew = lambda xs: 1j * np.ones_like(np.asarray(xs[0], dtype=float))
-    with pytest.raises(SymbolError, match="conj"):
-        FrequencySymbol("skew", 1, skew)
-    # an expansion that states another symbol than the evaluator
-    one = lambda xs: np.ones_like(np.asarray(xs[0], dtype=float))
-    with pytest.raises(SymbolError, match="expansion"):
-        FrequencySymbol("twice", 1, one, 0.0, ((2.0, (0,), 0.0),))
+    for terms, match in [
+        (((1j, (0,), 0.0),), "conj"),  # an even term with an imaginary coefficient
+        (((1.0, (1,), 0.0),), "conj"),  # an odd term with a real coefficient
+        (((1.0, (0,), 0.0), (1j, (0,), 2.0)), "conj"),
+        (((np.nan, (0,), 0.0),), "finite"),
+        (((complex(np.inf, 0.0), (0,), 0.0),), "finite"),
+        (((1.0, (0,), np.nan),), "finite"),
+        (((1.0, (0,), -np.inf),), "finite"),
+        (((1.0, (0, 0), 0.0),), "multiindex"),
+        (((1.0, (-2,), 0.0),), "multiindex"),
+        (((1.0, (2.0,), 0.0),), "multiindex"),
+        ((), "no terms"),
+    ]:
+        with pytest.raises(SymbolError, match=match):
+            FrequencySymbol("bad", 1, terms)
+
+
+def test_homogeneity_degree_is_the_common_degree_of_the_terms():
+    assert abs_power_symbol(2, -0.5).homogeneity_degree == -0.5
+    assert riesz_symbol(3, 1).homogeneity_degree == 0.0
+    assert multipliers.derivative_symbol(2, (2, 1)).homogeneity_degree == 3.0
+    mixed = FrequencySymbol("mixed", 1, ((1.0, (0,), 0.0), (1.0, (0,), 2.0)))
+    assert mixed.homogeneity_degree is None
+    odd = FrequencySymbol("odd-mixed", 2, ((1j, (1, 0), -1.0), (1j, (0, 1), 0.0)))
+    assert odd.homogeneity_degree is None
+
+
+# -- term lists against the former evaluator closures ------------------------
+
+def _former_abs_pow(s):
+    def ev(xs):
+        mag = np.sqrt(sum(np.asarray(x, dtype=float) ** 2 for x in xs))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return mag**s
+
+    return ev
+
+
+def _former_identity(xs):
+    return np.ones_like(xs[0], dtype=float)
+
+
+def _former_riesz(j):
+    def ev(xs):
+        mag = np.sqrt(sum(np.asarray(x, dtype=float) ** 2 for x in xs))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = 1j * np.asarray(xs[j], dtype=float) / mag
+        return np.where(mag == 0, 0.0, out)
+
+    return ev
+
+
+def _former_derivative(alpha):
+    def ev(xs):
+        out = np.ones((), dtype=complex)
+        for x, k in zip(xs, alpha):
+            if k:
+                out = out * (2j * np.pi * np.asarray(x, dtype=float)) ** k
+        return out
+
+    return ev
+
+
+def _former_derived(base_terms, alpha, s):
+    """pref |xi|^(|alpha| - s) times the differentiated terms of |xi|^s m,
+    each term c, then each xi_a, then |xi|^p, summed from 0."""
+    order = sum(alpha)
+    terms = [(c, gamma, p + s) for c, gamma, p in base_terms]
+    for a in [a for a, k in enumerate(alpha) for _ in range(k)]:
+        terms = multipliers._differentiate(terms, a)
+    pref = (2j * np.pi) ** (-order)
+
+    def ev(xs):
+        xs = [np.asarray(x, dtype=float) for x in xs]
+        mag = np.sqrt(sum(x * x for x in xs))
+        total = 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for c, gamma, p in terms:
+                term = c
+                for x in [x for x, k in zip(xs, gamma) for _ in range(k)]:
+                    term = term * x
+                total = total + term * mag**p
+            return pref * mag ** (order - s) * np.asarray(total, dtype=complex)
+
+    return ev
+
+
+def _half_lattice_axes(dim, n_pts, box):
+    f = Grid(dim, n_pts, box).axis_frequencies()
+    return per_axis([f] * (dim - 1) + [f[: n_pts // 2 + 1]])
+
+
+@pytest.mark.parametrize("dim,n_pts,box", [(1, 64, 1.0), (1, 16, 3.0), (2, 16, 0.7), (2, 32, 1.0), (3, 8, 3.0)])
+def test_real_term_lists_equal_the_former_evaluators_bitwise(dim, n_pts, box):
+    # |xi|^s first, the product skipped for c = 1 and for p = 0: the same
+    # arithmetic per entry as the closures, zero mode (inf for s < 0) included
+    axes = _half_lattice_axes(dim, n_pts, box)
+    cases = [(abs_power_symbol(dim, s), _former_abs_pow(s)) for s in (0.5, -0.5, 0.25, 1.5)]
+    cases.append((identity_symbol(dim), _former_identity))
+    for sym, former in cases:
+        got = sym.on_axes(axes)
+        assert got.dtype == np.float64, sym.name
+        assert got.tobytes() == np.broadcast_to(former(axes), got.shape).tobytes(), sym.name
+
+
+@pytest.mark.parametrize("dim,n_pts,box", [(1, 64, 1.0), (2, 16, 0.7), (3, 8, 3.0)])
+def test_complex_term_lists_match_the_former_evaluators(dim, n_pts, box):
+    # off the zero mode, where the Riesz closure wrote 0 and the terms give NaN
+    axes = _half_lattice_axes(dim, n_pts, box)
+    off = np.ones(np.broadcast_shapes(*(x.shape for x in axes)), dtype=bool)
+    off[(0,) * dim] = False
+    bases = [identity_symbol(dim)] + [riesz_symbol(dim, j) for j in range(dim)]
+    cases = [(sym, _former_riesz(j)) for j, sym in enumerate(bases[1:])]
+    cases += [(multipliers.derivative_symbol(dim, alpha), _former_derivative(alpha))
+              for alpha in multipliers._multi_indices_upto(dim, 3)]
+    for alpha in list(multipliers._multi_indices_upto(dim, 2))[1:]:
+        for base in bases:
+            for s in (0.5, 1.5):
+                cases.append((derived_symbol(base, alpha, s), _former_derived(base.terms, alpha, s)))
+    for sym, former in cases:
+        got = sym.on_axes(axes)
+        ref = np.broadcast_to(former(axes), got.shape)
+        assert got.dtype == np.complex128, sym.name
+        err = np.max(np.abs(got[off] - ref[off]))
+        assert err <= 1e-14 * np.max(np.abs(ref[off])), (sym.name, err)
 
 
 # -- derived symbols ----------------------------------------------------------
@@ -458,7 +565,7 @@ def test_derived_symbol_closed_form_matches_hand_derivation():
     ds = derived_symbol(identity_symbol(1), (1,), s)
     xi = np.array([0.5, 1.0, 3.0, -2.0, -0.25])
     hand = s * np.sign(xi) / (2j * np.pi)
-    got = np.asarray(ds.evaluator([xi]))
+    got = np.asarray(ds.evaluate([xi]))
     assert np.max(np.abs(got - hand)) < 1e-12
 
 
@@ -474,8 +581,8 @@ def test_derived_symbol_composition_identity():
     comp = derived_symbol(first, (1,), s - 1.0)
     direct = derived_symbol(identity_symbol(1), (2,), s)
     xi = np.array([0.25, 1.0, 7.0, -3.5, 40.0])
-    a = np.asarray(comp.evaluator([xi]))
-    b = np.asarray(direct.evaluator([xi]))
+    a = np.asarray(comp.evaluate([xi]))
+    b = np.asarray(direct.evaluate([xi]))
     assert np.max(np.abs(a - b)) <= 1e-8 * np.max(np.abs(b))
 
 
@@ -483,15 +590,11 @@ def test_derived_symbol_homogeneity_and_reality_metadata():
     ds = derived_symbol(riesz_symbol(2, 0), (1, 1), 1.5)
     assert ds.homogeneity_degree == 0.0
     xs = [np.array([0.5, -3.0, 2.0]), np.array([1.0, 0.25, -7.0])]
-    pos = np.asarray(ds.evaluator(xs))
-    neg = np.asarray(ds.evaluator([-x for x in xs]))
+    pos = np.asarray(ds.evaluate(xs))
+    neg = np.asarray(ds.evaluate([-x for x in xs]))
     assert np.max(np.abs(neg - np.conjugate(pos))) <= 1e-12 * np.max(np.abs(pos))
     with pytest.raises(SymbolError, match="<= 2"):
         derived_symbol(identity_symbol(1), (3,), 3.5)
-    # a bare evaluator states no terms to differentiate
-    bare = FrequencySymbol("bare", 1, lambda xs: np.ones_like(np.asarray(xs[0], dtype=float)))
-    with pytest.raises(SymbolError, match="no expansion"):
-        derived_symbol(bare, (1,), 1.5)
 
 
 def _mp_norm(xi):
@@ -538,7 +641,7 @@ def test_derived_symbol_matches_mpmath_oracle(dim):
         for base, mp_base in _derived_cases(dim):
             for alpha in list(multipliers._multi_indices_upto(dim, 2))[1:]:
                 for s in (0.5, 1.5):
-                    got = np.asarray(derived_symbol(base, alpha, s).evaluator(xs))
+                    got = np.asarray(derived_symbol(base, alpha, s).evaluate(xs))
                     oracle = _mp_derived(mp_base, alpha, s)
                     ref = np.array([complex(oracle(*map(mpmath.mpf, xi))) for xi in points])
                     err = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
