@@ -50,7 +50,8 @@ def band_limited_field(
     norm = np.sqrt(np.sum(vals**2) * grid.cell_measure)
     if norm == 0:
         raise ValueError("degenerate field (seed produced zero spectrum)")
-    return GridFunction(grid, vals / norm)
+    vals /= norm
+    return GridFunction(grid, vals)
 
 
 def smooth_bump(
@@ -68,6 +69,8 @@ def smooth_bump(
     The profile is evaluated only on the box of grid points with
     |x_a - center_a| < radius on every axis, and is exactly 0.0 elsewhere:
     there rho >= |x_a - center_a| >= radius, where the profile vanishes.
+    Only the box is normalized (0/norm stays 0), so the pages of the zero
+    array off the box are never written.
     """
     if center is None:
         center = grid.center
@@ -89,7 +92,7 @@ def smooth_bump(
         bump = bump * np.cos(2 * np.pi * modulation_mode * carrier / grid.box_length + phase)
     vals = np.zeros(grid.shape)
     vals[box] = bump
-    vals /= np.sqrt(np.sum(vals**2) * grid.cell_measure)
+    vals[box] /= np.sqrt(np.sum(vals**2) * grid.cell_measure)
     return GridFunction(grid, vals)
 
 
@@ -105,8 +108,9 @@ def confined_field(
     compact support with rapidly decaying spectrum.  Normalized to unit L^2.
 
     The window and the support mask (the ball of the given radius) are
-    evaluated on the support box alone, where the window can be nonzero; the
-    mean and norm sums still run over the whole grid, in its order.
+    evaluated on the support box alone, where the window can be nonzero, and
+    only the box is normalized; the mean and norm sums still run over the
+    whole grid, in its order.
     """
     f = band_limited_field(grid, seed, cutoff=cutoff, envelope=envelope)
     box, disp = grid.support_box(grid.center, radius)
@@ -123,7 +127,7 @@ def confined_field(
     norm = np.sqrt(np.sum(vals**2) * grid.cell_measure)
     if norm == 0:
         raise ValueError("degenerate confined field")
-    vals /= norm
+    vals[box] /= norm
     support = np.zeros(grid.shape, dtype=bool)
     support[box] = rho < radius
     return GridFunction(grid, vals, DomainMask(grid, support))

@@ -91,9 +91,14 @@ class Grid:
         x = self.axis_coords()
         return list(np.meshgrid(*([x] * self.dim), indexing="ij"))
 
-    def axis_frequencies(self) -> np.ndarray:
-        """Physical frequencies xi = m/L of one axis, in fftfreq order."""
-        return np.fft.fftfreq(self.points_per_axis, d=self.spacing)
+    def axis_frequencies(self, index=None) -> np.ndarray:
+        """Physical frequencies xi = m/L of one axis, in fftfreq order, or at
+        the lattice indices `index` (0..N-1) alone.  Formed as
+        np.fft.fftfreq(N, h) forms them, the integer m times 1/(N h), so both
+        are its bits."""
+        N = self.points_per_axis
+        m = np.arange(N) if index is None else np.asarray(index)
+        return np.where(m < (N + 1) // 2, m, m - N) * (1.0 / (N * self.spacing))
 
     def frequency_magnitude(self) -> np.ndarray:
         """|xi| on the lattice; zero exactly at the zero mode only."""
@@ -293,13 +298,40 @@ def lp_norm(f: GridFunction, p: float, mask: Optional[DomainMask] = None) -> flo
     return float(np.sum(v**p) * f.grid.cell_measure) ** (1.0 / p)
 
 
+_CHUNK = 2**16  # entries of the product formed at once by l2_inner
+
+
+def _pairwise_dot(a: np.ndarray, b: np.ndarray, scratch: np.ndarray):
+    """np.sum(a * b) for 1D a and b, bit for bit, with no product longer
+    than scratch: numpy sums a contiguous array pairwise, splitting n
+    entries at n/2 rounded down to a multiple of 8 down to blocks of 128, so
+    runs of at most len(scratch) >= 128 entries are summed by np.sum and
+    their sums are added along the same splits."""
+    n = a.size
+    if n <= scratch.size:
+        prod = np.multiply(a, b, out=scratch[:n])
+        return np.sum(prod)
+    mid = n // 2 - (n // 2) % 8
+    return _pairwise_dot(a[:mid], b[:mid], scratch) + _pairwise_dot(a[mid:], b[mid:], scratch)
+
+
 def l2_inner(f: GridFunction, g: GridFunction, mask: Optional[DomainMask] = None) -> float:
-    """Quadrature inner product sum f*g*h^dim."""
+    """Quadrature inner product sum f*g*h^dim.
+
+    Unmasked, the product is formed in chunks of at most 2^16 entries in one
+    scratch array and summed in numpy's pairwise order, so the result is
+    np.sum(f.values * g.values) * h^dim bit for bit without a full-grid
+    product.
+    """
     _check_same_grid(f.grid, g.grid)
-    prod = f.values * g.values
+    u, v = f.values, g.values
     if mask is not None:
-        prod = prod[mask.values]
-    return float(np.sum(prod) * f.grid.cell_measure)
+        total = np.sum((u * v)[mask.values])
+    elif u.flags.c_contiguous and v.flags.c_contiguous:
+        total = _pairwise_dot(u.reshape(-1), v.reshape(-1), np.empty(min(u.size, _CHUNK)))
+    else:  # numpy sums another layout in its own memory order
+        total = np.sum(u * v)
+    return float(total * f.grid.cell_measure)
 
 
 def spectral_mass_fraction_above(f: GridFunction, mode_cut: float) -> float:

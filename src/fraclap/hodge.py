@@ -176,9 +176,9 @@ def disjoint_pairing_decay(grid: Grid, s: float, t: float, gamma: float, d_list:
 def _supports_disjoint(a_abs: np.ndarray, a_on: np.ndarray, b: GridFunction) -> bool:
     """max |a b| <= 1e-12 max|a| max|b|, given a_abs = |a| at a_on, the flat
     indices where a is nonzero (a and a b vanish elsewhere, so the maxima are
-    those over the whole grid)."""
+    those over the whole grid; max|b| is read without a full-grid |b|)."""
     overlap = a_abs * np.abs(b.values.ravel()[a_on])
-    scale = np.max(a_abs) * np.max(np.abs(b.values)) + 1e-300
+    scale = np.max(a_abs) * max(b.values.max(), -b.values.min()) + 1e-300
     return float(np.max(overlap)) <= 1e-12 * scale
 
 

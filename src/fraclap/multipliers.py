@@ -26,23 +26,24 @@ to shape only at the end, so no meshgrid is ever built.  The arithmetic per
 lattice entry is the same as on full meshgrids.
 
 Fields are real and every symbol satisfies m(-xi) = conj(m(xi)) (checked
-term by term at construction), so apply_symbol has one path: a table
-evaluated per call on the rfftn half lattice and checked finite off the zero
-mode, then rfftn, the table multiplied into the rfftn output in place, and
-the steps of irfftn, whose output is real by construction; the zero mode is
-annihilated.  Real symbols (|xi|^s, the identity) are even, so their float64
-table, half the size of a complex one, is used as evaluated; numpy
-multiplies it into complex coefficients exactly as its complex cast.  Only
-complex symbols are also evaluated on the mirror -xi and conjugate
-symmetrized, which zeroes their odd part on the Nyquist planes.  Spectral
-derivatives are apply_symbol with the symbol (2 pi i xi)^alpha.
+term by term at construction), so apply_symbol has one path: rfftn, then the
+table evaluated per call on the rfftn half lattice, block by block over
+axis-0 rows, each block checked finite off the zero mode and multiplied into
+the rfftn output in place, and the steps of irfftn, whose output is real by
+construction; the zero mode is annihilated.  Real symbols (|xi|^s, the
+identity) are even, so their float64 table, half the size of a complex one,
+is used as evaluated; numpy multiplies it into complex coefficients exactly
+as its complex cast.  Only complex symbols are also evaluated on the mirror
+-xi and conjugate symmetrized, which zeroes their odd part on the Nyquist
+planes.  Spectral derivatives are apply_symbol with the symbol
+(2 pi i xi)^alpha.
 
 apply_table is the raw-array path of the iterative solvers: a full-lattice
 table (abs_power_table) and complex FFTs.  Both paths transform in place in
-one complex work buffer that they own (only apply_symbol's closing irfft
-writes a new, real array), with numpy's FFT calls in numpy's order, so each
-output equals the allocating form (irfftn(table * rfftn(f)),
-ifftn(fftn(values) * table).real) bit for bit.
+one work buffer that they own (apply_symbol's is real, in the padded
+in-place real-FFT layout, and becomes its output), with numpy's FFT calls in
+numpy's order, so each output equals the allocating form
+(irfftn(table * rfftn(f)), ifftn(fftn(values) * table).real) bit for bit.
 """
 
 from __future__ import annotations
@@ -153,71 +154,116 @@ def riesz_symbol(dim: int, j: int) -> FrequencySymbol:
     return FrequencySymbol(f"riesz:{j}", dim, ((1j, tuple(int(a == j) for a in range(dim)), -1.0),))
 
 
-def _conjugate_symmetrize(grid: Grid, symbol: FrequencySymbol) -> np.ndarray:
-    """The table of symbol on the rfftn half lattice [..., :N//2+1]: m(xi)
-    for a real symbol, (m(xi) + conj(m(-xi)))/2 for a complex one.
+def _conjugate_symmetrize(grid: Grid, symbol: FrequencySymbol, rows: slice = slice(None)) -> np.ndarray:
+    """The table of symbol on the rows `rows` (axis-0 indices) of the rfftn
+    half lattice [..., :N//2+1]: m(xi) for a real symbol, (m(xi) +
+    conj(m(-xi)))/2 for a complex one.  In 1D the rows are entries of the
+    half lattice itself.
 
     A real table is returned as evaluated (possibly a read-only broadcast
     view): a real symbol is even, and for |xi|^s and the identity the mirror
     frequencies are exact negations (or the Nyquist entry itself), so the
     average would reproduce the table bit for bit.  A complex symbol is
-    evaluated again on the mirror (lattice index -j mod N per axis, so a
-    Nyquist frequency is its own mirror) and averaged; a no-op (to roundoff)
-    except at the self-conjugate Nyquist planes, where it drops the
-    imaginary part.  Without this, odd symbols (Riesz type) would map the
+    evaluated again on the mirror of the same rows (lattice index -j mod N
+    per axis, so a Nyquist frequency is its own mirror) and averaged; a no-op
+    (to roundoff) except at the self-conjugate Nyquist planes, where it drops
+    the imaginary part.  Without this, odd symbols (Riesz type) would map the
     Nyquist content of real inputs to non-Hermitian coefficients.  The
     result is the half of a table that is exactly Hermitian at every finite
     entry, as irfftn assumes.  The average is formed in place in the
     conjugated mirror table (IEEE + and * commute, so the bits are those of
-    0.5 * (table + conj(neg))).
+    0.5 * (table + conj(neg))).  Every entry is computed as on the whole half
+    lattice, so a block of rows is that block of the whole table bit for bit.
     """
     symbol.check_grid(grid)
     N, dim = grid.points_per_axis, grid.dim
-    f = grid.axis_frequencies()
-    half = N // 2 + 1
-    table = symbol.on_axes(per_axis([f] * (dim - 1) + [f[:half]]))
+    index = [np.arange(N)] * (dim - 1) + [np.arange(N // 2 + 1)]
+    index[0] = index[0][rows]
+
+    def on_indices(per_axis_index):
+        return symbol.on_axes(per_axis([grid.axis_frequencies(i) for i in per_axis_index]))
+
+    table = on_indices(index)
     if not np.iscomplexobj(table):
         return table
-    mirror = f[(-np.arange(N)) % N]
-    neg = symbol.on_axes(per_axis([mirror] * (dim - 1) + [mirror[:half]]))
-    out = np.conjugate(neg)
+    out = np.conjugate(on_indices([(-i) % N for i in index]))
     with np.errstate(invalid="ignore"):  # zero mode may hold inf; apply_symbol annihilates it
         out += table
         out *= 0.5
     return out
 
 
+_BLOCK = 2**16  # half-lattice entries per block of axis-0 rows
+
+
+def _row_blocks(nrows: int, row_size: int) -> list:
+    """Consecutive slices over nrows rows of row_size entries each, about
+    _BLOCK entries (at least one row) per slice."""
+    step = max(1, _BLOCK // row_size)
+    return [slice(r, min(r + step, nrows)) for r in range(0, nrows, step)]
+
+
+def _multiply_symbol(F: np.ndarray, grid: Grid, symbol: FrequencySymbol) -> None:
+    """Multiply symbol into the half-lattice coefficients F in place, block
+    by block over axis-0 rows, each block's table checked finite off the zero
+    mode first (irfftn reads only the half lattice, so this checks every
+    entry applied); the zero mode is annihilated."""
+    zero = (0,) * grid.dim
+    for rows in _row_blocks(F.shape[0], F[0].size):
+        table = _conjugate_symmetrize(grid, symbol, rows)
+        bad = ~np.isfinite(table)
+        if rows.start == 0:
+            bad[zero] = False
+        if np.any(bad):
+            raise SymbolError(f"symbol {symbol.name} evaluates to NaN/Inf off the zero mode")
+        block = F[rows]
+        with np.errstate(invalid="ignore"):  # inf * 0 at the zero mode, fixed below
+            np.multiply(table, block, out=block)
+        del table, bad  # before the next block's table is evaluated
+    F[zero] = 0.0
+
+
 def apply_symbol(f: GridFunction, symbol: FrequencySymbol) -> GridFunction:
     """Inverse transform of m(xi) * F(xi), zero mode annihilated.
 
-    The half-lattice table (conjugate symmetrized if complex), checked
-    before any transform; rfftn into one complex half-lattice buffer; the
-    table multiplied into it; ifft over each leading axis in place; then
-    irfft over the last axis, the one step that needs a new (real) array.
-    The output is real by construction and equals irfftn(table * rfftn(f))
-    bit for bit.
+    Every step runs in one real buffer of shape (*lead, 2*(N//2+1)), whose
+    complex view is the rfftn half lattice (the padded in-place real-FFT
+    layout of FFTW): rfftn into it; then, block by block over axis-0 rows
+    of about 2^16 entries, the block's table (conjugate symmetrized if
+    complex) checked finite off the zero mode and multiplied in; ifft over
+    each leading axis in place; irfft over blocks of rows, each row's N
+    reals written into the same row; the rows compacted in place and the
+    buffer shrunk to the grid's shape, so the output owns its data and no
+    other field-sized array is allocated.  A symbol that is NaN/Inf off the
+    zero mode raises SymbolError (after the forward transform) and returns
+    nothing.  The output is real by construction and equals
+    irfftn(table * rfftn(f)) bit for bit.
     """
     grid = f.grid
-    N = grid.points_per_axis
-    table = _conjugate_symmetrize(grid, symbol)
-    zero = (0,) * grid.dim
-    # irfftn reads only the half lattice, so this checks every entry applied
-    bad = ~np.isfinite(table)
-    bad[zero] = False
-    if np.any(bad):
-        raise SymbolError(f"symbol {symbol.name} evaluates to NaN/Inf off the zero mode")
-    del bad
-    F = np.empty(table.shape, complex)
-    np.fft.rfftn(f.values, axes=tuple(range(grid.dim)), out=F)
-    with np.errstate(invalid="ignore"):  # inf * 0 at the zero mode, fixed below
-        np.multiply(table, F, out=F)
-    F[zero] = 0.0
-    del table
-    for axis in range(grid.dim - 1):
+    N, dim = grid.points_per_axis, grid.dim
+    symbol.check_grid(grid)
+    half = N // 2 + 1
+    buf = np.empty(grid.shape[:-1] + (2 * half,))
+    F = buf.view(complex)
+    np.fft.rfftn(f.values, axes=tuple(range(dim)), out=F)
+    _multiply_symbol(F, grid, symbol)
+    for axis in range(dim - 1):
         np.fft.ifft(F, N, axis, out=F)
-    out = np.fft.irfft(F, N, grid.dim - 1)
-    del F
-    return GridFunction(grid, out)
+    rows_out = buf.reshape(-1, 2 * half)
+    rows_in = F.reshape(-1, half)
+    blocks = _row_blocks(rows_out.shape[0], half)
+    for rows in blocks:  # numpy copies each block's input, as it overlaps the output
+        np.fft.irfft(rows_in[rows], N, out=rows_out[rows, :N])
+    if dim > 1:  # row r moves from offset r*2*half to r*N; row 0 is in place
+        flat = buf.reshape(-1)
+        for rows in blocks:
+            flat[rows.start * N : rows.stop * N].reshape(-1, N)[...] = rows_out[rows, :N]
+        del flat
+    del F, rows_in, rows_out
+    # no view of buf is left; a tracer's or debugger's frame snapshot may
+    # still hold buf itself, which refcheck would refuse
+    buf.resize(grid.shape, refcheck=False)
+    return GridFunction(grid, buf)
 
 
 def frac_laplacian(f: GridFunction, s: float) -> GridFunction:
@@ -319,14 +365,16 @@ def _factorial_multi(alpha) -> int:
 
 def _differentiate(terms, a: int) -> list:
     """d/dxi_a term by term: d_a(c xi^gamma |xi|^p) = gamma_a c xi^(gamma - e_a) |xi|^p
-    + p c xi^(gamma + e_a) |xi|^(p - 2), the first term dropped where gamma_a = 0."""
+    + p c xi^(gamma + e_a) |xi|^(p - 2), the first term dropped where gamma_a = 0.
+    Terms whose coefficient is exactly 0 (p = 0) are dropped too, except one
+    when all vanish, so that the zero symbol keeps a term."""
     out = []
     for c, gamma, p in terms:
         k = gamma[a]
         if k:
             out.append((k * c, gamma[:a] + (k - 1,) + gamma[a + 1 :], p))
         out.append((p * c, gamma[:a] + (k + 1,) + gamma[a + 1 :], p - 2))
-    return out
+    return [t for t in out if t[0] != 0] or out[:1]
 
 
 def derived_symbol(m: FrequencySymbol, alpha, s: float) -> FrequencySymbol:

@@ -15,7 +15,7 @@ from fraclap.fields import (
     smooth_bump,
     sphere_valued_map,
 )
-from fraclap.grid import Grid, ball_mask, lp_norm
+from fraclap.grid import Grid, ball_mask, lp_norm, per_axis
 
 
 def test_band_limited_field_deterministic_unit_norm():
@@ -197,6 +197,42 @@ def test_smooth_bump_matches_full_grid_formula_bitwise(dim, n_pts, modulation_mo
             # off the support box the full-grid product 0.0 * cos is -0.0
             # where cos < 0; adding 0.0 maps -0.0 to 0.0 and keeps the rest
             assert (got + 0.0).tobytes() == (ref + 0.0).tobytes(), (center, radius)
+
+
+def _former_box_normalized(grid, box, on_box):
+    """The former closing steps of smooth_bump and confined_field: the box
+    values written into zeros and the whole grid divided by the norm."""
+    vals = np.zeros(grid.shape)
+    vals[box] = on_box
+    vals /= np.sqrt(np.sum(vals**2) * grid.cell_measure)
+    return vals
+
+
+@pytest.mark.parametrize("dim,n_pts", [(1, 256), (2, 64), (3, 16)])
+def test_compact_fields_equal_their_former_formulas_bitwise(dim, n_pts):
+    # only the box is normalized now; 0/norm is the 0.0 left off the box, so
+    # the bits are the former ones, -0.0 included
+    g = Grid(dim, n_pts, 3.0)
+    for radius in (4 * g.spacing, g.box_length / 6, 0.6 * g.box_length):
+        box, disp = g.support_box(g.center, radius)
+        window = base_profile_values(2.0 * np.sqrt(sum(d * d for d in disp)) / radius)
+        got = smooth_bump(g, g.center, radius).values
+        assert got.tobytes() == _former_box_normalized(g, box, window).tobytes(), radius
+        for seed in (0, 3):
+            f = band_limited_field(g, seed, cutoff=n_pts / 8, envelope=n_pts / 16)
+            got = confined_field(g, seed, radius, cutoff=n_pts / 8, envelope=n_pts / 16).values
+            ref = _former_box_normalized(g, box, f.values[box] * window)
+            assert got.tobytes() == ref.tobytes(), (radius, seed)
+    # band_limited_field divides in place; the former formula built vals / norm
+    for seed in (0, 3):
+        N = g.points_per_axis
+        W = np.fft.rfftn(np.random.default_rng(seed).standard_normal(g.shape))
+        modes = [np.fft.fftfreq(N) * N for _ in range(dim - 1)] + [np.arange(N // 2 + 1.0)]
+        W[np.sqrt(sum(x**2 for x in per_axis(modes))) > N / 8] = 0.0
+        W[(0,) * dim] = 0.0
+        vals = np.fft.irfftn(W, s=g.shape, axes=tuple(range(dim)))
+        ref = vals / np.sqrt(np.sum(vals**2) * g.cell_measure)
+        assert band_limited_field(g, seed).values.tobytes() == ref.tobytes(), seed
 
 
 def test_smooth_bump_peak_memory(traced_peak):

@@ -245,6 +245,44 @@ def test_failed_construction_leaves_the_array_writeable():
     assert vals.flags.writeable
 
 
+@pytest.mark.parametrize("dim,n_pts", [(1, 1024), (1, 2**16), (1, 2**20), (2, 64), (2, 512), (3, 16), (3, 64)])
+def test_l2_inner_equals_the_full_grid_product_sum_bitwise(dim, n_pts):
+    # the chunked product summed in numpy's pairwise order, at sizes below,
+    # at and above the 2^16-entry chunk; masked, and in Fortran order, where
+    # numpy sums in memory order, too
+    g = Grid(dim, n_pts, 3.0)
+    rng = np.random.default_rng(n_pts)
+    a, b = rng.standard_normal(g.shape), rng.standard_normal(g.shape)
+    f, h = GridFunction(g, a.copy()), GridFunction(g, b.copy())
+    assert l2_inner(f, h) == float(np.sum(a * b) * g.cell_measure)
+    mask = ball_mask(g, g.center, 1.0)
+    assert l2_inner(f, h, mask) == float(np.sum((a * b)[mask.values]) * g.cell_measure)
+    ff, hf = GridFunction(g, np.asfortranarray(a)), GridFunction(g, np.asfortranarray(b))
+    assert l2_inner(ff, hf) == float(np.sum(ff.values * hf.values) * g.cell_measure)
+
+
+def test_l2_inner_peak_memory(traced_peak):
+    # one scratch chunk of 2^16 entries: 0.25x the field's bytes at 512^2
+    # measured (1.0x for the full-grid product)
+    g = Grid(2, 512, 1.0)
+    f = GridFunction(g, np.random.default_rng(0).standard_normal(g.shape))
+    assert traced_peak(l2_inner, f, f) <= 0.26 * g.npoints * 8
+
+
+@pytest.mark.parametrize("n_pts", [8, 9, 15, 16, 1024, 2**20])
+@pytest.mark.parametrize("box", [1.0, 3.0, 0.7])
+def test_axis_frequencies_are_fftfreq_bitwise(n_pts, box):
+    g = object.__new__(Grid)  # past the power-of-two check, for odd N
+    for name, value in (("dim", 1), ("points_per_axis", n_pts), ("box_length", box)):
+        object.__setattr__(g, name, value)
+    whole = g.axis_frequencies()
+    assert whole.tobytes() == np.fft.fftfreq(n_pts, d=g.spacing).tobytes()
+    index = np.arange(n_pts)[n_pts // 3 :]
+    assert g.axis_frequencies(index).tobytes() == whole[index].tobytes()
+    mirror = (-np.arange(n_pts // 2 + 1)) % n_pts
+    assert g.axis_frequencies(mirror).tobytes() == whole[mirror].tobytes()
+
+
 def test_l2_inner_matches_norm():
     g = Grid(1, 128, 1.0)
     rng = np.random.default_rng(5)

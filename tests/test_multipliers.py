@@ -355,7 +355,11 @@ def _irfftn_reference(f, symbol):
     return np.fft.irfftn(out, s=g.shape, axes=axes)
 
 
-@pytest.mark.parametrize("dim,n_pts", [(1, 16), (1, 15), (2, 16), (2, 15), (3, 8), (3, 9)])
+# the last four span several row blocks of the multiplier and of the irfft
+@pytest.mark.parametrize(
+    "dim,n_pts",
+    [(1, 16), (1, 15), (2, 16), (2, 15), (3, 8), (3, 9), (1, 2**18 + 1), (2, 1024), (2, 513), (3, 64)],
+)
 def test_apply_symbol_equals_irfftn_of_complex_table_bitwise(dim, n_pts):
     g = _unchecked_grid(dim, n_pts, 3.0)
     f = GridFunction(g, np.random.default_rng(n_pts).standard_normal(g.shape))
@@ -365,7 +369,35 @@ def test_apply_symbol_equals_irfftn_of_complex_table_bitwise(dim, n_pts):
     syms += [derived_symbol(riesz_symbol(dim, 0), alpha, 1.5), derived_symbol(identity_symbol(dim), alpha, 1.5)]
     for sym in syms:
         got = apply_symbol(f, sym)
+        # the shrunk work buffer itself, adopted without a copy
+        assert got.values.flags.owndata and got.values.flags.c_contiguous, sym.name
         assert got.values.tobytes() == _irfftn_reference(f, sym).tobytes(), sym.name
+
+
+@pytest.mark.parametrize("dim,n_pts", [(1, 2**18), (2, 1024)])
+def test_symbol_overflow_in_a_later_row_block_rejected(dim, n_pts):
+    # xi_0^1200 overflows only where |xi_0| > 1.011: with L the number of rows
+    # of the first block, |xi_0| < 1 there, so the first block is finite and
+    # multiplies in without overflow, and later blocks are infinite
+    rows = multipliers._row_blocks(n_pts // 2 + 1 if dim == 1 else n_pts, 1 if dim == 1 else n_pts // 2 + 1)
+    assert len(rows) > 1
+    g = Grid(dim, n_pts, float(rows[0].stop))
+    sym = FrequencySymbol("late-overflow", dim, ((1.0, (1200,) + (0,) * (dim - 1), 0.0),))
+    assert np.all(np.isfinite(multipliers._conjugate_symmetrize(g, sym, rows[0])))
+    assert not np.all(np.isfinite(multipliers._conjugate_symmetrize(g, sym)))
+    f = band_limited_field(g, 0)
+    with pytest.raises(SymbolError, match="NaN/Inf"):
+        apply_symbol(f, sym)
+
+
+@pytest.mark.parametrize("dim,n_pts", [(1, 15), (1, 2**18), (2, 9), (2, 1024), (3, 64)])
+def test_half_table_row_blocks_are_blocks_of_the_whole_table(dim, n_pts):
+    g = _unchecked_grid(dim, n_pts, 3.0)
+    nrows = n_pts // 2 + 1 if dim == 1 else n_pts
+    for sym in (abs_power_symbol(dim, -0.5), riesz_symbol(dim, 0), derived_symbol(riesz_symbol(dim, 0), [1] + [0] * (dim - 1), 1.5)):
+        whole = multipliers._conjugate_symmetrize(g, sym)
+        for rows in (slice(0, 1), slice(1, nrows // 2 + 1), slice(nrows // 2, nrows), slice(nrows - 1, nrows)):
+            assert multipliers._conjugate_symmetrize(g, sym, rows).tobytes() == whole[rows].tobytes(), (sym.name, rows)
 
 
 def test_real_symbols_give_float_tables():
@@ -388,13 +420,24 @@ def test_half_table_peak_memory(traced_peak):
 
 
 def test_apply_symbol_peak_memory(traced_peak):
-    # a float64 half table, one complex half-lattice buffer and the irfft
-    # output: 2.01x the field's bytes measured (2.52x while rfftn allocated
-    # its steps, 5.2x with a complex table, a product array and one irfftn
-    # call)
+    # one row block covers all of 256^2: the padded buffer, then the block's
+    # table and its evaluation, or numpy's copy of the irfft block: 2.02x the
+    # field's bytes measured (2.01x with a float64 half table, a complex
+    # half-lattice buffer and a new irfft output; 5.2x with a complex table,
+    # a product array and one irfftn call)
     f = band_limited_field(Grid(2, 256, 1.0), 0)
     peak = traced_peak(apply_symbol, f, abs_power_symbol(2, 0.5))
     assert peak <= 2.2 * f.values.nbytes
+
+
+def test_apply_symbol_peak_memory_in_row_blocks(traced_peak):
+    # at 512^2 the padded buffer is the only field-sized array: 1.51x the
+    # field's bytes measured for |xi|^s and 2.82x for a complex symbol (2.01x
+    # and 3.58x with a whole half table, a complex buffer and a new output)
+    f = band_limited_field(Grid(2, 512, 1.0), 0)
+    for sym, bound in ((abs_power_symbol(2, 0.5), 1.6), (riesz_symbol(2, 0), 2.9)):
+        peak = traced_peak(apply_symbol, f, sym)
+        assert peak <= bound * f.values.nbytes, sym.name
 
 
 # -- in-place apply_table against the one-line fftn form ----------------------
@@ -567,6 +610,22 @@ def test_derived_symbol_closed_form_matches_hand_derivation():
     hand = s * np.sign(xi) / (2j * np.pi)
     got = np.asarray(ds.evaluate([xi]))
     assert np.max(np.abs(got - hand)) < 1e-12
+
+
+def test_derived_symbols_drop_zero_terms():
+    # d_0 of |xi|^0 xi_0^2 leaves p c = 0 in front of xi_0^3 |xi|^-2; that term
+    # is dropped, and off the zero mode the table keeps its values
+    ds = derived_symbol(identity_symbol(1), (2,), 2.0)
+    assert len(ds.terms) == 1 and ds.terms[0][0] != 0
+    former = FrequencySymbol("former", 1, ds.terms + ((-0j, (2,), -2.0),))
+    xi = [Grid(1, 64, 1.0).axis_frequencies()[1:]]
+    assert np.array_equal(ds.on_axes(xi), former.on_axes(xi))
+    # every term of the zero symbol vanishes: one is kept, and it applies as 0
+    zero = derived_symbol(identity_symbol(2), (1, 0), 0.0)
+    assert len(zero.terms) == 1 and zero.terms[0][0] == 0
+    assert parse_symbol_id("derived:identity:1:0", 1).terms == ((0j, (1,), -1.0),)
+    f = band_limited_field(Grid(2, 16, 1.0), 0)
+    assert not np.any(apply_symbol(f, zero).values)
 
 
 def test_derived_symbol_alpha_zero_unchanged():
