@@ -32,7 +32,8 @@ on the box thus equals the torus one at every masked point (at M = N it is
 the torus one).  These are real FFTs, exact up to roundoff.  The kernel
 depends on (grid, box shape, weight) alone and is one of few in a run, so
 its rfftn comes from a small bounded memo and only the fields are
-transformed per call.  The modulus scan
+transformed per call; ``pair_sums_sq_diff`` puts the columns of several
+samples on one point set into one such convolution.  The modulus scan
 gathers the field (NaN off D) once on the box widened by the largest
 offset, with indices mod N, and takes maxima, which are exact, over blocks
 of offsets through sliding windows, one offset per pair {m, -m}.
@@ -110,15 +111,29 @@ def _box_convolutions(points, columns, weight, grid, reach):
     return conv[(slice(None), *local.T)]
 
 
+def pair_sums_sq_diff(points, samples, expo, grid) -> list:
+    """pair_sum_sq_diff of each sample on one point set, from one box
+    convolution that holds the columns of every sample: samples is a
+    sequence of (P,) or (P, C) value arrays.  Each sample's mean and sums
+    are taken as pair_sum_sq_diff takes them, so each total is its value
+    bit for bit."""
+    points = np.asarray(points)
+    vs = [np.asarray(c, dtype=np.float64).reshape(points.shape[0], -1) for c in samples]
+    vs = [v - v.mean(axis=0) for v in vs]
+    columns = np.column_stack([np.ones(points.shape[0]), *vs])
+    conv = _box_convolutions(points, columns, ("power", float(expo)), grid, grid.points_per_axis)
+    totals, first = [], 1
+    for v in vs:
+        cross = conv[first : first + v.shape[1]]
+        first += v.shape[1]
+        total = 2.0 * np.sum(v * v * conv[0][:, None]) - 2.0 * np.sum(v.T * cross)
+        totals.append(max(float(total), 0.0))  # nonnegative; clamp the roundoff of a zero sum
+    return totals
+
+
 def pair_sum_sq_diff(points, comps, expo, grid) -> float:
     """sum_{i != j} |V_i - V_j|^2 / dist(i, j)^expo over the masked points."""
-    points = np.asarray(points)
-    v = np.asarray(comps, dtype=np.float64).reshape(points.shape[0], -1)
-    v = v - v.mean(axis=0)
-    columns = np.column_stack([np.ones(len(v)), v])
-    conv = _box_convolutions(points, columns, ("power", float(expo)), grid, grid.points_per_axis)
-    total = 2.0 * np.sum(v * v * conv[0][:, None]) - 2.0 * np.sum(v.T * conv[1:])
-    return max(float(total), 0.0)  # nonnegative; clamp the roundoff of a zero sum
+    return pair_sums_sq_diff(points, [comps], expo, grid)[0]
 
 
 def ball_scan(points, vals, rho, grid):

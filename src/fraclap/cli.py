@@ -105,33 +105,44 @@ def _check_order(s, upper=math.inf) -> None:
         raise ValueError(f"--s must lie in (0, {upper:g}), got {s:g}")
 
 
-def _sup(sample, seeds) -> dict:
-    """Sup over `seeds` of each named statistic that `sample(seed)` returns."""
+def _sup(stats) -> dict:
+    """Sup over a sequence of samples of each named statistic they hold."""
     sup: dict = {}
-    for seed in seeds:
-        for key, value in sample(seed).items():
+    for sample in stats:
+        for key, value in sample.items():
             sup[key] = max(sup[key], value) if key in sup else value
     return sup
 
 
-def split_seed_regression(rep, sample, cal_seeds, fresh_seeds, verdicts, floor=0.0, constants=None):
+def per_seed(sample):
+    """The `samples` form of a statistic drawn one seed at a time."""
+    return lambda seeds: [sample(seed) for seed in seeds]
+
+
+def split_seed_regression(rep, samples, cal_seeds, fresh_seeds, verdicts, floor=0.0, constants=None):
     """Calibrate-then-regress: `verdicts` maps a verdict name to a statistic of
-    `sample(seed)`, whose sup over `fresh_seeds` must stay within
-    max(0, its sup over `cal_seeds`) * SLACK + floor.  With a constants
-    payload the bound is the file's `<experiment>/<statistic>` value times
-    SLACK instead, recorded in `rep.constants_used`, and the calibration seeds
-    are not sampled.  Returns (calibration sups or None, fresh sups).
+    each sample, whose sup over `fresh_seeds` must stay within
+    max(0, its sup over `cal_seeds`) * SLACK + floor.  `samples(seeds)`
+    returns the statistics of each seed in turn; it is called once, with the
+    calibration seeds and then the fresh ones, so a study can evaluate all
+    its samples together.  With a constants payload the bound is the file's
+    `<experiment>/<statistic>` value times SLACK instead, recorded in
+    `rep.constants_used`, and only the fresh seeds are sampled.  Returns
+    (calibration sups or None, fresh sups).
     """
+    cal_seeds, fresh_seeds = list(cal_seeds), list(fresh_seeds)
     if constants is None:
-        cal = _sup(sample, cal_seeds)
+        stats = samples(cal_seeds + fresh_seeds)
+        cal = _sup(stats[: len(cal_seeds)])
         bounds = {verdict: max(0.0, cal[stat]) * SLACK + floor for verdict, stat in verdicts.items()}
     else:
+        stats = samples(fresh_seeds)
         cal, bounds = None, {}
         for verdict, stat in verdicts.items():
             name = f"{rep.experiment}/{stat}"
             bounds[verdict] = regression_bound(constants, name)
             rep.constants_used.append({"name": name, "bound": bounds[verdict]})
-    fresh = _sup(sample, fresh_seeds)
+    fresh = _sup(stats[len(stats) - len(fresh_seeds) :])
     for verdict, stat in verdicts.items():
         rep.add_verdict(verdict, fresh[stat] <= bounds[verdict], fresh[stat], bounds[verdict])
     return cal, fresh
@@ -353,7 +364,7 @@ def run_compensation(cfg, rep):
     # diagonal pairs; the diagonal u = v cases are the extremal ones)
     payload = load_constants(cfg["constants"], expect_grid=g) if cfg["constants"] else None
     seed = cfg["seed"]
-    _, h = split_seed_regression(rep, lambda k: _h_ratio_sample(g, k), range(seed, seed + 50, 2),
+    _, h = split_seed_regression(rep, per_seed(lambda k: _h_ratio_sample(g, k)), range(seed, seed + 50, 2),
                                  range(seed + 1000, seed + 1020, 2), {"h_norm_regression": "h_l2"},
                                  constants=payload)
     # the p = 1/2 defect has the exact sup DEFECT_SUP, so fresh samples need no calibration
@@ -394,9 +405,9 @@ def run_dirichlet_growth(cfg, rep):
     window = base_profile_values(4.0 * rho / g.box_length)
     E = ball_mask(g, g.center, g.box_length / 6)
     rows = []
-    for alpha in (0.25, 0.5):
-        v = GridFunction(g, window * rho**alpha)
-        out = holder_exponent_estimate(v, E, R=g.box_length / 12)
+    alphas = (0.25, 0.5)
+    fields = [GridFunction(g, window * rho**alpha) for alpha in alphas]
+    for alpha, out in zip(alphas, holder_exponent_estimate(fields, E, R=g.box_length / 12)):
         names = ("alpha_seminorm", "alpha_campanato", "alpha_modulus")
         for nm in names:
             ok = abs(out[nm] - alpha) <= 0.05
@@ -445,12 +456,12 @@ def run_mv_poincare(cfg, rep):
     s, t = cfg["s"], 0.0
     r = g.box_length / 32
 
-    def sample(seed):
-        v = band_limited_field(g, seed, cutoff=64, envelope=32)
-        return {"ratio": mv_poincare_ratio(v, r, g.center, s, t, fam)["ratio"]}
+    def samples(seeds):
+        fields = [band_limited_field(g, seed, cutoff=64, envelope=32) for seed in seeds]
+        return [{"ratio": out["ratio"]} for out in mv_poincare_ratio(fields, r, g.center, s, t, fam)]
 
     seed = cfg["seed"]
-    cal, fresh = split_seed_regression(rep, sample, range(seed, seed + 10),
+    cal, fresh = split_seed_regression(rep, samples, range(seed, seed + 10),
                                        range(seed + 500, seed + 510), {"regression": "ratio"})
     rep.add_table("ratios", [{"calibration_max": cal["ratio"], "fresh_max": fresh["ratio"]}])
 
@@ -460,12 +471,13 @@ def run_homogloc(cfg, rep):
     g = _grid(cfg, dim=1, n=cfg["grid"])
     s = cfg["s"]
 
-    def sample(seed):
-        v = band_limited_field(g, seed, cutoff=64, envelope=32)
-        return {"ratio": homogeneous_norm_localization(v, g.box_length / 8, g.center, s)["ratio"]}
+    def samples(seeds):
+        fields = [band_limited_field(g, seed, cutoff=64, envelope=32) for seed in seeds]
+        return [{"ratio": out["ratio"]}
+                for out in homogeneous_norm_localization(fields, g.box_length / 8, g.center, s)]
 
     seed = cfg["seed"]
-    split_seed_regression(rep, sample, range(seed, seed + 10), range(seed + 500, seed + 510),
+    split_seed_regression(rep, samples, range(seed, seed + 10), range(seed + 500, seed + 510),
                           {"regression": "ratio"})
 
 
@@ -480,7 +492,7 @@ def run_local_norm(cfg, rep):
         return {"ratio": ratios[seed]}
 
     seed = cfg["seed"]
-    split_seed_regression(rep, sample, range(seed, seed + 5), range(seed + 500, seed + 505),
+    split_seed_regression(rep, per_seed(sample), range(seed, seed + 5), range(seed + 500, seed + 505),
                           {"regression": "ratio"})
     stab = local_norm_recovery(confined_field(g, seed, radius=r), r, g.center, 16.0)["ratio"]
     rep.add_verdict("lambda_stability", stab <= ratios[seed] * 1.10 + 1e-12, stab, ratios[seed] * 1.10)
@@ -513,13 +525,10 @@ def run_annulus_mv(cfg, rep):
     fam = build_family(5)
     s, t = cfg["s"], 0.0
     r = g.box_length / 64
+    fields = [band_limited_field(g, cfg["seed"] + j, cutoff=64, envelope=32) for j in range(8)]
     per_k = {}
     for k in (1, 2, 3, 4):
-        vals = []
-        for j in range(8):
-            v = band_limited_field(g, cfg["seed"] + j, cutoff=64, envelope=32)
-            vals.append(annulus_mv_poincare_ratio(v, r, g.center, k, s, t, fam)["ratio"])
-        per_k[k] = max(vals)
+        per_k[k] = max(out["ratio"] for out in annulus_mv_poincare_ratio(fields, r, g.center, k, s, t, fam))
     spread = max(per_k.values()) / min(per_k.values())
     rep.add_verdict("k_uniformity_factor_2", spread <= 2.0, spread, 2.0)
     rep.add_table("per_k", [{"k": k, "max_ratio": v} for k, v in per_k.items()])
@@ -531,13 +540,13 @@ def run_polynomial_gap(cfg, rep):
     fam = build_family(5)
     r = g.box_length / 64
 
-    def sample(seed):
-        v = band_limited_field(g, seed, cutoff=64, envelope=32)
-        out = polynomial_gap_scan(v, r, g.center, 4, fam)
-        return {"g": max(out["g"]), "e": max(out["e"])}
+    def samples(seeds):
+        fields = [band_limited_field(g, seed, cutoff=64, envelope=32) for seed in seeds]
+        outs = polynomial_gap_scan(fields, r, g.center, 4, fam)
+        return [{"g": max(out["g"]), "e": max(out["e"])} for out in outs]
 
     seed = cfg["seed"]
-    split_seed_regression(rep, sample, range(seed, seed + 10), range(seed + 500, seed + 510),
+    split_seed_regression(rep, samples, range(seed, seed + 10), range(seed + 500, seed + 510),
                           {"gap_regression": "g", "error_regression": "e"})
 
 
@@ -553,7 +562,7 @@ def run_fourier_domination(cfg, rep):
                              fourier_domination_check(u, u)["max_ratio"])}
 
     seed = cfg["seed"]
-    split_seed_regression(rep, sample, range(seed, seed + 50, 2), range(seed + 700, seed + 720, 2),
+    split_seed_regression(rep, per_seed(sample), range(seed, seed + 50, 2), range(seed + 700, seed + 720, 2),
                           {"regression": "ratio"})
 
 
@@ -605,7 +614,7 @@ def run_lower_order(cfg, rep):
         return {"ratio": lower_order_product_norm(u, v, s, m1, m2)["ratio"]}
 
     seed = cfg["seed"]
-    split_seed_regression(rep, sample, range(seed, seed + 20, 2), range(seed + 900, seed + 920, 2),
+    split_seed_regression(rep, per_seed(sample), range(seed, seed + 20, 2), range(seed + 900, seed + 920, 2),
                           {"regression": "ratio"})
 
 
@@ -628,14 +637,15 @@ def run_seminorm_comparison(cfg, rep):
     fam = build_family(5)
     r = g.box_length / 128
 
-    def sample(seed):
-        v = band_limited_field(g, seed, cutoff=128, envelope=64)
-        return {"needed": seminorm_comparison_terms(v, r, g.center, fam)["needed_constant"]}
+    def samples(seeds):
+        fields = [band_limited_field(g, seed, cutoff=128, envelope=64) for seed in seeds]
+        outs = seminorm_comparison_terms(fields, r, g.center, fam)
+        return [{"needed": out["needed_constant"]} for out in outs]
 
     # the absorbing constant is nonnegative (the helper clamps the calibration
     # sup at 0): seeds where the eps-term alone dominates contribute 0
     seed = cfg["seed"]
-    cal, fresh = split_seed_regression(rep, sample, range(seed, seed + 8), range(seed + 500, seed + 508),
+    cal, fresh = split_seed_regression(rep, samples, range(seed, seed + 8), range(seed + 500, seed + 508),
                                        {"regression": "needed"}, floor=1e-12)
     rep.add_table("needed", [{"calibration_max": cal["needed"], "fresh_max": fresh["needed"]}])
 
@@ -654,7 +664,7 @@ def calibrate_suite(suite: str, seed: int, out_path: str) -> dict:
     if suite not in CALIBRATION_SUITES:
         raise ReportError(f"unknown calibration suite {suite!r}")
     g = Grid(**CALIBRATION_GRID)
-    h_l2 = _sup(lambda k: _h_ratio_sample(g, k), range(seed, seed + 50, 2))["h_l2"]
+    h_l2 = _sup([_h_ratio_sample(g, k) for k in range(seed, seed + 50, 2)])["h_l2"]
     constants = {"compensation/h_l2": {
         "value": h_l2, "provenance": "50 seeded pairs (25 independent + 25 diagonal), cutoff N/8",
     }}

@@ -160,6 +160,16 @@ def per_axis(arrays) -> list:
     return [np.reshape(x, [-1 if b == a else 1 for b in range(dim)]) for a, x in enumerate(arrays)]
 
 
+def sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct entries of a 1D array without NaN in ascending order,
+    each once: np.unique's values, by a sort and an adjacent-difference mask
+    (np.unique itself imports numpy.ma)."""
+    v = np.sort(values)
+    keep = np.ones(v.size, dtype=bool)
+    np.not_equal(v[1:], v[:-1], out=keep[1:])
+    return v[keep]
+
+
 @dataclass(frozen=True)
 class DomainMask:
     """Boolean field on a grid (ball, annulus, union, ...)."""
@@ -230,7 +240,7 @@ class GridFunction:
             raise GridError("GridFunction values must be real")
         if not (v.dtype == np.float64 and v.flags.owndata and v.flags.writeable):
             v = v.astype(np.float64, copy=True)
-        if not np.all(np.isfinite(v)):
+        if not (np.isfinite(v.max()) and np.isfinite(v.min())):  # NaN propagates through max
             raise GridError("GridFunction values must be finite")
         if self.support is not None:
             _check_same_grid(self.grid, self.support.grid)
@@ -241,18 +251,6 @@ class GridFunction:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
-    def __add__(self, other):
-        if isinstance(other, GridFunction):
-            _check_same_grid(self.grid, other.grid)
-            return GridFunction(self.grid, self.values + other.values)
-        return GridFunction(self.grid, self.values + other)
-
-    def __sub__(self, other):
-        if isinstance(other, GridFunction):
-            _check_same_grid(self.grid, other.grid)
-            return GridFunction(self.grid, self.values - other.values)
-        return GridFunction(self.grid, self.values - other)
-
     def __mul__(self, other):
         if isinstance(other, GridFunction):
             _check_same_grid(self.grid, other.grid)
@@ -260,9 +258,6 @@ class GridFunction:
         return GridFunction(self.grid, self.values * other)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return GridFunction(self.grid, -self.values)
 
     def mean(self) -> float:
         return float(np.mean(self.values))

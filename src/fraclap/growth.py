@@ -19,9 +19,9 @@ import numpy as np
 
 from . import _kernels
 from .cutoffs import evaluate
-from .grid import DomainMask, GridFunction, annulus_mask, ball_mask, lp_norm
+from .grid import DomainMask, GridFunction, annulus_mask, ball_mask, lp_norm, sorted_distinct
 from .multipliers import frac_laplacian
-from .singular import gagliardo_seminorm
+from .singular import gagliardo_seminorm, gagliardo_seminorms
 
 SLACK = 1e-12
 
@@ -293,32 +293,31 @@ def campanato_functionals(v: GridFunction, D: DomainMask, lam: float, R: float) 
     return {"J": best_J, "M": best_M, "at_J": at_J, "at_M": at_M, "scales": rhos}
 
 
-def _ball_seminorm_sup(v: GridFunction, E: DomainMask, r: float, s: float) -> float:
-    """sup over 9 evenly spaced centers in E of the Gagliardo seminorm on B_r."""
-    grid = v.grid
+def _center_balls(E: DomainMask, r: float) -> list:
+    """Balls of radius r about 9 evenly spaced points of E (fewer when E has
+    fewer points)."""
+    grid = E.grid
     sel = np.nonzero(E.values)
-    count = sel[0].size
-    picks = np.unique(np.linspace(0, count - 1, 9).astype(int))
-    best = 0.0
-    for p in picks:
-        center = [grid.axis_coords()[sel[a][p]] for a in range(grid.dim)]
-        best = max(best, gagliardo_seminorm(v, ball_mask(grid, center, r), s))
-    return best
+    picks = sorted_distinct(np.linspace(0, sel[0].size - 1, 9).astype(int))
+    coords = grid.axis_coords()
+    return [ball_mask(grid, [coords[sel[a][p]] for a in range(grid.dim)], r) for p in picks]
 
 
-def holder_exponent_estimate(v: GridFunction, E: DomainMask, R: float) -> dict:
-    """Three routes to the Hoelder exponent of v on E, over the four dyadic
-    scales R, R/2, R/4, R/8.
+def holder_exponent_estimate(fields, E: DomainMask, R: float) -> list:
+    """Three routes to the Hoelder exponent of each field v on E, over the
+    four dyadic scales R, R/2, R/4, R/8.
 
-    (a) log-log slope of sup_x [v]_{B_r(x), n/2} against r;
+    (a) log-log slope of sup_x [v]_{B_r(x), n/2} against r, the sup over 9
+        evenly spaced centers in E;
     (b) growth fit of the Campanato mass sup_x int_{B_rho} |v - mean|^2,
         whose slope is n + 2 alpha;
     (c) slope of the modulus of continuity sup_{|x-y|<=delta} |v(x)-v(y)|,
         capped at 1 (grid-scale Lipschitz saturation).
-    Returns the three estimates and the scales used; degenerate (flat) input
-    yields the sentinel alpha = None entries.
+    Returns, per field, the three estimates and the scales used; degenerate
+    (flat) input yields the sentinel alpha = None entries.  The balls of (a)
+    are built once for all fields.
     """
-    grid = v.grid
+    grid = E.grid
     h = grid.spacing
     if R < 16 * h:
         raise GrowthError("R must resolve at least 4 dyadic scales (R >= 16h)")
@@ -326,15 +325,26 @@ def holder_exponent_estimate(v: GridFunction, E: DomainMask, R: float) -> dict:
     if radii[-1] < 4 * h:
         raise GrowthError("smallest scale under-resolved; raise R or refine")
     sel = E.values
+    points = np.argwhere(sel)
+    balls = [_center_balls(E, r) for r in radii]
+    return [_holder_exponents(v, sel, points, radii, balls) for v in fields]
+
+
+def _holder_exponents(v: GridFunction, sel, points, radii, balls) -> dict:
+    grid = v.grid
     spread = float(np.max(v.values[sel]) - np.min(v.values[sel]))
     if spread <= 1e-14 * (np.max(np.abs(v.values)) + 1e-300):
         return {"alpha_seminorm": None, "alpha_campanato": None, "alpha_modulus": None,
                 "flat": True}
 
-    sems = [_ball_seminorm_sup(v, E, r, grid.dim / 2.0) for r in radii]
+    sems = []
+    for at_r in balls:
+        best = 0.0
+        for B in at_r:
+            best = max(best, gagliardo_seminorm(v, B, grid.dim / 2.0))
+        sems.append(best)
     alpha_a = float(np.polyfit(np.log(radii), np.log(np.maximum(sems, 1e-300)), 1)[0])
 
-    points = np.argwhere(sel)
     vals = np.asarray(v.values, dtype=float)[sel]
     masses = []
     for rho in radii:
@@ -357,27 +367,30 @@ def holder_exponent_estimate(v: GridFunction, E: DomainMask, R: float) -> dict:
     }
 
 
-def seminorm_comparison_terms(v: GridFunction, r: float, x, family) -> dict:
-    """Terms of the ball-seminorm comparison: [v]_{B_r, n/2} against
-    eps [v]_{B_8r, n/2} plus the bracket
+def seminorm_comparison_terms(fields, r: float, x, family) -> list:
+    """Terms of the ball-seminorm comparison for each field v: [v]_{B_r, n/2}
+    against eps [v]_{B_8r, n/2} plus the bracket
 
         ||Lap^{n/2} v||_{L2(B_16r)} + sum_{k=1..4} 2^(-n k) ||eta^k_{8r} Lap^{n/2} v||_2
         + sum_j 2^(-gamma |j|) [v]_{A~_j, n/2},
 
-    with eps = gamma = 1/2, returning the constant the bracket needs to
-    absorb the remainder."""
-    grid = v.grid
+    with eps = gamma = 1/2, with the constant the bracket needs to absorb the
+    remainder.  Masks and cutoffs are built once for all fields, and each
+    mask's seminorms share one box convolution."""
+    grid = fields[0].grid
     n = grid.dim
     s = n / 2.0
-    lhs = gagliardo_seminorm(v, ball_mask(grid, x, r), s)
-    first = 0.5 * gagliardo_seminorm(v, ball_mask(grid, x, 8.0 * r), s)
-    lap = frac_laplacian(v, s)
-    bracket = lp_norm(lap, 2, ball_mask(grid, x, 16.0 * r))
+    lhs = gagliardo_seminorms(fields, ball_mask(grid, x, r), s)
+    first = [0.5 * sem for sem in gagliardo_seminorms(fields, ball_mask(grid, x, 8.0 * r), s)]
+    laps = [frac_laplacian(v, s) for v in fields]
+    outer = ball_mask(grid, x, 16.0 * r)
+    bracket = [lp_norm(lap, 2, outer) for lap in laps]
     for k in range(1, 5):
         if 2.0 ** (k + 1) * 8.0 * r > 0.5 * grid.box_length:
             break
-        eta = evaluate(family, k, 8.0 * r, x, grid)
-        bracket += 2.0 ** (-n * k) * lp_norm(GridFunction(grid, eta.values * lap.values), 2)
+        eta = evaluate(family, k, 8.0 * r, x, grid).values
+        for i, lap in enumerate(laps):
+            bracket[i] += 2.0 ** (-n * k) * lp_norm(GridFunction(grid, eta * lap.values), 2)
     h = grid.spacing
     j = 0
     while 2.0 ** (j - 1) * r >= 4 * h and j >= -40:
@@ -386,20 +399,25 @@ def seminorm_comparison_terms(v: GridFunction, r: float, x, family) -> dict:
     j_max = 0
     while 2.0 ** (j_max + 2) * r <= 0.45 * grid.box_length:
         j_max += 1
-    ann_sum = 0.0
+    ann_sum = [0.0] * len(fields)
     for j in range(j_min, j_max + 1):
         A = annulus_mask(grid, x, 2.0 ** (j - 1) * r, 2.0 ** (j + 1) * r)
-        ann_sum += 2.0 ** (-0.5 * abs(j)) * gagliardo_seminorm(v, A, s)
-    bracket += ann_sum
-    needed = (lhs - first) / bracket if bracket > 0 else 0.0
-    return {"lhs": lhs, "eps_term": first, "bracket": bracket, "needed_constant": needed}
+        for i, sem in enumerate(gagliardo_seminorms(fields, A, s)):
+            ann_sum[i] += 2.0 ** (-0.5 * abs(j)) * sem
+    out = []
+    for lhs_i, first_i, bracket_i, ann_i in zip(lhs, first, bracket, ann_sum):
+        bracket_i += ann_i
+        needed = (lhs_i - first_i) / bracket_i if bracket_i > 0 else 0.0
+        out.append({"lhs": lhs_i, "eps_term": first_i, "bracket": bracket_i, "needed_constant": needed})
+    return out
 
 
-def homogeneous_norm_localization(v: GridFunction, r: float, x, s: float) -> dict:
-    """[v]^2_{B_r, s} against C sum_{k <= -1} [v]^2_{A_k, s} with the dyadic
-    annuli A_k = B_{2^{k+1} r} minus closure(B_{2^{k-1} r}) resolved down to
-    8 grid spacings."""
-    grid = v.grid
+def homogeneous_norm_localization(fields, r: float, x, s: float) -> list:
+    """[v]^2_{B_r, s} against C sum_{k <= -1} [v]^2_{A_k, s} for each field v,
+    with the dyadic annuli A_k = B_{2^{k+1} r} minus closure(B_{2^{k-1} r})
+    resolved down to 8 grid spacings.  Masks are built once for all fields,
+    and each mask's seminorms share one box convolution."""
+    grid = fields[0].grid
     h = grid.spacing
     ks = []
     k = -1
@@ -408,16 +426,20 @@ def homogeneous_norm_localization(v: GridFunction, r: float, x, s: float) -> dic
         k -= 1
     if len(ks) < 2:
         raise GrowthError("too few resolvable annuli")
-    lhs = gagliardo_seminorm(v, ball_mask(grid, x, r), s) ** 2
-    terms = []
+    lhs = [sem**2 for sem in gagliardo_seminorms(fields, ball_mask(grid, x, r), s)]
+    terms = [[] for _ in fields]
     for k in ks:
         A = annulus_mask(grid, x, 2.0 ** (k - 1) * r, 2.0 ** (k + 1) * r)
-        terms.append(gagliardo_seminorm(v, A, s) ** 2)
-    rhs = float(np.sum(terms))
-    return {
-        "lhs": lhs,
-        "rhs": rhs,
-        "ratio": lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else math.inf),
-        "k_list": ks,
-        "terms": terms,
-    }
+        for t, sem in zip(terms, gagliardo_seminorms(fields, A, s)):
+            t.append(sem**2)
+    out = []
+    for lhs_i, terms_i in zip(lhs, terms):
+        rhs = float(np.sum(terms_i))
+        out.append({
+            "lhs": lhs_i,
+            "rhs": rhs,
+            "ratio": lhs_i / rhs if rhs > 0 else (0.0 if lhs_i == 0 else math.inf),
+            "k_list": ks,
+            "terms": terms_i,
+        })
+    return out

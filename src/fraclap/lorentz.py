@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, GridFunction
+from .grid import Grid, GridFunction, sorted_distinct
 
 
 class LorentzError(ValueError):
@@ -135,7 +135,7 @@ def product_rearrangement_gaps(f: GridFunction, g: GridFunction) -> np.ndarray:
     pg = decreasing_rearrangement(g)
     pfg = decreasing_rearrangement(f * g)
     ts = np.concatenate([pf.breakpoints, pg.breakpoints, 0.5 * pfg.breakpoints])
-    ts = np.unique(ts[ts > 0])
+    ts = sorted_distinct(ts[ts > 0])
     return pfg.evaluate(2.0 * ts) - pf.evaluate(ts) * pg.evaluate(ts)
 
 

@@ -36,7 +36,7 @@ from .multipliers import (
     frac_laplacian,
     polynomial_values,
 )
-from .singular import gagliardo_seminorm
+from .singular import gagliardo_seminorms
 from .solve import restricted_cg
 
 
@@ -77,25 +77,33 @@ def meanvalue_polynomial(v: GridFunction, D: DomainMask, degree: int, center=Non
 
     degree is capped at 2 (covers all supported dimensions).
     """
+    return meanvalue_polynomials([v], D, degree, center)[0]
+
+
+def meanvalue_polynomials(fields, D: DomainMask, degree: int, center=None) -> list:
+    """meanvalue_polynomial of each field on one mask, the displacement on D
+    built once for all of them."""
     if degree > 2 or degree < 0:
         raise MeanValueError("degree must lie in {0, 1, 2}")
     if D.npoints == 0:
         raise MeanValueError("empty mask")
-    grid = v.grid
+    grid = D.grid
     if center is None:
         center = grid.center
     center = np.atleast_1d(np.asarray(center, dtype=float))
     sel = D.values
     disp = [d[sel] for d in grid.periodic_displacement(center)]
-
-    coeffs: dict = {}
-    stages = []
-    for i in range(degree, -1, -1):
-        for alpha in _indices_of_order(grid.dim, i):
-            residual = derivative(v, alpha).values[sel] - polynomial_values(disp, coeffs, alpha)
-            coeffs[alpha] = float(np.mean(residual))
-        stages.append(dict(coeffs))
-    return MeanValuePolynomial(grid, center, degree, coeffs, stages)
+    out = []
+    for v in fields:
+        coeffs: dict = {}
+        stages = []
+        for i in range(degree, -1, -1):
+            for alpha in _indices_of_order(grid.dim, i):
+                residual = derivative(v, alpha).values[sel] - polynomial_values(disp, coeffs, alpha)
+                coeffs[alpha] = float(np.mean(residual))
+            stages.append(dict(coeffs))
+        out.append(MeanValuePolynomial(grid, center, degree, coeffs, stages))
+    return out
 
 
 # -- Poincare constants ------------------------------------------------------
@@ -171,39 +179,45 @@ def _checked_degree(dim: int, degree: Optional[int], s: float, t: float) -> int:
     return degree
 
 
-def _mv_ratio(v, D, wide, r, x, k, s, t, family, degree) -> dict:
-    """||Lap^s (eta^k_{r,x} (v-P))||_2 / ((2^k r)^t [v]_{wide, s+t}) with P
-    the mean-value polynomial of v on D; k = 0 is the ball case."""
-    grid = v.grid
-    P = meanvalue_polynomial(v, D, degree, center=x)
-    eta = evaluate(family, k, r, x, grid)
-    w = GridFunction(grid, eta.values * (v.values - P.evaluate()))
-    num = lp_norm(frac_laplacian(w, s), 2) if s > 0 else lp_norm(w, 2)
-    sem = gagliardo_seminorm(v, wide, s + t)
-    if sem == 0:
-        raise MeanValueError("zero seminorm")
-    den = (2.0**k * r) ** t * sem
-    return {"numerator": num, "denominator": den, "ratio": num / den}
+def _mv_ratios(fields, D, wide, r, x, k, s, t, family, degree) -> list:
+    """||Lap^s (eta^k_{r,x} (v-P))||_2 / ((2^k r)^t [v]_{wide, s+t}) for each
+    field v, with P the mean-value polynomial of v on D; k = 0 is the ball
+    case.  The cutoff and the displacement are built once for all fields, and
+    the seminorms share one box convolution."""
+    grid = fields[0].grid
+    eta = evaluate(family, k, r, x, grid).values
+    disp = grid.periodic_displacement(x)
+    nums = []
+    for v, P in zip(fields, meanvalue_polynomials(fields, D, degree, center=x)):
+        w = GridFunction(grid, eta * (v.values - polynomial_values(disp, P.coeffs, (0,) * grid.dim)))
+        nums.append(lp_norm(frac_laplacian(w, s), 2) if s > 0 else lp_norm(w, 2))
+    out = []
+    for num, sem in zip(nums, gagliardo_seminorms(fields, wide, s + t)):
+        if sem == 0:
+            raise MeanValueError("zero seminorm")
+        den = (2.0**k * r) ** t * sem
+        out.append({"numerator": num, "denominator": den, "ratio": num / den})
+    return out
 
 
 def mv_poincare_ratio(
-    v: GridFunction,
+    fields,
     r: float,
     x,
     s: float,
     t: float,
     family: DyadicCutoffFamily,
     degree: Optional[int] = None,
-) -> dict:
-    """||Lap^s (eta_{r,x} (v-P))||_2 / (r^t [v]_{B_4r(x), s+t}) with P the
-    mean-value polynomial of v on B_4r(x)."""
-    degree = _checked_degree(v.grid.dim, degree, s, t)
-    D = ball_mask(v.grid, x, 4.0 * r)
-    return _mv_ratio(v, D, D, r, x, 0, s, t, family, degree)
+) -> list:
+    """||Lap^s (eta_{r,x} (v-P))||_2 / (r^t [v]_{B_4r(x), s+t}) for each
+    field v, with P the mean-value polynomial of v on B_4r(x)."""
+    degree = _checked_degree(fields[0].grid.dim, degree, s, t)
+    D = ball_mask(fields[0].grid, x, 4.0 * r)
+    return _mv_ratios(fields, D, D, r, x, 0, s, t, family, degree)
 
 
 def annulus_mv_poincare_ratio(
-    v: GridFunction,
+    fields,
     r: float,
     x,
     k: int,
@@ -211,50 +225,59 @@ def annulus_mv_poincare_ratio(
     t: float,
     family: DyadicCutoffFamily,
     degree: Optional[int] = None,
-) -> dict:
-    """Annulus variant: P on A_k = B_{2^{k+1}r} minus closure(B_{2^{k-1}r}),
-    seminorm on the fattened annulus, normalizer (2^k r)^t."""
-    degree = _checked_degree(v.grid.dim, degree, s, t)
+) -> list:
+    """Annulus variant, for each field: P on A_k = B_{2^{k+1}r} minus
+    closure(B_{2^{k-1}r}), seminorm on the fattened annulus, normalizer
+    (2^k r)^t."""
+    grid = fields[0].grid
+    degree = _checked_degree(grid.dim, degree, s, t)
     if k < 1:
         raise MeanValueError("annulus index k must be >= 1")
-    D = annulus_mask(v.grid, x, 2.0 ** (k - 1) * r, 2.0 ** (k + 1) * r)
-    wide = annulus_mask(v.grid, x, 2.0 ** (k - 2) * r, 2.0 ** (k + 2) * r)
-    return _mv_ratio(v, D, wide, r, x, k, s, t, family, degree)
+    D = annulus_mask(grid, x, 2.0 ** (k - 1) * r, 2.0 ** (k + 1) * r)
+    wide = annulus_mask(grid, x, 2.0 ** (k - 2) * r, 2.0 ** (k + 2) * r)
+    return _mv_ratios(fields, D, wide, r, x, k, s, t, family, degree)
 
 
 def polynomial_gap_scan(
-    v: GridFunction,
+    fields,
     r: float,
     x,
     k_max: int,
     family: DyadicCutoffFamily,
     degree: Optional[int] = None,
-) -> dict:
+) -> list:
     """Sup-norm gaps between the ball and annulus mean-value polynomials and
-    the L^2 closeness of v to its ball polynomial, per dyadic scale.
+    the L^2 closeness of v to its ball polynomial, per dyadic scale, for
+    each field v:
 
     g_k = ||eta^k_r (P_{B_r} - P_{A_k})||_inf / ((1+k) ||Lap^{n/2} v||_2),
     e_k = ||eta^k_r (v - P_{B_2r})||_2 / ((2^k r)^{n/2} (1+k) ||Lap^{n/2} v||_2),
-    with A_k = B_{2^{k+1}r} minus B_{2^k r}.
+    with A_k = B_{2^{k+1}r} minus B_{2^k r}.  Masks, cutoffs and the
+    displacement are built once for all fields.
     """
-    grid = v.grid
+    grid = fields[0].grid
     n = grid.dim
     if degree is None:
         degree = default_degree(n)
     if 2.0 ** (k_max + 1) * r > 0.5 * grid.box_length:
         raise MeanValueError("k_max support exceeds the box")
-    lap_norm_v = lp_norm(frac_laplacian(v, n / 2.0), 2)
-    if lap_norm_v == 0:
+    lap_norms = [lp_norm(frac_laplacian(v, n / 2.0), 2) for v in fields]
+    if 0 in lap_norms:
         raise MeanValueError("degenerate input")
-    P_ball = meanvalue_polynomial(v, ball_mask(grid, x, r), degree, center=x).evaluate()
-    P_2ball = meanvalue_polynomial(v, ball_mask(grid, x, 2.0 * r), degree, center=x).evaluate()
-    g, e = [], []
+    disp = grid.periodic_displacement(x)
+    zero = (0,) * n
+
+    def on_grid(D):
+        return [polynomial_values(disp, P.coeffs, zero) for P in meanvalue_polynomials(fields, D, degree, x)]
+
+    P_ball, P_2ball = on_grid(ball_mask(grid, x, r)), on_grid(ball_mask(grid, x, 2.0 * r))
+    out = [{"g": [], "e": [], "lap_norm": lap, "k_max": k_max} for lap in lap_norms]
     for k in range(1, k_max + 1):
-        A_k = annulus_mask(grid, x, 2.0**k * r, 2.0 ** (k + 1) * r)
-        P_ann = meanvalue_polynomial(v, A_k, degree, center=x)
-        eta = evaluate(family, k, r, x, grid)
-        gap = eta.values * (P_ball - P_ann.evaluate())
-        g.append(float(np.max(np.abs(gap))) / ((1 + k) * lap_norm_v))
-        err = GridFunction(grid, eta.values * (v.values - P_2ball))
-        e.append(lp_norm(err, 2) / ((2.0**k * r) ** (n / 2.0) * (1 + k) * lap_norm_v))
-    return {"g": g, "e": e, "lap_norm": lap_norm_v, "k_max": k_max}
+        P_ann = on_grid(annulus_mask(grid, x, 2.0**k * r, 2.0 ** (k + 1) * r))
+        eta = evaluate(family, k, r, x, grid).values
+        for i, v in enumerate(fields):
+            gap = eta * (P_ball[i] - P_ann[i])
+            out[i]["g"].append(float(np.max(np.abs(gap))) / ((1 + k) * lap_norms[i]))
+            err = GridFunction(grid, eta * (v.values - P_2ball[i]))
+            out[i]["e"].append(lp_norm(err, 2) / ((2.0**k * r) ** (n / 2.0) * (1 + k) * lap_norms[i]))
+    return out

@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .grid import DomainMask, Grid, GridFunction, lp_norm, per_axis
+from .grid import DomainMask, Grid, GridFunction, lp_norm, per_axis, sorted_distinct
 from .multipliers import abs_power_symbol, derivative_tensor, frac_laplacian
 
 # Pair sums are exact over every masked point and no longer use these caps;
@@ -139,6 +139,14 @@ def periodized_kernel(grid: Grid, s: float) -> np.ndarray:
     The z = 0 cell carries 0; every other offset is at distance >= h and
     carries a positive value.
 
+    |x|^2 of an image is the sum, in axis order, of its per-axis squared
+    displacements, and every axis takes its values from the same 3N, so the
+    short-range part is evaluated once per tuple of distinct per-axis values
+    within the cut and gathered for each image: the per-image sum bit for
+    bit, with fewer incomplete-gamma evaluations (on a box of side 1: 0.79
+    instead of 1.58 per grid point in 1D, 0.49 instead of 1.96 in 2D, 0.28
+    instead of 2.07 in 3D).
+
     The last table built is memoized per (grid, s) and returned read-only;
     ``periodized_kernel.cache_clear()`` drops it.
     """
@@ -148,12 +156,31 @@ def periodized_kernel(grid: Grid, s: float) -> np.ndarray:
     eta = _EWALD_ETA_L / L
     ax = np.arange(N) * h
     ax = np.where(ax > 0.5 * L, ax - L, ax)  # minimum-image representative
+    # The real-space term depends on the image's per-axis squared
+    # displacements alone, summed in axis order: tabulate it once for each
+    # tuple of distinct ones within the cut (0 past it and at r = 0), then
+    # gather it for each image and add the images in turn.
+    eta2 = eta * eta
+    offsets = (-L, 0.0, L)
+    squares = ((ax + o) * (ax + o) for o in offsets)
+    u = sorted_distinct(np.concatenate([q[eta2 * q < _EWALD_CUT] for q in squares]))
+    r2 = sum(per_axis([u] * n))
+    near = (eta2 * r2 < _EWALD_CUT) & (r2 > 0)
+    table = np.zeros(tuple(m + 1 for m in r2.shape))  # slot u.size of an axis: past the cut
+    r2 = r2[near]
+    table[(slice(0, -1),) * n][near] = upper_gamma(0.5 * p, eta2 * r2) / r2 ** (0.5 * p)
+    del r2, near
+
+    def slots(o):  # each point's slot in u on an axis shifted by the image offset o
+        q = (ax + o) * (ax + o)
+        slot = np.searchsorted(u, q)
+        slot[eta2 * q >= _EWALD_CUT] = u.size
+        return slot
+
     K = np.zeros(grid.shape)
-    for image in itertools.product((-L, 0.0, L), repeat=n):
-        r2 = sum(d * d for d in per_axis([ax + o for o in image]))
-        near = (eta * eta * r2 < _EWALD_CUT) & (r2 > 0)
-        r2 = r2[near]
-        K[near] += upper_gamma(0.5 * p, eta * eta * r2) / r2 ** (0.5 * p)
+    for image in itertools.product(offsets, repeat=n):
+        K += table[np.ix_(*[slots(o) for o in image])]
+    del table
     kmax = math.ceil(math.sqrt(_EWALD_CUT) * _EWALD_ETA_L / math.pi)
     k = np.arange(-kmax, kmax + 1)
     y = (math.pi / _EWALD_ETA_L) ** 2 * sum(per_axis([k * k] * n))
@@ -231,13 +258,17 @@ def frac_lap_pointwise(f: GridFunction, s: float, points,
     return constant.value * raw_second_difference(f, s, points)
 
 
-def _masked_pair_data(f_comps, grid: Grid, mask: Optional[DomainMask]):
-    """Indices (P, dim) of the masked points and the stacked component values there."""
-    sel = np.ones(grid.shape, dtype=bool) if mask is None else mask.values
+def _pair_data(fields, D: Optional[DomainMask], s: float) -> tuple:
+    """Indices (P, dim) of the masked points, the exponent n + 2(s - k) and,
+    per field, its floor(s)-jet stacked at those points, one column per
+    component."""
+    grid, k = fields[0].grid, int(math.floor(s))
+    sel = np.ones(grid.shape, dtype=bool) if D is None else D.values
     points = np.argwhere(sel)
     if points.shape[0] == 0:
         raise SingularError("empty mask")
-    return points, np.stack([c[sel] for c in f_comps], axis=1)
+    jets = [np.stack([c.values[sel] for c in derivative_tensor(f, k)], axis=1) for f in fields]
+    return points, grid.dim + 2.0 * (s - k), jets
 
 
 def gagliardo_seminorm(f: GridFunction, D: Optional[DomainMask], s: float) -> float:
@@ -250,17 +281,21 @@ def gagliardo_seminorm(f: GridFunction, D: Optional[DomainMask], s: float) -> fl
     """
     if s < 0:
         raise SingularError("order must be nonnegative")
-    grid = f.grid
-    k = int(math.floor(s))
-    if s == k:  # integer order: local norm of the derivative tensor
-        comps = derivative_tensor(f, k)
-        total = sum(lp_norm(c, 2, D) ** 2 for c in comps)
+    if s == math.floor(s):  # integer order: local norm of the derivative tensor
+        total = sum(lp_norm(c, 2, D) ** 2 for c in derivative_tensor(f, int(s)))
         return math.sqrt(total)
-    comps = [c.values for c in derivative_tensor(f, k)]
-    points, vals = _masked_pair_data(comps, grid, D)
-    expo = grid.dim + 2.0 * (s - k)
-    total = _kernels.pair_sum_sq_diff(points, vals, expo, grid)
-    return math.sqrt(total) * grid.cell_measure
+    points, expo, (jet,) = _pair_data([f], D, s)
+    return math.sqrt(_kernels.pair_sum_sq_diff(points, jet, expo, f.grid)) * f.grid.cell_measure
+
+
+def gagliardo_seminorms(fields, D: Optional[DomainMask], s: float) -> list:
+    """gagliardo_seminorm of each field on one mask, bit for bit; at a
+    fractional order their pair sums share one box convolution."""
+    if s < 0 or s == math.floor(s):  # no pair sum
+        return [gagliardo_seminorm(f, D, s) for f in fields]
+    points, expo, jets = _pair_data(fields, D, s)
+    grid = fields[0].grid
+    return [math.sqrt(t) * grid.cell_measure for t in _kernels.pair_sums_sq_diff(points, jets, expo, grid)]
 
 
 @functools.lru_cache(maxsize=1)

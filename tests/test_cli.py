@@ -1,11 +1,17 @@
 import inspect
 import json
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from fraclap.cli import REGISTRY, RUN_OPTIONS, calibrate_suite, experiment, main, split_seed_regression
+from fraclap import cli
+from fraclap.cli import (
+    REGISTRY, RUN_OPTIONS, calibrate_suite, experiment, main, per_seed, split_seed_regression,
+)
 from fraclap.compensation import DEFECT_ROUNDOFF, DEFECT_SUP
 from fraclap.grid import Grid
 from fraclap.reporting import SLACK, Report, ReportError, load_constants, regression_bound, write_constants
@@ -252,7 +258,7 @@ def _expected_sup(seeds):
 
 def test_split_seed_bound_is_calibration_sup_times_slack():
     rep, calls = Report("synthetic", {}), []
-    cal, fresh = split_seed_regression(rep, _synthetic_sample(calls), range(6), range(100, 104),
+    cal, fresh = split_seed_regression(rep, per_seed(_synthetic_sample(calls)), range(6), range(100, 104),
                                        {"pos_regression": "pos"})
     assert calls == [*range(6), *range(100, 104)]
     assert cal == _expected_sup(range(6))
@@ -265,9 +271,45 @@ def test_split_seed_bound_is_calibration_sup_times_slack():
     assert rep.constants_used == []
 
 
+def test_split_seed_samples_all_seeds_in_one_call():
+    rep, calls = Report("synthetic", {}), []
+
+    def samples(seeds):
+        calls.append(list(seeds))
+        return per_seed(_synthetic_sample([]))(seeds)
+
+    cal, fresh = split_seed_regression(rep, samples, range(6), range(100, 104), {"pos_regression": "pos"})
+    assert calls == [[*range(6), *range(100, 104)]]
+    assert (cal, fresh) == (_expected_sup(range(6)), _expected_sup(range(100, 104)))
+
+
+def test_annulus_mv_poincare_draws_each_field_once(tmp_path, monkeypatch):
+    drawn = []
+
+    def counted(grid, seed, **kwargs):
+        drawn.append(seed)
+        return band_limited_field(grid, seed, **kwargs)
+
+    band_limited_field = cli.band_limited_field
+    monkeypatch.setattr(cli, "band_limited_field", counted)
+    assert main(["run", "annulus-mv-poincare", "--seed", "3", "--out", str(tmp_path)]) == 0
+    assert drawn == list(range(3, 11))
+
+
+def test_runs_do_not_import_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma (1.26 MB of RSS in numpy 2.4); the runs that
+    # took distinct values with it no longer load it
+    code = ("import sys; from fraclap.cli import main; "
+            f"codes = [main(['run', x, '--out', {str(tmp_path)!r}]) "
+            "for x in ('dirichlet-growth', 'lorentz-algebra')]; "
+            "sys.exit(10 * any(codes) + ('numpy.ma' in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    assert subprocess.run([sys.executable, "-c", code], env=env, capture_output=True).returncode == 0
+
+
 def test_split_seed_negative_calibration_sup_gives_floor():
     rep = Report("synthetic", {})
-    cal, fresh = split_seed_regression(rep, _synthetic_sample([]), range(6), range(100, 104),
+    cal, fresh = split_seed_regression(rep, per_seed(_synthetic_sample([])), range(6), range(100, 104),
                                        {"neg_regression": "neg", "pos_regression": "pos"}, floor=1e-12)
     assert cal["neg"] < 0.0
     neg, pos = rep.verdicts
@@ -280,7 +322,7 @@ def test_split_seed_constants_payload_skips_calibration(tmp_path):
     path = tmp_path / "c.json"
     write_constants(str(path), 0, Grid(1, 64, 1.0), {"synthetic/pos": {"value": 0.75, "provenance": "x"}})
     rep, calls = Report("synthetic", {}), []
-    cal, fresh = split_seed_regression(rep, _synthetic_sample(calls), range(6), range(100, 104),
+    cal, fresh = split_seed_regression(rep, per_seed(_synthetic_sample(calls)), range(6), range(100, 104),
                                        {"pos_regression": "pos"}, floor=1.0,
                                        constants=load_constants(str(path)))
     assert calls == list(range(100, 104))

@@ -331,6 +331,19 @@ def test_pair_sum_matches_brute_force(dim, box, seed, radius, expo, ncomp):
         assert _kernels.pair_sum_sq_diff(points, comps[:, 0], expo, g) == got
 
 
+@settings(max_examples=30, deadline=None)
+@given(dim=dims, box=boxes, seed=seeds, radius=mask_radii, expo=st.floats(0.5, 4.0),
+       ncomps=st.lists(st.integers(1, 3), min_size=1, max_size=5))
+@example(dim=1, box=1.0, seed=4, radius=0.3, expo=1.5, ncomps=[1] * 5)
+def test_pair_sums_equal_each_single_sum_bitwise(dim, box, seed, radius, expo, ncomps):
+    # one box convolution for every sample; each total is its own call's bits
+    g, points, rng = _lattice_case(dim, box, seed, radius)
+    samples = [rng.standard_normal((len(points), c)) for c in ncomps]
+    samples[0] = samples[0][:, 0]  # a (P,) sample too
+    got = _kernels.pair_sums_sq_diff(points, samples, expo, g)
+    assert got == [_kernels.pair_sum_sq_diff(points, v, expo, g) for v in samples]
+
+
 @settings(max_examples=60, deadline=None)
 @given(dim=dims, box=boxes, seed=seeds, radius=mask_radii, rho_sq_steps=st.integers(1, 200))
 @example(dim=1, box=1.0, seed=2, radius=0.6, rho_sq_steps=9)  # rho = 3h, a lattice distance

@@ -12,6 +12,7 @@ from fraclap.grid import (
     ball_mask,
     l2_inner,
     lp_norm,
+    sorted_distinct,
     spectral_mass_fraction_above,
     transform_forward,
     transform_inverse,
@@ -202,6 +203,25 @@ def test_gridfunction_invariants():
     # values are immutable
     with pytest.raises(ValueError):
         f.values[0] = 3.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [0, 1000, -1])
+def test_gridfunction_refuses_one_nonfinite_entry(bad, where):
+    g = Grid(2, 64, 1.0)
+    vals = np.random.default_rng(0).standard_normal(g.shape)
+    vals.flat[where] = bad
+    with pytest.raises(GridError, match="finite"):
+        GridFunction(g, vals)
+
+
+def test_sorted_distinct_equals_unique():
+    rng = np.random.default_rng(1)
+    cases = [rng.integers(-5, 6, 200), rng.integers(-5, 6, 200) * 0.1, rng.standard_normal(50),
+             np.array([0.0, -0.0, 1.0, -0.0]), np.array([3]), np.linspace(0, 6, 9).astype(int)]
+    for v in cases:
+        got = sorted_distinct(v)
+        assert got.dtype == v.dtype and np.array_equal(got, np.unique(v))
 
 
 def test_gridfunction_adopts_a_fresh_array():

@@ -9,6 +9,7 @@ from fraclap.grid import Grid, GridFunction, ball_mask
 from fraclap.growth import (
     AnnulusSequence,
     GrowthError,
+    _center_balls,
     campanato_functionals,
     counterexample_driteration,
     driteration,
@@ -239,7 +240,7 @@ def test_campanato_scale_guard():
 def test_holder_flat_sentinel():
     g = Grid(1, 2048, 1.0)
     c = GridFunction(g, np.full(g.shape, 1.0))
-    out = holder_exponent_estimate(c, ball_mask(g, g.center, 0.1), R=1.0 / 16)
+    (out,) = holder_exponent_estimate([c], ball_mask(g, g.center, 0.1), R=1.0 / 16)
     assert out["flat"] is True
     assert out["alpha_campanato"] is None
 
@@ -247,7 +248,7 @@ def test_holder_flat_sentinel():
 def test_holder_smooth_field_saturates():
     g = Grid(1, 4096, 1.0)
     v = band_limited_field(g, 7, cutoff=6, envelope=4)
-    out = holder_exponent_estimate(v, ball_mask(g, g.center, 0.12), R=1.0 / 32)
+    (out,) = holder_exponent_estimate([v], ball_mask(g, g.center, 0.12), R=1.0 / 32)
     assert out["alpha_modulus"] >= 0.95
     assert out["alpha_modulus"] <= 1.0
 
@@ -257,9 +258,9 @@ def test_holder_synthetic_ground_truth():
     rho = g.periodic_distance(g.center)
     window = base_profile_values(4.0 * rho)
     E = ball_mask(g, g.center, 1.0 / 6)
-    for alpha in (0.25, 0.5):
-        v = GridFunction(g, window * rho**alpha)
-        out = holder_exponent_estimate(v, E, R=1.0 / 12)
+    alphas = (0.25, 0.5)
+    fields = [GridFunction(g, window * rho**alpha) for alpha in alphas]
+    for alpha, out in zip(alphas, holder_exponent_estimate(fields, E, R=1.0 / 12)):
         assert abs(out["alpha_campanato"] - alpha) <= 0.06
         assert abs(out["alpha_modulus"] - alpha) <= 0.06
         assert abs(out["alpha_seminorm"] - alpha) <= 0.08  # tightest config lives in acceptance
@@ -270,7 +271,7 @@ def test_holder_scale_guards():
     v = band_limited_field(g, 0)
     E = ball_mask(g, g.center, 0.1)
     with pytest.raises(GrowthError):
-        holder_exponent_estimate(v, E, R=8 * g.spacing)
+        holder_exponent_estimate([v], E, R=8 * g.spacing)
 
 
 # -- homogeneous norm localization ------------------------------------------------------
@@ -278,7 +279,7 @@ def test_holder_scale_guards():
 def test_homogloc_constant():
     g = Grid(1, 1024, 1.0)
     c = GridFunction(g, np.full(g.shape, 2.0))
-    out = homogeneous_norm_localization(c, 1.0 / 8, g.center, 0.5)
+    (out,) = homogeneous_norm_localization([c], 1.0 / 8, g.center, 0.5)
     assert out["lhs"] <= 1e-20
     assert out["ratio"] == 0.0
 
@@ -286,7 +287,7 @@ def test_homogloc_constant():
 def test_homogloc_truncation_monotone():
     g = Grid(1, 2048, 1.0)
     v = band_limited_field(g, 9, cutoff=64, envelope=32)
-    full = homogeneous_norm_localization(v, 1.0 / 8, g.center, 0.5)
+    (full,) = homogeneous_norm_localization([v], 1.0 / 8, g.center, 0.5)
     # dropping the deepest annulus can only shrink the right-hand side
     partial_rhs = sum(full["terms"][:-1])
     assert partial_rhs <= full["rhs"]
@@ -296,11 +297,8 @@ def test_homogloc_regression():
     g = Grid(1, 2048, 1.0)
 
     def sup(seed0, count):
-        worst = 0.0
-        for k in range(count):
-            v = band_limited_field(g, seed0 + k, cutoff=64, envelope=32)
-            worst = max(worst, homogeneous_norm_localization(v, 1.0 / 8, g.center, 0.5)["ratio"])
-        return worst
+        fields = [band_limited_field(g, seed0 + k, cutoff=64, envelope=32) for k in range(count)]
+        return max(out["ratio"] for out in homogeneous_norm_localization(fields, 1.0 / 8, g.center, 0.5))
 
     assert sup(500, 4) <= sup(0, 10) * 1.01
 
@@ -309,13 +307,39 @@ def test_homogloc_needs_annuli():
     g = Grid(1, 256, 1.0)
     v = band_limited_field(g, 0)
     with pytest.raises(GrowthError, match="annuli"):
-        homogeneous_norm_localization(v, 8 * g.spacing, g.center, 0.5)
+        homogeneous_norm_localization([v], 8 * g.spacing, g.center, 0.5)
+
+
+def test_studies_give_each_field_its_own_result_bitwise():
+    # masks, cutoffs and box convolutions are shared by the fields of a call;
+    # each field's result is the one it gets alone
+    g = Grid(1, 2048, 1.0)
+    fam = build_family(5)
+    fields = [band_limited_field(g, seed, cutoff=64, envelope=32) for seed in range(3)]
+    r, x = g.box_length / 64, g.center
+    E = ball_mask(g, x, 1.0 / 6)
+    for study, args in ((seminorm_comparison_terms, (r, x, fam)),
+                        (homogeneous_norm_localization, (1.0 / 8, x, 0.5)),
+                        (holder_exponent_estimate, (E, 1.0 / 12))):
+        assert study(fields, *args) == [study([v], *args)[0] for v in fields]
+
+
+@pytest.mark.parametrize("radius_cells", [1.5, 2.5, 100.0])  # E of 3, 5 and 200 points
+def test_center_balls_about_the_distinct_evenly_spaced_points(radius_cells):
+    g = Grid(1, 512, 1.0)
+    E = ball_mask(g, g.center, radius_cells * g.spacing)
+    (sel,) = np.nonzero(E.values)
+    picks = np.unique(np.linspace(0, sel.size - 1, 9).astype(int))
+    balls = _center_balls(E, 0.05)
+    assert len(balls) == len(picks) == min(9, sel.size)
+    for B, p in zip(balls, picks):
+        assert np.array_equal(B.values, ball_mask(g, [g.axis_coords()[sel[p]]], 0.05).values)
 
 
 def test_seminorm_comparison_terms_positive_bracket():
     g = Grid(1, 4096, 1.0)
     fam = build_family(5)
     v = band_limited_field(g, 3, cutoff=128, envelope=64)
-    out = seminorm_comparison_terms(v, g.box_length / 128, g.center, fam)
+    (out,) = seminorm_comparison_terms([v], g.box_length / 128, g.center, fam)
     assert out["bracket"] > 0
     assert out["lhs"] >= 0

@@ -86,6 +86,19 @@ def test_product_rearrangement_inequality(seed):
     assert np.max(gaps) <= 1e-14 * max(1.0, float(np.max(np.abs(f.values * h.values))))
 
 
+def test_product_rearrangement_gaps_at_the_unique_breakpoints():
+    # repeated values give repeated breakpoints; each is checked once
+    g = Grid(1, 64, 1.0)
+    rng = np.random.default_rng(3)
+    f = GridFunction(g, rng.integers(-3, 4, g.shape) * 1.0)
+    h = GridFunction(g, rng.integers(-2, 3, g.shape) * 0.5)
+    pf, ph, pfh = (decreasing_rearrangement(x) for x in (f, h, f * h))
+    ts = np.concatenate([pf.breakpoints, ph.breakpoints, 0.5 * pfh.breakpoints])
+    ts = np.unique(ts[ts > 0])
+    ref = pfh.evaluate(2.0 * ts) - pf.evaluate(ts) * ph.evaluate(ts)
+    assert np.array_equal(product_rearrangement_gaps(f, h), ref)
+
+
 def test_lorentz_norm_oracle_quadrature():
     # closed-form profile integration against a brute-force midpoint sum;
     # substituting u = t^(q/p) removes the endpoint singularity:

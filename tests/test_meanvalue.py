@@ -10,6 +10,7 @@ from fraclap.meanvalue import (
     MeanValuePolynomial,
     annulus_mv_poincare_ratio,
     meanvalue_polynomial,
+    meanvalue_polynomials,
     mv_poincare_ratio,
     poincare_constant,
     polynomial_gap_scan,
@@ -143,7 +144,7 @@ def test_mv_poincare_polynomial_kills_numerator(family):
     g = Grid(1, 1024, 1.0)
     v = _windowed_poly(g, 0.5, (1.2,))
     r = 1 / 32
-    out = mv_poincare_ratio(v, r, g.center, 0.5, 0.0, family, degree=1)
+    (out,) = mv_poincare_ratio([v], r, g.center, 0.5, 0.0, family, degree=1)
     # the numerator vanishes up to the spectral tail of the windowed polynomial
     from fraclap.multipliers import frac_laplacian
 
@@ -155,9 +156,9 @@ def test_mv_poincare_scale_covariance(family):
     g = Grid(1, 2048, 1.0)
     v = band_limited_field(g, 4, cutoff=64, envelope=32)
     r = 1 / 32
-    base = mv_poincare_ratio(v, r, g.center, 0.5, 0.0, family)["ratio"]
+    (base,) = (out["ratio"] for out in mv_poincare_ratio([v], r, g.center, 0.5, 0.0, family))
     dil = GridFunction(g, v.values[(np.arange(g.points_per_axis) * 2) % g.points_per_axis])
-    halved = mv_poincare_ratio(dil, r / 2, g.center, 0.5, 0.0, family)["ratio"]
+    (halved,) = (out["ratio"] for out in mv_poincare_ratio([dil], r / 2, g.center, 0.5, 0.0, family))
     assert abs(halved / base - 1.0) <= 0.05
 
 
@@ -165,13 +166,13 @@ def test_mv_poincare_order_preconditions(family):
     g = Grid(1, 512, 1.0)
     v = band_limited_field(g, 1)
     with pytest.raises(MeanValueError):
-        mv_poincare_ratio(v, 1 / 32, g.center, 1.2, 0.0, family, degree=0)
+        mv_poincare_ratio([v], 1 / 32, g.center, 1.2, 0.0, family, degree=0)
 
 
 def test_annulus_polynomial_trivial(family):
     g = Grid(1, 1024, 1.0)
     v = _windowed_poly(g, 0.3, (0.9,))
-    out = annulus_mv_poincare_ratio(v, 1 / 64, g.center, 2, 0.5, 0.0, family, degree=1)
+    (out,) = annulus_mv_poincare_ratio([v], 1 / 64, g.center, 2, 0.5, 0.0, family, degree=1)
     from fraclap.multipliers import frac_laplacian
 
     scale = lp_norm(frac_laplacian(v, 0.5), 2)
@@ -181,20 +182,34 @@ def test_annulus_polynomial_trivial(family):
 def test_annulus_k_uniformity(family):
     g = Grid(1, 2048, 1.0)
     r = 1 / 64
+    fields = [band_limited_field(g, seed, cutoff=64, envelope=32) for seed in range(6)]
     per_k = []
     for k in (1, 2, 3, 4):
-        worst = 0.0
-        for seed in range(6):
-            v = band_limited_field(g, seed, cutoff=64, envelope=32)
-            worst = max(worst, annulus_mv_poincare_ratio(v, r, g.center, k, 0.5, 0.0, family)["ratio"])
-        per_k.append(worst)
+        outs = annulus_mv_poincare_ratio(fields, r, g.center, k, 0.5, 0.0, family)
+        per_k.append(max(out["ratio"] for out in outs))
     assert max(per_k) / min(per_k) <= 2.0
+
+
+def test_studies_give_each_field_its_own_result_bitwise(family):
+    # masks, cutoffs, displacements and box convolutions are shared by the
+    # fields of a call; each field's result is the one it gets alone
+    g = Grid(1, 2048, 1.0)
+    fields = [band_limited_field(g, seed, cutoff=64, envelope=32) for seed in range(3)]
+    fields.append(_windowed_poly(g, 0.4, (1.1,)))
+    x = g.center
+    for study, args in ((mv_poincare_ratio, (1 / 32, x, 0.5, 0.0, family)),
+                        (annulus_mv_poincare_ratio, (1 / 64, x, 2, 0.5, 0.0, family, 1)),
+                        (polynomial_gap_scan, (1 / 64, x, 4, family))):
+        assert study(fields, *args) == [study([v], *args)[0] for v in fields]
+    D = ball_mask(g, x, 0.1)
+    for P, v in zip(meanvalue_polynomials(fields, D, 2, x), fields):
+        assert P.coeffs == meanvalue_polynomial(v, D, 2, x).coeffs
 
 
 def test_polynomial_gap_scan_trivial(family):
     g = Grid(1, 2048, 1.0)
     v = _windowed_poly(g, 0.4, (1.1,))
-    out = polynomial_gap_scan(v, 1 / 64, g.center, 3, family, degree=0)
+    (out,) = polynomial_gap_scan([v], 1 / 64, g.center, 3, family, degree=0)
     # degree 0 in one dimension: both mean-value polynomials see the same
     # windowed polynomial, so the gaps reduce to discretization noise
     assert max(out["g"]) <= 1e-6
@@ -206,9 +221,8 @@ def test_polynomial_gap_shift_invariance(family):
     g = Grid(1, 2048, 1.0)
     r = 1 / 64
     v = band_limited_field(g, 6, cutoff=64, envelope=32)
-    out1 = polynomial_gap_scan(v, r, g.center, 3, family)
     shifted = GridFunction(g, v.values + _windowed_poly(g, 0.9, (0.0,)).values)
-    out2 = polynomial_gap_scan(shifted, r, g.center, 3, family)
+    out1, out2 = polynomial_gap_scan([v, shifted], r, g.center, 3, family)
     # both mean-value polynomials shift by the same constant, so the gap
     # numerators g_k * ||Lap^{n/2} v|| agree (the normalizer itself moves)
     for a, b in zip(out1["g"], out2["g"]):
@@ -220,7 +234,7 @@ def test_polynomial_gap_box_guard(family):
     g = Grid(1, 512, 1.0)
     v = band_limited_field(g, 0)
     with pytest.raises(MeanValueError, match="box"):
-        polynomial_gap_scan(v, 1 / 8, g.center, 4, family)
+        polynomial_gap_scan([v], 1 / 8, g.center, 4, family)
 
 
 # -- auxiliary closed-bound checks ------------------------------------------------

@@ -1,3 +1,5 @@
+import itertools
+import math
 import os
 import subprocess
 import sys
@@ -6,7 +8,7 @@ import numpy as np
 import pytest
 
 from fraclap.fields import band_limited_field, confined_field
-from fraclap.grid import Grid, GridFunction, ball_mask, l2_inner, lp_norm
+from fraclap.grid import Grid, GridFunction, annulus_mask, ball_mask, l2_inner, lp_norm, per_axis
 from fraclap.multipliers import frac_laplacian
 from fraclap.singular import (
     _GAMMA_CHUNK,
@@ -17,6 +19,7 @@ from fraclap.singular import (
     equivalence_ratio,
     frac_lap_pointwise,
     gagliardo_seminorm,
+    gagliardo_seminorms,
     periodized_kernel,
     raw_operator_field,
     raw_second_difference,
@@ -156,6 +159,52 @@ def test_package_import_does_not_load_scipy():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+def _per_image_kernel(grid, s):
+    """periodized_kernel as it was first written: the real-space term
+    evaluated at every point of each of the 3^dim images in turn."""
+    n, N, L, h = grid.dim, grid.points_per_axis, grid.box_length, grid.spacing
+    p, eta = n + s, 8.0 / L
+    ax = np.arange(N) * h
+    ax = np.where(ax > 0.5 * L, ax - L, ax)
+    K = np.zeros(grid.shape)
+    for image in itertools.product((-L, 0.0, L), repeat=n):
+        r2 = sum(d * d for d in per_axis([ax + o for o in image]))
+        near = (eta * eta * r2 < 40.0) & (r2 > 0)
+        r2 = r2[near]
+        K[near] += upper_gamma(0.5 * p, eta * eta * r2) / r2 ** (0.5 * p)
+    kmax = math.ceil(math.sqrt(40.0) * 8.0 / math.pi)
+    k = np.arange(-kmax, kmax + 1)
+    y = (math.pi / 8.0) ** 2 * sum(per_axis([k * k] * n))
+    F = np.zeros(y.shape)
+    far = (y > 0) & (y < 40.0)
+    F[far] = y[far] ** (0.5 * s) * upper_gamma(-0.5 * s, y[far])
+    F[(kmax,) * n] = 2.0 / s
+    folded = np.zeros(grid.shape)
+    np.add.at(folded, tuple(per_axis([k % N] * n)), F)
+    series = np.fft.irfftn(folded[..., : N // 2 + 1], s=grid.shape, axes=tuple(range(n)))
+    K += math.pi ** (0.5 * n) * eta**s / L**n * grid.npoints * series
+    K /= math.gamma(0.5 * p)
+    K[(0,) * n] = 0.0
+    return K * grid.cell_measure
+
+
+@pytest.mark.parametrize("dim,N", [(1, 8), (1, 64), (1, 4096), (2, 8), (2, 64), (3, 8), (3, 16)])
+@pytest.mark.parametrize("L", [1.0, 0.7])  # dyadic and non-dyadic spacing
+@pytest.mark.parametrize("s", [0.25, 0.5, 1.5, 1.9])
+def test_kernel_table_equals_per_image_sum_bitwise(dim, N, L, s):
+    # one Gamma evaluation per distinct tuple of per-axis squared
+    # displacements, gathered per image, gives the per-image sum's bits
+    grid = Grid(dim, N, L)
+    assert np.array_equal(periodized_kernel(grid, s), _per_image_kernel(grid, s))
+
+
+@pytest.mark.parametrize("dim,N,bound", [(1, 65536, 7.6), (2, 256, 4.7)])
+def test_kernel_build_peak_memory(traced_peak, dim, N, bound):
+    # measured 7.34 and 4.43 field sizes; the per-image sum peaked at 8.41 and 7.41
+    grid = Grid(dim, N, 1.0)
+    assert traced_peak(periodized_kernel, grid, 0.5) <= bound * 8 * grid.npoints
+
+
 @pytest.mark.parametrize("N", [8, 64, 2048])
 @pytest.mark.parametrize("s", [0.25, 0.5, 1.0, 1.9])
 def test_kernel_1d_matches_hurwitz_zeta(N, s):
@@ -217,6 +266,16 @@ def test_seminorm_constant_vanishes():
     D = ball_mask(g, g.center, 0.2)
     for s in (0.5, 1.0, 1.5):
         assert gagliardo_seminorm(c, D, s) <= 1e-12
+
+
+@pytest.mark.parametrize("dim,N", [(1, 512), (2, 32)])
+@pytest.mark.parametrize("s", [0.5, 1.0, 1.5])
+def test_seminorms_equal_each_single_seminorm_bitwise(dim, N, s):
+    # at s = 1.5 the 2D jet has two components per point
+    g = Grid(dim, N, 1.0)
+    fields = [band_limited_field(g, seed, cutoff=N / 8) for seed in range(3)]
+    for D in (ball_mask(g, g.center, 0.2), annulus_mask(g, g.center, 0.1, 0.3), None):
+        assert gagliardo_seminorms(fields, D, s) == [gagliardo_seminorm(f, D, s) for f in fields]
 
 
 def test_seminorm_polynomial_shift_invariance():
