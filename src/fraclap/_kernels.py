@@ -33,10 +33,20 @@ the torus one).  These are real FFTs, exact up to roundoff.  The kernel
 depends on (grid, box shape, weight) alone and is one of few in a run, so
 its rfftn comes from a small bounded memo and only the fields are
 transformed per call; ``pair_sums_sq_diff`` puts the columns of several
-samples on one point set into one such convolution.  The modulus scan
-gathers the field (NaN off D) once on the box widened by the largest
-offset, with indices mod N, and takes maxima, which are exact, over blocks
-of offsets through sliding windows, one offset per pair {m, -m}.
+samples on one point set into one such convolution.
+
+The modulus scan is a dilation.  It gathers the field v (NaN off D) once on
+the box widened by the largest offset, with indices mod N.  For each bin b
+let S_b be the lattice offsets m with |m h| in the bin, a set closed under
+m -> -m, and M_b(x) = max of v(x + m) over m in S_b, NaN skipped.  Then the
+bin's value is the max over x in D of M_b(x) - v(x): rounding is monotone,
+so max_m fl(v(x+m) - v(x)) = fl(M_b(x) - v(x)), and since S_b is symmetric
+that max over x is the max of |v(x) - v(y)| over the bin's pairs, bit for
+bit.  For each tuple of leading-axis offsets, the last-axis offsets of S_b
+form runs of consecutive integers, and each run is one 1D sliding-window
+maximum over the box's rows (van Herk, Pattern Recognit. Lett. 13, 1992;
+Gil and Werman, IEEE TPAMI 15, 1993), so a bin costs O(rows x box) rather
+than O(offsets x box).
 """
 
 from __future__ import annotations
@@ -44,12 +54,8 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import per_axis
-
-# elements of the (offsets, *box) difference array a modulus-scan block holds
-_MODULUS_BLOCK = 2**15
 
 
 def _dist2(offsets, h):
@@ -148,6 +154,19 @@ def ball_scan(points, vals, rho, grid):
     return sum_sq, sums, np.rint(cnt)
 
 
+def _sliding_max(a, w) -> np.ndarray:
+    """fmax over each window a[..., j : j + w] of the last axis, NaN where
+    the whole window is NaN: the van Herk / Gil-Werman filter, which splits
+    the axis into blocks of w and joins a suffix max within one block to a
+    prefix max within the next, three passes whatever w is."""
+    n = a.shape[-1]
+    blocks = np.full((*a.shape[:-1], -(-n // w), w), np.nan)
+    blocks.reshape(*a.shape[:-1], -1)[..., :n] = a
+    prefix = np.fmax.accumulate(blocks, axis=-1).reshape(*a.shape[:-1], -1)
+    suffix = np.fmax.accumulate(blocks[..., ::-1], axis=-1)[..., ::-1].reshape(prefix.shape)
+    return np.fmax(suffix[..., : n - w + 1], prefix[..., w - 1 : n])
+
+
 def modulus_scan(points, vals, edges, grid) -> np.ndarray:
     """Max |v_i - v_j| over masked pairs with edges[b] <= dist(i, j) < edges[b+1]."""
     points = np.asarray(points)
@@ -162,23 +181,39 @@ def modulus_scan(points, vals, edges, grid) -> np.ndarray:
     m = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, grid.dim)
     d2 = _dist2(m.T, h)
     bins = np.searchsorted(edges, np.sqrt(d2), side="right") - 1
-    # offsets m and -m give the same pairs: keep the one with the smaller flat index
-    flat = np.ravel_multi_index(tuple((m % N).T), grid.shape)
-    mirror = np.ravel_multi_index(tuple((-m % N).T), grid.shape)
-    keep = (d2 > 0) & (bins >= 0) & (bins < edges.size - 1) & (flat <= mirror)
-    m, bins = m[keep] + reach, bins[keep]  # window index of each offset
+    keep = (d2 > 0) & (bins >= 0) & (bins < edges.size - 1)
+    order = np.argsort(bins[keep], kind="stable")  # by bin, then leading, then last offset
+    m, bins = m[keep][order], bins[keep][order]
+    # a run of last-axis offsets goes on while the bin and the leading offsets
+    # stay and the last offset steps by one
+    new = np.ones(len(m), dtype=bool)
+    new[1:] = ((bins[1:] != bins[:-1]) | np.any(m[1:, :-1] != m[:-1, :-1], axis=1)
+               | (m[1:, -1] != m[:-1, -1] + 1))
+    firsts = np.flatnonzero(new)
+    lasts = np.append(firsts[1:], len(m)) - 1
     field = np.full(grid.shape, np.nan)  # NaN off the mask; fmax skips it
     field[tuple(points.T)] = v
     window = field[np.ix_(*[(s - r + np.arange(E + 2 * r)) % N
                             for s, E, r in zip(start, extents, reach)])]
     box = window[tuple(slice(r, r + E) for r, E in zip(reach, extents))]
-    shifted = sliding_window_view(window, tuple(extents))  # shifted[j] = window[j : j + E]
+    r_last, E_last = reach[-1], extents[-1]
+    run_bins = bins[firsts]
     best = np.zeros(edges.size - 1)
-    step = max(1, _MODULUS_BLOCK // box.size)
-    for i in range(0, len(m), step):
-        diff = shifted[tuple(m[i : i + step].T)]  # a copy: the partners v(x + m)
-        np.abs(np.subtract(box, diff, out=diff), out=diff)
-        np.fmax.at(best, bins[i : i + step], np.fmax.reduce(diff.reshape(len(diff), -1), axis=1))
+    for b in range(best.size):
+        dilated = np.full(box.shape, np.nan)  # M_b on the box
+        key = None
+        runs = run_bins == b
+        for i, j in zip(firsts[runs], lasts[runs]):
+            lead, lo, width = tuple(m[i, :-1]), m[i, -1], m[j, -1] - m[i, -1] + 1
+            if (lead, width) != key:  # consecutive runs often share both (m, -m in 1D)
+                key = (lead, width)
+                # the box's rows shifted by the leading offsets, whole along the last axis
+                rows = window[tuple(slice(r + l, r + l + E) for r, l, E in zip(reach, lead, extents))]
+                peak = _sliding_max(rows, width)  # peak[..., k] = max rows[..., k : k + width]
+            np.fmax(dilated, peak[..., r_last + lo : r_last + lo + E_last], out=dilated)
+        top = np.fmax.reduce(dilated - box, axis=None)
+        if top > 0:  # NaN when the bin has no pair; a zero of either sign leaves +0.0
+            best[b] = top
     return best
 
 

@@ -45,18 +45,23 @@ def _ramp(t: np.ndarray, derivatives: bool = True):
     inside = (t > 0.0) & (t < 1.0)
     v[t >= 1.0] = 1.0
     ti = t[inside]
-    a = np.exp(-1.0 / ti)
-    b = np.exp(-1.0 / (1.0 - ti))
+    p = 1.0 / ti
+    q = 1.0 / (1.0 - ti)
+    a = np.exp(-p)  # -(1/t) and -1/t round alike: the values are those of exp(-1/t)
+    b = np.exp(-q)
     s = a + b
     v[inside] = a / s
     if not derivatives:
         return v
     d1 = np.zeros_like(t)
     d2 = np.zeros_like(t)
-    ap = a / ti**2
-    bp = -b / (1.0 - ti) ** 2
-    app = a * (1.0 / ti**4 - 2.0 / ti**3)
-    bpp = b * (1.0 / (1.0 - ti) ** 4 - 2.0 / (1.0 - ti) ** 3)
+    # powers of p = 1/t and q = 1/(1 - t) by products, not by the generic power
+    p2 = p * p
+    q2 = q * q
+    ap = a * p2
+    bp = -b * q2
+    app = ap * (p2 - 2.0 * p)  # a (t^-4 - 2 t^-3)
+    bpp = b * q2 * (q2 - 2.0 * q)
     d1[inside] = (ap * b - a * bp) / s**2
     num = app * b - a * bpp
     d2[inside] = (num * s - 2.0 * (ap * b - a * bp) * (ap + bp)) / s**3
@@ -109,23 +114,30 @@ class DyadicCutoffFamily:
             2: 5.0 * float(np.max(np.abs(d2))),
         }
 
-    def partial(self, k: int, rho: np.ndarray):
+    def partial(self, k: int, rho: np.ndarray, derivatives: bool = True):
         """(Psi_k, Psi_k', Psi_k'') at radii rho: eta0 and its chain-rule
-        derivatives at 2^-k rho (the closed form of the recursion)."""
+        derivatives at 2^-k rho (the closed form of the recursion).  With
+        derivatives False, Psi_k alone, bit for bit the first entry."""
+        rho = np.asarray(rho, dtype=float)
         if k < 0:
-            z = np.zeros_like(np.asarray(rho, dtype=float))
-            return z, z.copy(), z.copy()
+            z = np.zeros_like(rho)
+            return (z, z.copy(), z.copy()) if derivatives else z
         h = 2.0**-k
-        v, d1, d2 = base_profile(np.asarray(rho, dtype=float) * h)
+        if not derivatives:
+            return base_profile_values(rho * h)
+        v, d1, d2 = base_profile(rho * h)
         return v, h * d1, (h * h) * d2
 
-    def ring(self, k: int, rho: np.ndarray):
-        """(eta^k, (eta^k)', (eta^k)'') at radii rho."""
-        vk, dk, sk = self.partial(k, rho)
+    def ring(self, k: int, rho: np.ndarray, derivatives: bool = True):
+        """(eta^k, (eta^k)', (eta^k)'') at radii rho, or eta^k alone with
+        derivatives False."""
+        here = self.partial(k, rho, derivatives)
         if k == 0:
-            return vk, dk, sk
-        vp, dp, sp = self.partial(k - 1, rho)
-        return vk - vp, dk - dp, sk - sp
+            return here
+        inner = self.partial(k - 1, rho, derivatives)
+        if not derivatives:
+            return here - inner
+        return tuple(x - y for x, y in zip(here, inner))
 
     def measured_gradient_sup(self, k: int, order: int) -> float:
         """sup over 8192 radii of the support annulus of |d^order eta^k|
@@ -146,20 +158,21 @@ def build_family(depth: int) -> DyadicCutoffFamily:
     """Construct the family and assert its structural invariants.
 
     Checks, on a fine radial sample: supports (property (i), exact zeros),
-    the partition property (ii) within 1e-12, the range [0, 1 + 1e-14], and
-    the measured derivative bounds sup|d^i eta^k| <= C_i 2^(-k i).
+    the partition property (ii) within 1e-12 and the range [0, 1 + 1e-14]
+    from values alone, and the measured derivative bounds
+    sup|d^i eta^k| <= C_i 2^(-k i).
     """
     fam = DyadicCutoffFamily(depth)
     rho = np.linspace(0.0, 2.0 ** (depth + 1) * 1.05, 20001)
     for k in range(depth + 1):
-        v, _, _ = fam.ring(k, rho)
+        v = fam.ring(k, rho, derivatives=False)
         if np.any(v < -1e-14) or np.any(v > 1.0 + 1e-14):
             raise GridError(f"eta^{k} leaves [0,1]")
         if k >= 1:
             outside = (rho <= 2.0 ** (k - 1)) | (rho >= 2.0 ** (k + 1))
             if np.max(np.abs(v[outside])) > 1e-14:
                 raise GridError(f"eta^{k} violates the support annulus")
-        vp, _, _ = fam.partial(k, rho)
+        vp = fam.partial(k, rho, derivatives=False)
         on_ball = rho <= 2.0**k
         if np.max(np.abs(vp[on_ball] - 1.0)) > 1e-12:
             raise GridError(f"partial sum through eta^{k} is not 1 on B_2^{k}")

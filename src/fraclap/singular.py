@@ -141,11 +141,12 @@ def periodized_kernel(grid: Grid, s: float) -> np.ndarray:
 
     |x|^2 of an image is the sum, in axis order, of its per-axis squared
     displacements, and every axis takes its values from the same 3N, so the
-    short-range part is evaluated once per tuple of distinct per-axis values
-    within the cut and gathered for each image: the per-image sum bit for
-    bit, with fewer incomplete-gamma evaluations (on a box of side 1: 0.79
-    instead of 1.58 per grid point in 1D, 0.49 instead of 1.96 in 2D, 0.28
-    instead of 2.07 in 3D).
+    short-range part is tabulated once per tuple of distinct per-axis values
+    within the cut, evaluated once per distinct sum |x|^2 among them, and
+    gathered for each image: the per-image sum bit for bit, with fewer
+    incomplete-gamma evaluations (0.79 instead of 1.58 per grid point in 1D
+    at 65536 points, 0.16 instead of 1.96 in 2D at 256^2, 0.016 instead of
+    2.07 in 3D at 32^3, on a box of side 1).
 
     The last table built is memoized per (grid, s) and returned read-only;
     ``periodized_kernel.cache_clear()`` drops it.
@@ -168,8 +169,12 @@ def periodized_kernel(grid: Grid, s: float) -> np.ndarray:
     near = (eta2 * r2 < _EWALD_CUT) & (r2 > 0)
     table = np.zeros(tuple(m + 1 for m in r2.shape))  # slot u.size of an axis: past the cut
     r2 = r2[near]
-    table[(slice(0, -1),) * n][near] = upper_gamma(0.5 * p, eta2 * r2) / r2 ** (0.5 * p)
-    del r2, near
+    # tuples with equal sums share one evaluation (equal inputs, equal bits);
+    # sums already strictly ascending (1D) are evaluated as they stand
+    w = r2 if np.all(r2[1:] > r2[:-1]) else sorted_distinct(r2)
+    short = upper_gamma(0.5 * p, eta2 * w) / w ** (0.5 * p)
+    table[(slice(0, -1),) * n][near] = short if w is r2 else short[np.searchsorted(w, r2)]
+    del r2, near, w, short
 
     def slots(o):  # each point's slot in u on an axis shifted by the image offset o
         q = (ax + o) * (ax + o)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from fraclap.cutoffs import (
     DyadicCutoffFamily,
     _check_base,
+    _ramp,
     base_profile,
     base_profile_values,
     build_family,
@@ -115,6 +116,63 @@ def test_derivative_decay_constants(family):
         for order in (1, 2):
             bound = family.derivative_constants[order] * 2.0 ** (-k * order)
             assert family.measured_gradient_sup(k, order) <= bound * (1 + 1e-9)
+
+
+def test_values_only_paths_equal_first_entry_bitwise(family):
+    # build_family's value checks read these; measured_gradient_sup the triples
+    rho = np.linspace(0.0, 2.0 ** (family.depth + 1) * 1.05, 20001)
+    for k in range(-1, family.depth + 1):
+        for method in (family.partial, family.ring):
+            values = method(k, rho, derivatives=False)
+            assert values.tobytes() == method(k, rho)[0].tobytes(), (method.__name__, k)
+
+
+def _former_ramp(t):
+    """_ramp as first written, derivatives by generic powers of t and 1 - t."""
+    t = np.asarray(t, dtype=float)
+    v = np.zeros_like(t)
+    inside = (t > 0.0) & (t < 1.0)
+    v[t >= 1.0] = 1.0
+    ti = t[inside]
+    a = np.exp(-1.0 / ti)
+    b = np.exp(-1.0 / (1.0 - ti))
+    s = a + b
+    v[inside] = a / s
+    d1 = np.zeros_like(t)
+    d2 = np.zeros_like(t)
+    ap = a / ti**2
+    bp = -b / (1.0 - ti) ** 2
+    app = a * (1.0 / ti**4 - 2.0 / ti**3)
+    bpp = b * (1.0 / (1.0 - ti) ** 4 - 2.0 / (1.0 - ti) ** 3)
+    d1[inside] = (ap * b - a * bp) / s**2
+    num = app * b - a * bpp
+    d2[inside] = (num * s - 2.0 * (ap * b - a * bp) * (ap + bp)) / s**3
+    return v, d1, d2
+
+
+def _former_partial(k, rho):
+    h = 2.0**-k
+    v, d1, d2 = _former_ramp(2.0 * (2.0 - rho * h))
+    return v, h * (-2.0 * d1), (h * h) * (4.0 * d2)
+
+
+def _assert_former_derivatives(got, ref):
+    assert got[0].tobytes() == ref[0].tobytes()
+    for order in (1, 2):
+        assert np.max(np.abs(got[order] - ref[order])) <= 1e-15 * np.max(np.abs(ref[order])), order
+
+
+def test_ramp_matches_former_formulas():
+    # values bit for bit; derivatives within 1e-15 of their sup on the radial
+    # samples the checks read (measured 4.4e-16 and 9.0e-16; elementwise the
+    # second derivative moves more where it crosses zero)
+    rho = np.linspace(0.0, 2.2, 8001)  # the sample of derivative_constants
+    _assert_former_derivatives(_ramp(2.0 * (2.0 - rho)), _former_ramp(2.0 * (2.0 - rho)))
+    fam = DyadicCutoffFamily(13)
+    for k in range(1, fam.depth + 1):
+        rho = np.linspace(2.0 ** (k - 1), 2.0 ** (k + 1), 8192)  # measured_gradient_sup's sample
+        here, inner = _former_partial(k, rho), _former_partial(k - 1, rho)
+        _assert_former_derivatives(fam.ring(k, rho), [x - y for x, y in zip(here, inner)])
 
 
 def test_evaluate_k0_is_base(family):

@@ -418,6 +418,84 @@ def test_box_path_matches_brute_force(dim, N, cells, where):
                           _modulus_scan_reference(points, vals, edges, g))
 
 
+# -- the modulus scan as a dilation: sliding maxima over runs of offsets ----------
+
+def _window_max_reference(a, w):
+    """fmax over each window a[..., j : j + w], one window at a time."""
+    n = a.shape[-1]
+    return np.stack([np.fmax.reduce(a[..., j : j + w], axis=-1) for j in range(n - w + 1)], axis=-1)
+
+
+@pytest.mark.parametrize("shape", [(1,), (7,), (64,), (3, 10), (2, 3, 17)])
+def test_sliding_max_matches_each_window(shape):
+    rng = np.random.default_rng(sum(shape))
+    a = rng.standard_normal(shape)
+    a[rng.random(shape) < 0.4] = np.nan
+    a[..., : min(5, shape[-1])] = np.nan  # every window of width <= 5 at the start is NaN only
+    for w in range(1, shape[-1] + 1):
+        got = _kernels._sliding_max(a, w)
+        assert np.array_equal(got, _window_max_reference(a, w), equal_nan=True), w
+        if w <= 5:
+            assert np.all(np.isnan(got[..., 0]))
+
+
+def _dilation_case(dim, N, where, seed):
+    """A ball of radius 3.5 h about the grid point with index N/2 (inside the
+    box) or 0 (across the periodic wrap on every axis)."""
+    g = Grid(dim, N, 1.0)
+    centre = {"middle": N // 2, "wrap": 0}[where] * g.spacing
+    points = np.argwhere(ball_mask(g, np.full(dim, centre), 3.5 * g.spacing).values)
+    vals = np.random.default_rng(seed).standard_normal(len(points))
+    return g, points, vals
+
+
+@pytest.mark.parametrize("dim,N", [(2, 16), (3, 8), (3, 16)])
+@pytest.mark.parametrize("where", ["middle", "wrap"])
+def test_modulus_scan_dilation_cases(dim, N, where):
+    g, points, vals = _dilation_case(dim, N, where, dim * N)
+    if where == "wrap":
+        assert np.all(points.min(axis=0) == 0) and np.all(points.max(axis=0) == N - 1)
+    h = g.spacing
+    # bins of |m|/h: [0, 1) holds only m = 0, which pairs nothing; [1, 1.05)
+    # holds |m| = 1, whose last-axis offsets at leading offsets 0 are the two
+    # runs {-1} and {1}; [1.05, 1.2) holds no lattice distance; [1.2, 3)
+    # splits into -2 and 2 at leading offsets 0 and is one run -2..2 at
+    # leading offset 1 on the first axis; [3, 5) is a wide band of many runs
+    edges = h * np.array([0.0, 1.0, 1.05, 1.2, 3.0, 5.0])
+    got = _kernels.modulus_scan(points, vals, edges, g)
+    assert got.tobytes() == _modulus_scan_reference(points, vals, edges, g).tobytes()
+    assert got[0] == 0.0 and got[2] == 0.0
+    assert np.all(got[[1, 3, 4]] > 0.0)
+
+
+@pytest.mark.parametrize("dim,N", [(1, 16), (2, 16)])
+def test_modulus_scan_runs_of_unequal_width(dim, N):
+    # on the whole grid the offsets reach N/2, whose mirror -N/2 is the same
+    # residue and left out: the last bin's run -7..-3 at leading offsets 0 is
+    # one shorter than 3..8, and only offset 8 joins the two extreme values
+    g = Grid(dim, N, 1.0)
+    points = np.argwhere(np.ones(g.shape, dtype=bool))
+    vals = 0.01 * np.random.default_rng(dim).standard_normal(len(points))
+    vals[0], vals[N // 2] = 1.0, -1.0  # index 0 and N/2 on the last axis
+    edges = g.spacing * np.array([0.0, 3.0, N / 2 + 0.5])
+    got = _kernels.modulus_scan(points, vals, edges, g)
+    assert got.tobytes() == _modulus_scan_reference(points, vals, edges, g).tobytes()
+    assert got[1] == 2.0
+
+
+@pytest.mark.parametrize("dim,N", [(2, 16), (3, 8)])
+def test_modulus_scan_ties_and_signed_zeros(dim, N):
+    # +0.0 and -0.0 only: every difference is a zero, and each bin must read
+    # +0.0, as the maximum of |v_i - v_j| does; rounded values tie often
+    g, points, _ = _dilation_case(dim, N, "wrap", 0)
+    edges = g.spacing * np.array([0.0, 1.0, 2.0, 4.0])
+    zeros = np.where(np.arange(len(points)) % 2 == 0, 0.0, -0.0)
+    assert _kernels.modulus_scan(points, zeros, edges, g).tobytes() == np.zeros(3).tobytes()
+    ties = np.round(np.random.default_rng(1).standard_normal(len(points)))
+    assert (_kernels.modulus_scan(points, ties, edges, g).tobytes()
+            == _modulus_scan_reference(points, ties, edges, g).tobytes())
+
+
 def _record_rfftn(monkeypatch) -> list:
     """Clear the kernel-spectrum memo and record the shape of every rfftn input."""
     _kernels._kernel_spectrum.cache_clear()

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from fraclap import singular
 from fraclap.fields import band_limited_field, confined_field
 from fraclap.grid import Grid, GridFunction, annulus_mask, ball_mask, l2_inner, lp_norm, per_axis
 from fraclap.multipliers import frac_laplacian
@@ -196,6 +197,24 @@ def test_kernel_table_equals_per_image_sum_bitwise(dim, N, L, s):
     # displacements, gathered per image, gives the per-image sum's bits
     grid = Grid(dim, N, L)
     assert np.array_equal(periodized_kernel(grid, s), _per_image_kernel(grid, s))
+
+
+@pytest.mark.parametrize("dim,N", [(1, 256), (2, 64), (3, 16)])
+def test_short_range_term_once_per_distinct_r2(monkeypatch, dim, N):
+    # the first incomplete-gamma call is the real-space term: one argument
+    # eta^2 r^2 per distinct r^2 in the cut, ascending
+    args = []
+
+    def recording(a, x):
+        args.append(np.array(x))
+        return upper_gamma(a, x)
+
+    monkeypatch.setattr(singular, "upper_gamma", recording)
+    periodized_kernel.cache_clear()
+    periodized_kernel(Grid(dim, N, 1.0), 0.5)
+    periodized_kernel.cache_clear()
+    x = args[0]
+    assert x.size > 1 and np.all(x[1:] > x[:-1])
 
 
 @pytest.mark.parametrize("dim,N,bound", [(1, 65536, 7.6), (2, 256, 4.7)])
