@@ -156,12 +156,12 @@ def run_partition(cfg, rep):
     rep.config["depth"] = depth
     fam = build_family(depth)  # build_family already asserts the invariants
     rho = np.linspace(0.0, 2.0**depth, 200001)
-    dev = float(np.max(np.abs(fam.partial(depth, rho)[0] - 1.0)))
+    dev = float(np.max(np.abs(fam.partial(depth, rho, derivatives=False) - 1.0)))
     rep.add_verdict("partition_identity_on_ball", dev <= 1e-12, dev, 1e-12)
     worst = 0.0
     for k in range(1, depth + 1):
         grid_rho = np.linspace(0.0, 2.0 ** (depth + 1), 100001)
-        vals = fam.ring(k, grid_rho)[0]
+        vals = fam.ring(k, grid_rho, derivatives=False)
         outside = (grid_rho <= 2.0 ** (k - 1)) | (grid_rho >= 2.0 ** (k + 1))
         worst = max(worst, float(np.max(np.abs(vals[outside]))))
     rep.add_verdict("support_annuli_exact", worst <= 1e-14, worst, 1e-14)

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .grid import Grid, GridError, GridFunction, lp_norm, spectral_mass_fraction_above, transform_forward
-from .multipliers import frac_laplacian
+from .multipliers import abs_power_table, frac_laplacian
 
 ALIAS_GUARD_FRACTION = 1e-8
 
@@ -162,27 +162,21 @@ def mode_convolution(grid: Grid, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def fourier_domination_check(u: GridFunction, v: GridFunction) -> dict:
-    """Pointwise |H(u,v)^| against the dominating convolution of half-order
-    coefficient magnitudes; returns the max ratio where the majorant exceeds
-    1e-12 of its maximum.
-
-    dims 1, 2: |(Lap^{n/4} u)^| * |(Lap^{n/4} v)^|;
-    dim 3: the two-term version with orders (n-2)/2 and 1.
+    """Pointwise |H(u,v)^| against the dominating convolution sum over order
+    pairs (a, b) of |(Lap^a u)^| * |(Lap^b v)^|; returns the max ratio where
+    the majorant exceeds 1e-12 of its maximum.  The pairs are (n/4, n/4) in
+    dims 1, 2 and ((n-2)/2, 1), (1, (n-2)/2) in dim 3; each order is positive,
+    so |(Lap^a u)^| = |xi|^a |u^| (abs_power_table) from one transform of u.
     """
     grid = u.grid
     n = grid.dim
-    H = commutator_H(u, v)
-    H_hat = np.abs(transform_forward(H))
-    if n <= 2:
-        A = np.abs(transform_forward(frac_laplacian(u, n / 4.0)))
-        B = np.abs(transform_forward(frac_laplacian(v, n / 4.0)))
-        dom = mode_convolution(grid, A, B)
-    else:
-        A1 = np.abs(transform_forward(frac_laplacian(u, (n - 2) / 2.0)))
-        B1 = np.abs(transform_forward(frac_laplacian(v, 1.0)))
-        A2 = np.abs(transform_forward(frac_laplacian(u, 1.0)))
-        B2 = np.abs(transform_forward(frac_laplacian(v, (n - 2) / 2.0)))
-        dom = mode_convolution(grid, A1, B1) + mode_convolution(grid, A2, B2)
+    H_hat = np.abs(transform_forward(commutator_H(u, v)))
+    u_hat, v_hat = np.abs(transform_forward(u)), np.abs(transform_forward(v))
+    pairs = [(n / 4.0, n / 4.0)] if n <= 2 else [((n - 2) / 2.0, 1.0), (1.0, (n - 2) / 2.0)]
+    dom = sum(
+        mode_convolution(grid, abs_power_table(grid, a) * u_hat, abs_power_table(grid, b) * v_hat)
+        for a, b in pairs
+    )
     dom = np.abs(dom)
     if float(np.max(dom)) == 0.0:
         if float(np.max(H_hat)) <= 1e-300:

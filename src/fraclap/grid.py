@@ -100,10 +100,6 @@ class Grid:
         m = np.arange(N) if index is None else np.asarray(index)
         return np.where(m < (N + 1) // 2, m, m - N) * (1.0 / (N * self.spacing))
 
-    def frequency_magnitude(self) -> np.ndarray:
-        """|xi| on the lattice; zero exactly at the zero mode only."""
-        return np.sqrt(sum(f * f for f in per_axis([self.axis_frequencies()] * self.dim)))
-
     def _axis_displacements(self, center) -> list:
         """Minimum-image x_a - center_a as 1D arrays, each shaped to
         broadcast along its own axis (N along axis a, 1 elsewhere)."""

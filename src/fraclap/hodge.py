@@ -11,7 +11,7 @@ the harmonic remainder driving the interior decay experiments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -209,31 +209,21 @@ def local_norm_recovery(v: GridFunction, r: float, x, lam: float) -> dict:
     """||v||_{L2(B_r)} over the dual-norm sup of phi -> <v, Lap^{n/2} phi>
     with phi ranging over the discrete space supported in B_{Lambda r}(x).
 
-    The sup is the exact finite-dimensional dual norm sqrt(<b, A^{-1} b>)
-    with A the restricted normal operator; one CG solve (relative residual
-    1e-10, at most 4000 iterations) evaluates it.
+    The sup is the exact finite-dimensional dual norm sqrt(<b, A^{-1} b>) with
+    A phi = b the normal equations of the order-n/2 Hodge solve on B_{Lambda r}
+    (CG to relative residual 1e-10, at most 4000 iterations), whose remainder
+    h = v - Lap^{n/2} phi gives sup^2 = <b, phi> = <v, Lap^{n/2} phi> = <v, v - h>.
     """
     grid = v.grid
-    n = grid.dim
     if lam * r > 0.45 * grid.box_length:
         raise HodgeError("Lambda r exceeds the padded box")
-    inner = ball_mask(grid, x, r)
-    v_norm = lp_norm(v, 2, inner)
+    v_norm = lp_norm(v, 2, ball_mask(grid, x, r))
     if v_norm == 0:
         return {"ratio": 0.0, "sup": 0.0, "v_norm": 0.0}
-    D = ball_mask(grid, x, lam * r)
-    sel = D.values
-    table_half = abs_power_table(grid, n / 2.0)
-    table_full = abs_power_table(grid, float(n))
-
-    def apply_A(u):
-        return apply_table(u, table_full)
-
-    b = apply_table(np.asarray(v.values, dtype=float), table_half)
-    b[~sel] = 0.0
-    phi, iters, _ = restricted_cg(sel, apply_A, b, 1e-10, 4000)
-    sup = math.sqrt(max(float(np.sum(b * phi)) * grid.cell_measure, 0.0))
-    return {"ratio": v_norm / sup if sup > 0 else math.inf, "sup": sup, "v_norm": v_norm, "iterations": iters}
+    dec = hodge_decompose(v, ball_mask(grid, x, lam * r), grid.dim / 2.0, maxiter=4000)
+    sup = math.sqrt(max(float(np.sum(v.values * (v.values - dec.h.values))) * grid.cell_measure, 0.0))
+    return {"ratio": v_norm / sup if sup > 0 else math.inf, "sup": sup, "v_norm": v_norm,
+            "iterations": dec.iterations}
 
 
 def lower_order_product_norm(
@@ -244,16 +234,12 @@ def lower_order_product_norm(
     m2: Optional[FrequencySymbol] = None,
 ) -> dict:
     """||M1 Lap^{s - n/2} u . M2 Lap^{-s} v||_2 over ||u||_2 ||v||_2 for
-    s strictly inside (0, n/2); both inputs must be mean-zero."""
+    s strictly inside (0, n/2); both inputs must be mean-zero (both orders
+    are negative, so inv_frac_laplacian refuses others with SymbolError)."""
     grid = u.grid
     n = grid.dim
     if not (0 < s < n / 2.0):
         raise HodgeError(f"order must lie in (0, n/2), got {s}")
-    for g in (u, v):
-        mean = abs(float(np.mean(g.values)))
-        scale = lp_norm(g, 2) / math.sqrt(grid.box_length**n) + 1e-300
-        if mean > 1e-10 * scale:
-            raise HodgeError("inputs must be mean-zero for negative-order multipliers")
     f1 = frac_laplacian(u, s - n / 2.0)
     f2 = frac_laplacian(v, -s)
     if m1 is not None:

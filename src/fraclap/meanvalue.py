@@ -139,24 +139,21 @@ def poincare_constant(
         return apply_table(u, table_A)
 
     def apply_B(u):
+        """P_D Lap^{2s} on u supported in D; the identity at s = 0."""
         if table_B is None:
-            return u.copy()
-        return apply_table(u, table_B)
+            return u
+        out = apply_table(u, table_B)
+        out[~sel] = 0.0
+        return out
 
     rng = np.random.default_rng(0)
     f = np.zeros(grid.shape)
     f[sel] = rng.standard_normal(int(sel.sum()))
     f /= math.sqrt(float(np.sum(f * f)))
     lam_prev = 0.0
-    iterations = 0
     for it in range(1, max_power_iterations + 1):
-        iterations = it
-        Bf = apply_B(f)
-        Bf[~sel] = 0.0
-        u, _, _ = restricted_cg(sel, apply_A, Bf, 1e-12, 20000)
-        Bu = apply_B(u)
-        Bu[~sel] = 0.0
-        num = float(np.sum(u * Bu))
+        u, _, _ = restricted_cg(sel, apply_A, apply_B(f), 1e-12, 20000)
+        num = float(np.sum(u * apply_B(u)))
         den = float(np.sum(u * apply_A(u)))
         lam = num / den
         nrm = math.sqrt(float(np.sum(u * u)))

@@ -39,8 +39,8 @@ planes.  Spectral derivatives are apply_symbol with the symbol
 (2 pi i xi)^alpha.
 
 apply_table is the raw-array path of the iterative solvers: a full-lattice
-table (abs_power_table) and complex FFTs.  Both paths transform in place in
-one work buffer that they own (apply_symbol's is real, in the padded
+table (abs_power_table: abs_power_symbol evaluated on the full lattice) and
+complex FFTs.  Both paths transform in place in one work buffer that they own (apply_symbol's is real, in the padded
 in-place real-FFT layout, and becomes its output), with numpy's FFT calls in
 numpy's order, so each output equals the allocating form
 (irfftn(table * rfftn(f)), ifftn(fftn(values) * table).real) bit for bit.
@@ -292,11 +292,9 @@ def inv_frac_laplacian(f: GridFunction, s: float) -> GridFunction:
 
 
 def abs_power_table(grid: Grid, s: float) -> np.ndarray:
-    """|xi|^s on the lattice with the zero mode annihilated (fast path for
-    iterative solvers working on raw arrays)."""
-    mag = grid.frequency_magnitude()
-    with np.errstate(divide="ignore"):
-        table = mag**s
+    """abs_power_symbol's |xi|^s on the full lattice, writable, with the zero
+    mode annihilated (1 for s = 0): apply_table's table on raw arrays."""
+    table = abs_power_symbol(grid.dim, s).on_axes(per_axis([grid.axis_frequencies()] * grid.dim)).copy()
     table[(0,) * grid.dim] = 1.0 if s == 0 else 0.0
     return table
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import _kernels
 from .grid import DomainMask, Grid, GridFunction, lp_norm, per_axis, sorted_distinct
-from .multipliers import abs_power_symbol, derivative_tensor, frac_laplacian
+from .multipliers import _conjugate_symmetrize, abs_power_symbol, derivative_tensor, frac_laplacian
 
 # Pair sums are exact over every masked point and no longer use these caps;
 # only the benchmark's tracing hooks still read them.
@@ -312,9 +312,7 @@ def _equivalence_tables(grid: Grid, s: float) -> tuple:
     kernel = periodized_kernel(grid, 2.0 * s)
     total = float(np.sum(kernel))
     weight = 2.0 * (total - np.fft.rfftn(kernel).real)
-    f = grid.axis_frequencies()
-    half = per_axis([f] * (grid.dim - 1) + [f[: grid.points_per_axis // 2 + 1]])
-    symbol = abs_power_symbol(grid.dim, 2.0 * s).on_axes(half)
+    symbol = _conjugate_symmetrize(grid, abs_power_symbol(grid.dim, 2.0 * s))
     weight.flags.writeable = symbol.flags.writeable = False
     return total, weight, symbol
 

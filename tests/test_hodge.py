@@ -19,7 +19,7 @@ from fraclap.hodge import (
     lower_order_product_norm,
 )
 from fraclap.meanvalue import default_degree, meanvalue_polynomial
-from fraclap.multipliers import abs_power_table, apply_table, frac_laplacian
+from fraclap.multipliers import SymbolError, abs_power_table, apply_table, frac_laplacian
 from fraclap.solve import NumericalError
 
 
@@ -287,6 +287,27 @@ def test_local_norm_recovery_padding_guard():
     v = confined_field(g, 0, radius=1 / 32)
     with pytest.raises(HodgeError, match="padded"):
         local_norm_recovery(v, 1 / 32, g.center, 32.0)
+    # B_{Lambda r} between grid points: no test function to take the sup over
+    with pytest.raises(HodgeError, match="empty domain"):
+        local_norm_recovery(v, 1 / 32, g.center + 0.5 * g.spacing, 1e-3)
+
+
+@pytest.mark.parametrize("N", [256, 512, 1024])
+def test_local_norm_recovery_matches_dense_restricted_solve(N):
+    # the dual norm sqrt(<b, A^-1 b>) with A = P_D Lap^n P_D assembled densely
+    # from its circulant column and b = P_D Lap^{n/2} v
+    g = Grid(1, N, 1.0)
+    r = 1 / 64
+    col = np.fft.ifft(abs_power_table(g, 1.0)).real
+    for lam, seed in ((8.0, 0), (8.0, 3), (16.0, 5)):
+        v = confined_field(g, seed, radius=r)
+        D = np.flatnonzero(ball_mask(g, g.center, lam * r).values)
+        A = col[(D[:, None] - D[None, :]) % N]
+        b = np.fft.ifft(np.fft.fft(v.values) * abs_power_table(g, 0.5)).real[D]
+        sup = math.sqrt(float(b @ np.linalg.solve(A, b)) * g.cell_measure)
+        out = local_norm_recovery(v, r, g.center, lam)
+        assert abs(out["sup"] - sup) <= 1e-12 * sup, (lam, seed)
+        assert out["ratio"] == out["v_norm"] / out["sup"]
 
 
 # -- lower order products ------------------------------------------------------------------
@@ -308,8 +329,9 @@ def test_lower_order_range_and_mean_guards():
     v = band_limited_field(g, 2, cutoff=8)
     with pytest.raises(HodgeError, match="n/2"):
         lower_order_product_norm(u, v, 1.0)
-    with pytest.raises(HodgeError, match="mean"):
-        lower_order_product_norm(GridFunction(g, u.values + 1.0), v, 0.5)
+    for a, b in ((GridFunction(g, u.values + 1.0), v), (u, GridFunction(g, v.values + 1.0))):
+        with pytest.raises(SymbolError, match="mean"):
+            lower_order_product_norm(a, b, 0.5)
 
 
 def test_lower_order_regression():

@@ -441,6 +441,24 @@ def test_apply_symbol_peak_memory_in_row_blocks(traced_peak):
         assert peak <= bound * f.values.nbytes, sym.name
 
 
+# -- abs_power_table against a meshgrid |xi| -----------------------------------
+
+@pytest.mark.parametrize("dim,sizes", [(1, (8, 64, 4096)), (2, (8, 32, 128)), (3, (8, 16, 32))])
+def test_abs_power_table_matches_meshgrid_bitwise(dim, sizes):
+    for n in sizes:
+        for L in (1.0, 0.7, 3.0):
+            g = Grid(dim, n, L)
+            freqs = np.meshgrid(*([g.axis_frequencies()] * dim), indexing="ij")
+            mag = np.sqrt(sum(x * x for x in freqs))
+            for s in (0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, -0.5, -1.0):
+                with np.errstate(divide="ignore"):
+                    ref = mag**s
+                ref[(0,) * dim] = 1.0 if s == 0 else 0.0
+                table = multipliers.abs_power_table(g, s)
+                assert table.flags.writeable and table.flags.c_contiguous
+                assert table.dtype == np.float64 and table.tobytes() == ref.tobytes(), (n, L, s)
+
+
 # -- in-place apply_table against the one-line fftn form ----------------------
 
 def _fftn_apply_table(values, table):

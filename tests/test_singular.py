@@ -433,7 +433,8 @@ def _per_call_equivalence_ratio(f, s):
     power = np.abs(np.fft.rfftn(f.values - f.values.flat[0]))
     power *= power
     power[..., 1 : N // 2] *= 2.0
-    num = float(np.sum(power * grid.frequency_magnitude()[..., : N // 2 + 1] ** (2.0 * s)))
+    freqs = np.meshgrid(*([grid.axis_frequencies()] * grid.dim), indexing="ij")
+    num = float(np.sum(power * np.sqrt(sum(x * x for x in freqs))[..., : N // 2 + 1] ** (2.0 * s)))
     return num / float(np.sum(power * weight))
 
 
