@@ -152,7 +152,10 @@ def split_seed_regression(rep, samples, cal_seeds, fresh_seeds, verdicts, floor=
 
 @experiment("partition-of-unity", scales=(10,))
 def run_partition(cfg, rep):
-    depth = int(cfg["scales"][0])
+    depth, *rest = cfg["scales"]
+    if rest or not float(depth).is_integer() or depth < 1:
+        raise ValueError(f"--scales takes one integer depth >= 1, got {list(cfg['scales'])}")
+    depth = int(depth)
     rep.config["depth"] = depth
     fam = build_family(depth)  # build_family already asserts the invariants
     rho = np.linspace(0.0, 2.0**depth, 200001)
@@ -377,15 +380,11 @@ def run_compensation(cfg, rep):
 
 @experiment("iteration-lemmas")
 def run_iteration(cfg, rep):
-    n_ok = 0
-    for k in range(500):
-        a, lam = generate_driteration_input(cfg["seed"] + k, 1.0, 1.0)
-        driteration(a, 1.0, 1.0, lam)
-        n_ok += 1
-    for k in range(500):
-        a = generate_iteration_input(cfg["seed"] + 7000 + k, 1.0, 1.0, 1.0, 2)
-        iteration_reduce(a, 1.0, 1.0, 1.0, 2)
-        n_ok += 1
+    seed = cfg["seed"]
+    a, lam = generate_driteration_input(range(seed, seed + 500), 1.0, 1.0)
+    n_ok = driteration(a, 1.0, 1.0, lam).beta.size
+    a = generate_iteration_input(range(seed + 7000, seed + 7500), 1.0, 1.0, 1.0, 2)
+    n_ok += iteration_reduce(a, 1.0, 1.0, 1.0, 2).beta.size
     rep.add_verdict("thousand_sequences", n_ok == 1000, n_ok, 1000)
     witnesses_ok = True
     for target in (-3, -1, -6):

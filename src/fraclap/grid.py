@@ -168,7 +168,7 @@ def sorted_distinct(values: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DomainMask:
-    """Boolean field on a grid (ball, annulus, union, ...)."""
+    """Boolean field on a grid (ball, annulus, ...)."""
 
     grid: Grid
     values: np.ndarray
@@ -185,10 +185,6 @@ class DomainMask:
     @property
     def measure(self) -> float:
         return self.npoints * self.grid.cell_measure
-
-    def union(self, other: "DomainMask") -> "DomainMask":
-        _check_same_grid(self.grid, other.grid)
-        return DomainMask(self.grid, self.values | other.values)
 
 
 def _check_same_grid(g1: Grid, g2: Grid):
@@ -254,9 +250,6 @@ class GridFunction:
         return GridFunction(self.grid, self.values * other)
 
     __rmul__ = __mul__
-
-    def mean(self) -> float:
-        return float(np.mean(self.values))
 
 
 def transform_forward(f: GridFunction) -> np.ndarray:

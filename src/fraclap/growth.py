@@ -4,15 +4,17 @@ localization, and Hoelder-exponent estimation.
 The iteration lemmas are verified EXACTLY (double precision, 1e-12 relative
 slack) for every hypothesis-satisfying sequence: no sampling, the hypothesis
 and the conclusion are both finite closed-form sums once sequences carry an
-explicit zero extension outside their index range.  All N are checked at
-once: each sum is a row of one masked (len(Ns), n) array, and a failure names
-the first failing N.
+explicit zero extension outside their index range.  They check a batch at
+once: an AnnulusSequence holds one row per sequence (a 1-d array is a batch
+of one), each sum is one masked (sequences, len(Ns), n) array program, and a
+failure names the first failing sequence and its first failing N.  Each
+hypothesis is stated once, shared by its generator and its check.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -27,102 +29,114 @@ SLACK = 1e-12
 
 
 class GrowthError(ValueError):
-    def __init__(self, message: str, witness: Optional[int] = None):
+    def __init__(self, message: str, witness: Optional[int] = None, sequence: Optional[int] = None):
         super().__init__(message)
         self.witness = witness
+        self.sequence = sequence
 
 
 @dataclass(frozen=True)
 class AnnulusSequence:
-    """Nonnegative summable sequence a_k on [k_min, k_max], zero outside."""
+    """Nonnegative summable sequences a_k on [k_min, k_max], zero outside: one
+    row per sequence, a 1-d array being a batch of one."""
 
     k_min: int
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or v.size == 0:
-            raise GrowthError("sequence must be a nonempty 1-d array")
+        v = np.atleast_2d(np.asarray(self.values, dtype=float))
+        if v.ndim != 2 or v.size == 0:
+            raise GrowthError("sequences must be a nonempty 1-d or 2-d array")
         if np.any(~np.isfinite(v)) or np.any(v < 0):
             raise GrowthError("sequence values must be finite and nonnegative")
         object.__setattr__(self, "values", v)
 
     @property
     def k_max(self) -> int:
-        return self.k_min + self.values.size - 1
+        return self.k_min + self.values.shape[1] - 1
 
-    def at(self, k: int) -> float:
-        if self.k_min <= k <= self.k_max:
-            return float(self.values[k - self.k_min])
-        return 0.0
-
-    # The three sums of the iteration lemmas, one entry per N in Ns.  Terms
-    # outside a sum get the weight 2^-inf = 0, and each row is summed with its
-    # zeros, so an entry may differ from a per-N slice sum in the last bits.
+    # The three sums of the iteration lemmas, one row per sequence and one
+    # column per N in Ns.  Terms outside a sum get the weight 2^-inf = 0, and
+    # each row is summed with its zeros, so an entry may differ from a per-N
+    # slice sum in the last bits.
 
     def _rows(self, Ns) -> tuple:
-        """(N, k) as a column and a row that broadcast to (len(Ns), n)."""
-        return np.asarray(Ns)[:, None], np.arange(self.k_min, self.k_max + 1)
+        """(N, k) as a column and a row that broadcast to (len(Ns), n), and the
+        sequences as (sequences, 1, n)."""
+        return np.asarray(Ns)[:, None], np.arange(self.k_min, self.k_max + 1), self.values[:, None, :]
 
     def head_sums(self, Ns) -> np.ndarray:
         """sum_{k <= N} a_k for each N in Ns."""
-        N, k = self._rows(Ns)
-        return np.sum(np.where(k <= N, self.values, 0.0), axis=1)
+        N, k, a = self._rows(Ns)
+        return np.sum(np.where(k <= N, a, 0.0), axis=2)
 
     def weighted_tails(self, Ns, gamma: float, shift: int) -> np.ndarray:
         """sum_{k >= N+1} 2^(gamma (N + shift - k)) a_k for each N in Ns."""
-        N, k = self._rows(Ns)
+        N, k, a = self._rows(Ns)
         weight = 2.0 ** np.where(k > N, gamma * (N + shift - k), -np.inf)
-        return np.sum(weight * self.values, axis=1)
+        return np.sum(weight * a, axis=2)
 
     def weighted_heads(self, Ns, gamma: float) -> np.ndarray:
         """sum_{k <= N} 2^(gamma (k - N)) a_k for each N in Ns."""
-        N, k = self._rows(Ns)
+        N, k, a = self._rows(Ns)
         weight = 2.0 ** np.where(k <= N, gamma * (k - N), -np.inf)
-        return np.sum(weight * self.values, axis=1)
+        return np.sum(weight * a, axis=2)
+
+
+def _check(Ns: np.ndarray, lhs: np.ndarray, rhs: np.ndarray, message: str) -> None:
+    """Raise at the first sequence with lhs > rhs beyond SLACK at some N in Ns,
+    naming it and its first such N, the witness."""
+    fails = lhs > rhs * (1.0 + SLACK)
+    if np.any(fails):
+        seq = int(np.argmax(np.any(fails, axis=1)))
+        N = int(Ns[np.argmax(fails[seq])])
+        raise GrowthError(f"{message} in sequence {seq} at N = {N}", witness=N, sequence=seq)
 
 
 @dataclass
 class GrowthReport:
-    beta: float
+    """A verified conclusion, one row per sequence: the exponent beta, the
+    constants (each one value or one per sequence), and at each N in Ns the
+    head sum sum_{k<=N} a_k below its bound Lam 2^(beta N)."""
+
+    beta: np.ndarray
     constants: dict
     threshold_index: int
-    table: list = field(default_factory=list)
+    Ns: np.ndarray
+    head_sums: np.ndarray
+    bounds: np.ndarray
 
     def __post_init__(self):
-        if not (0 < self.beta < 1):
+        _check(self.Ns, self.head_sums, self.bounds, "conclusion verification failed")
+        if not np.all((0 < self.beta) & (self.beta < 1)):
             raise GrowthError(f"growth exponent must lie in (0,1), got {self.beta}")
         for name, value in self.constants.items():
-            if not (np.isfinite(value) and value > 0):
+            value = np.asarray(value)
+            if not np.all(np.isfinite(value) & (value > 0)):
                 raise GrowthError(f"constant {name} must be finite positive")
 
 
-def _check(Ns: np.ndarray, lhs: np.ndarray, rhs: np.ndarray, message: str) -> None:
-    """Raise at the first N with lhs > rhs beyond SLACK, naming it the witness."""
-    fails = lhs > rhs * (1.0 + SLACK)
-    if np.any(fails):
-        N = int(Ns[np.argmax(fails)])
-        raise GrowthError(f"{message} at N = {N}", witness=N)
+# -- the two hypotheses, each shared by its generator and its check -------------
+
+def _dr_sides(a: AnnulusSequence, Ns: np.ndarray, gamma: float, alpha: float) -> tuple:
+    """Both sides of the dyadic-recursion hypothesis at each N in Ns, the right
+    one over Lam:  sum_{k<=N} a_k <= Lam (sum_{k>N} 2^(gamma(N+1-k)) a_k + 2^(alpha N))."""
+    return a.head_sums(Ns), a.weighted_tails(Ns, gamma, shift=1) + 2.0 ** (alpha * Ns)
 
 
-def _check_hypothesis_dr(a: AnnulusSequence, gamma: float, alpha: float, lam: float) -> None:
-    """Hypothesis: sum_{k<=N} a_k <= Lam (sum_{k>N} 2^(gamma(N+1-k)) a_k + 2^(alpha N))
-    for every N <= 0 (automatic below the range)."""
-    Ns = np.arange(a.k_min, 1)
-    rhs = lam * (a.weighted_tails(Ns, gamma, shift=1) + 2.0 ** (alpha * Ns))
-    _check(Ns, a.head_sums(Ns), rhs, "iteration hypothesis fails")
+def _four_term_sides(a: AnnulusSequence, Ns: np.ndarray, lam1: float, lam2: float, gamma: float,
+                     L: int) -> tuple:
+    """The left side of the four-term hypothesis at each N in Ns and the part of
+    its right side that scales with a; the whole right side adds Lam2 2^(gamma N):
+    sum_{k<=N} a_k <= 1/2 sum_{k<=N+L} a_k + Lam1 sum_{k<=N} 2^(gamma(k-N)) a_k
+                      + Lam2 sum_{k>N} 2^(gamma(N-k)) a_k + Lam2 2^(gamma N)."""
+    absorbed = 0.5 * a.head_sums(Ns + L) + lam1 * a.weighted_heads(Ns, gamma)
+    return a.head_sums(Ns), absorbed + lam2 * a.weighted_tails(Ns, gamma, shift=0)
 
 
-def _conclusion(Ns: np.ndarray, heads: np.ndarray, lam: float, beta: float) -> list:
-    """Check the head sums against lam 2^(beta N) for every N in Ns; the table rows."""
-    bounds = lam * 2.0 ** (beta * Ns)
-    _check(Ns, heads, bounds, "conclusion verification failed")
-    return [{"N": N, "head_sum": h, "bound": b}
-            for N, h, b in zip(Ns.tolist(), heads.tolist(), bounds.tolist())]
-
-
-def driteration(a: AnnulusSequence, gamma: float, alpha: float, lam: float) -> GrowthReport:
-    """Exact verification of the dyadic-recursion iteration lemma.
+def driteration(a: AnnulusSequence, gamma: float, alpha: float, lam) -> GrowthReport:
+    """Exact verification of the dyadic-recursion iteration lemma for each
+    sequence, with lam one Lambda for all or one per sequence.
 
     Checks the hypothesis for every N <= 0, builds tau = Lam(1-2^-gamma)/(1+Lam)
     and the tau_k sequence from the proof, extracts the decay exponent as the
@@ -130,28 +144,23 @@ def driteration(a: AnnulusSequence, gamma: float, alpha: float, lam: float) -> G
     the safety margin, both recorded), and verifies sum_{k<=N} a_k <= L2 2^(beta N)
     for every N <= 0 in range.
     """
-    if gamma <= 0 or alpha <= 0 or lam <= 0:
+    lam = np.broadcast_to(np.asarray(lam, dtype=float), a.values.shape[:1])
+    if gamma <= 0 or alpha <= 0 or np.any(lam <= 0):
         raise GrowthError("gamma, alpha, Lambda must be positive")
-    _check_hypothesis_dr(a, gamma, alpha, lam)
+    Ns = np.arange(a.k_min, 1)
+    heads, denom = _dr_sides(a, Ns, gamma, alpha)
+    _check(Ns, heads, lam[:, None] * denom, "iteration hypothesis fails")
     tau = lam / (1.0 + lam) * (1.0 - 2.0**-gamma)
     q = tau + 2.0**-gamma
-    k_range = max(64, a.values.size + 8)
-    taus = [1.0] + [tau * q ** (k - 1) for k in range(1, k_range + 1)]
-    theta_star = min(-math.log2(taus[k]) / k for k in range(1, k_range + 1))
-    beta_raw = min(theta_star, alpha) / 2.0
-    beta = min(max(beta_raw / 2.0, 1e-9), 0.999)
-    Ns = np.arange(a.k_min, 1)
-    heads = a.head_sums(Ns)
-    ratios = heads / 2.0 ** (beta * Ns)
-    lam2 = float(np.max(ratios)) if ratios.size and np.max(ratios) > 0 else lam
-    table = _conclusion(Ns, heads, lam2, beta)
-    return GrowthReport(
-        beta=beta,
-        constants={"Lambda": lam, "Lambda_2": lam2, "tau": tau, "theta_star": theta_star,
-                   "beta_raw": beta_raw},
-        threshold_index=0,
-        table=table,
-    )
+    k = np.arange(1, max(64, a.values.shape[1] + 8) + 1)
+    theta_star = np.min(-np.log2(tau[:, None] * q[:, None] ** (k - 1)) / k, axis=1)
+    beta_raw = np.minimum(theta_star, alpha) / 2.0
+    beta = np.minimum(np.maximum(beta_raw / 2.0, 1e-9), 0.999)
+    growth = 2.0 ** (beta[:, None] * Ns)
+    peak = np.max(heads / growth, axis=1, initial=0.0)
+    lam2 = np.where(peak > 0, peak, lam)
+    constants = {"Lambda": lam, "Lambda_2": lam2, "tau": tau, "theta_star": theta_star, "beta_raw": beta_raw}
+    return GrowthReport(beta, constants, 0, Ns, heads, lam2[:, None] * growth)
 
 
 def iteration_reduce(
@@ -159,19 +168,14 @@ def iteration_reduce(
 ) -> GrowthReport:
     """The absorption form: verifies the four-term inequality for all N <= 0,
     computes K with 2^(-gamma K) <= 1/(4 Lam1), assembles Lam3 from the proof
-    and delegates the shifted sequence to driteration for beta and Lam4."""
+    and delegates the shifted sequences to driteration for beta and Lam4."""
     if L < 1 or int(L) != L:
         raise GrowthError("L must be a positive integer")
     if lam1 <= 0 or lam2 <= 0 or gamma <= 0:
         raise GrowthError("Lambda_1, Lambda_2, gamma must be positive")
     Ns = np.arange(a.k_min, 1)
-    rhs = (
-        0.5 * a.head_sums(Ns + L)
-        + lam1 * a.weighted_heads(Ns, gamma)
-        + lam2 * a.weighted_tails(Ns, gamma, shift=0)
-        + lam2 * 2.0 ** (gamma * Ns)
-    )
-    _check(Ns, a.head_sums(Ns), rhs, "iteration hypothesis fails")
+    heads, linear = _four_term_sides(a, Ns, lam1, lam2, gamma, L)
+    _check(Ns, heads, linear + lam2 * 2.0 ** (gamma * Ns), "iteration hypothesis fails")
     K = max(1, math.ceil(math.log2(4.0 * lam1) / gamma))
     lam3 = 4.0 * lam1 * 2.0 ** (gamma * K) + 2.0 ** (gamma * K) * (
         2.0 ** (gamma * L + 2) + 4.0 * lam2
@@ -179,21 +183,14 @@ def iteration_reduce(
     # reduced inequality for every N <= -K, then shift indices so driteration
     # sees a hypothesis valid on all N <= 0
     Ns = np.arange(a.k_min, -K + 1)
-    heads = a.head_sums(Ns)
+    heads = heads[:, : Ns.size]
     rhs = lam3 * (a.weighted_tails(Ns, gamma, shift=0) + 2.0 ** (gamma * Ns))
     _check(Ns, heads, rhs, "reduced inequality fails")
-    shifted = AnnulusSequence(a.k_min + K, a.values)
-    inner = driteration(shifted, gamma, gamma, lam3)
+    inner = driteration(AnnulusSequence(a.k_min + K, a.values), gamma, gamma, lam3)
     beta = inner.beta
     lam4 = inner.constants["Lambda_2"] * 2.0 ** (beta * K)
-    table = _conclusion(Ns, heads, lam4, beta)
-    return GrowthReport(
-        beta=beta,
-        constants={"Lambda_1": lam1, "Lambda_2_input": lam2, "Lambda_3": lam3, "Lambda_4": lam4,
-                   "K": float(K)},
-        threshold_index=-K,
-        table=table,
-    )
+    constants = {"Lambda_1": lam1, "Lambda_2_input": lam2, "Lambda_3": lam3, "Lambda_4": lam4, "K": float(K)}
+    return GrowthReport(beta, constants, -K, Ns, heads, lam4[:, None] * 2.0 ** (beta[:, None] * Ns))
 
 
 # -- generators ---------------------------------------------------------------
@@ -202,44 +199,43 @@ def iteration_reduce(
 K_MIN, K_MAX = -12, 4
 
 
-def generate_driteration_input(seed: int, gamma: float, alpha: float) -> tuple:
-    """Arbitrary nonnegative tail on [K_MIN, K_MAX], then Lambda inflated to
-    the minimal value making the hypothesis hold (recorded); constructive, no
-    rejection."""
-    rng = np.random.default_rng(seed)
+def _draw(seeds, theta_max: float, zero_share: float) -> AnnulusSequence:
+    """One row per seed on [K_MIN, K_MAX], each from its own default_rng(seed):
+    theta ~ U(0.2, theta_max), then |N(0,1)| 2^(theta min(k, 0)) with each entry
+    zeroed with probability zero_share (no draw when it is 0)."""
     ks = np.arange(K_MIN, K_MAX + 1)
-    theta = rng.uniform(0.2, 1.5)
-    vals = np.abs(rng.standard_normal(ks.size)) * 2.0 ** (theta * np.minimum(ks, 0))
-    vals[rng.random(ks.size) < 0.15] = 0.0
-    a = AnnulusSequence(K_MIN, vals)
-    Ns = np.arange(K_MIN, 1)
-    denom = a.weighted_tails(Ns, gamma, shift=1) + 2.0 ** (alpha * Ns)
-    lam_min = float(np.max(a.head_sums(Ns) / denom))
-    lam = max(lam_min * (1.0 + 1e-9), 1e-6)
-    return a, lam
+    rows = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        theta = rng.uniform(0.2, theta_max)
+        vals = np.abs(rng.standard_normal(ks.size)) * 2.0 ** (theta * np.minimum(ks, 0))
+        if zero_share:
+            vals[rng.random(ks.size) < zero_share] = 0.0
+        rows.append(vals)
+    return AnnulusSequence(K_MIN, np.array(rows))
 
 
-def generate_iteration_input(seed: int, lam1: float, lam2: float, gamma: float, L: int) -> AnnulusSequence:
-    """Nonnegative tail on [K_MIN, K_MAX] rescaled to satisfy the four-term
+def generate_driteration_input(seeds, gamma: float, alpha: float) -> tuple:
+    """One arbitrary nonnegative tail per seed, then each Lambda inflated to the
+    minimal value making its hypothesis hold (recorded); constructive, no
+    rejection."""
+    a = _draw(seeds, 1.5, 0.15)
+    heads, denom = _dr_sides(a, np.arange(K_MIN, 1), gamma, alpha)
+    return a, np.maximum(np.max(heads / denom, axis=1) * (1.0 + 1e-9), 1e-6)
+
+
+def generate_iteration_input(seeds, lam1: float, lam2: float, gamma: float, L: int) -> AnnulusSequence:
+    """One nonnegative tail per seed, rescaled to satisfy the four-term
     hypothesis: the inequality is affine in the scale (the absolute
     2^(gamma N) term is not), so the minimal feasible downscale is explicit."""
-    rng = np.random.default_rng(seed)
-    ks = np.arange(K_MIN, K_MAX + 1)
-    theta = rng.uniform(0.2, 1.2)
-    vals = np.abs(rng.standard_normal(ks.size)) * 2.0 ** (theta * np.minimum(ks, 0))
-    a = AnnulusSequence(K_MIN, vals)
+    a = _draw(seeds, 1.2, 0.0)
     Ns = np.arange(K_MIN, 1)
-    linear = (
-        0.5 * a.head_sums(Ns + L)
-        + lam1 * a.weighted_heads(Ns, gamma)
-        + lam2 * a.weighted_tails(Ns, gamma, shift=0)
-    )
-    deficit = a.head_sums(Ns) - linear
+    heads, linear = _four_term_sides(a, Ns, lam1, lam2, gamma, L)
+    deficit = heads - linear
     short = deficit > 0
-    scale = 1.0
-    if np.any(short):
-        scale = 0.9 * float(np.min(lam2 * 2.0 ** (gamma * Ns[short]) / deficit[short]))
-    return AnnulusSequence(K_MIN, vals * min(1.0, scale))
+    room = lam2 * 2.0 ** (gamma * Ns) / np.where(short, deficit, 1.0)
+    scale = np.minimum(1.0, 0.9 * np.min(np.where(short, room, np.inf), axis=1))
+    return AnnulusSequence(K_MIN, a.values * scale[:, None])
 
 
 def counterexample_driteration(witness: int, gamma: float, alpha: float, lam: float) -> AnnulusSequence:

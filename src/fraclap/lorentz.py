@@ -59,14 +59,6 @@ class RearrangementProfile:
         out = padded[np.minimum(idx, len(self.heights))]
         return np.where(t < 0, np.nan, out)
 
-    def distribution(self, lam) -> np.ndarray:
-        """d_f(lambda) = measure{|f| > lambda}, recovered from the profile."""
-        lam = np.asarray(lam, dtype=float)
-        # measure above level lam: largest t_i with v_i > lam
-        idx = len(self.heights) - np.searchsorted(self.heights[::-1], lam, side="right")
-        padded = np.append(0.0, self.breakpoints)
-        return padded[idx]
-
 
 def profile_from_values(values: np.ndarray, cell_measure: float) -> RearrangementProfile:
     """Rearrangement of a simple function given raw cell values."""

@@ -124,8 +124,11 @@ def write_constants(path: str, seed: int, grid, constants: dict) -> None:
 
 
 def load_constants(path: str, expect_grid=None) -> dict:
-    with open(path) as fh:
-        payload = json.load(fh)
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+    except OSError as exc:
+        raise ReportError(f"cannot read constants file {path}: {exc.strerror}") from exc
     if payload.get("schema") != CONSTANTS_SCHEMA:
         raise ReportError(f"unsupported constants schema in {path}")
     if expect_grid is not None:

@@ -347,6 +347,23 @@ def test_regress_with_mismatched_grid_refuses(capsys, tmp_path):
     assert "Grid(1, 512, 1.0)" in capsys.readouterr().err
 
 
+def test_missing_constants_file_is_a_config_error(capsys, tmp_path):
+    path = tmp_path / "absent.json"
+    with pytest.raises(ReportError, match="absent.json"):
+        load_constants(str(path))
+    assert main(["run", "compensation", "--constants", str(path), "--out", str(tmp_path / "reports")]) == 2
+    assert str(path) in capsys.readouterr().err
+    assert not (tmp_path / "reports").exists()
+
+
+@pytest.mark.parametrize("scales", [["4.5"], ["4", "7"], ["0"], ["inf"]])
+def test_partition_refuses_scales_other_than_one_depth(capsys, tmp_path, scales):
+    # the report echoes --scales, so the one value given must be the depth that runs
+    assert main(["run", "partition-of-unity", "--scales", *scales, "--out", str(tmp_path)]) == 2
+    assert "one integer depth" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_every_acceptance_criterion_has_an_experiment():
     needed = {
         "definition-equivalence", "equivalence-ratio", "partition-of-unity",

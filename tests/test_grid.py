@@ -184,7 +184,7 @@ def test_annulus_and_set_algebra():
     outer = ball_mask(g, g.center, 0.3)
     assert np.all(outer.values[ann.values])
     assert not np.any(ann.values & inner.values)
-    assert ann.union(inner).npoints <= outer.npoints
+    assert np.count_nonzero(ann.values | inner.values) <= outer.npoints
     assert DomainMask(g, np.ones(g.shape, bool)).npoints == g.npoints
 
 

@@ -24,32 +24,32 @@ from fraclap.growth import (
 
 # -- iteration lemmas ------------------------------------------------------------
 
-# Per-N slice sums, the reference for AnnulusSequence's array forms.
+# Per-N slice sums over row i, the reference for AnnulusSequence's array forms.
 
-def head_sum(a, N):
+def head_sum(a, N, i=0):
     """sum_{k <= N} a_k."""
     if N < a.k_min:
         return 0.0
     hi = min(N, a.k_max)
-    return float(np.sum(a.values[: hi - a.k_min + 1]))
+    return float(np.sum(a.values[i, : hi - a.k_min + 1]))
 
 
-def weighted_tail(a, N, gamma, shift=1):
+def weighted_tail(a, N, gamma, shift=1, i=0):
     """sum_{k >= N+1} 2^(gamma (N + shift - k)) a_k."""
     lo = max(N + 1, a.k_min)
     if lo > a.k_max:
         return 0.0
     ks = np.arange(lo, a.k_max + 1)
-    return float(np.sum(2.0 ** (gamma * (N + shift - ks)) * a.values[lo - a.k_min :]))
+    return float(np.sum(2.0 ** (gamma * (N + shift - ks)) * a.values[i, lo - a.k_min :]))
 
 
-def weighted_head(a, N, gamma):
+def weighted_head(a, N, gamma, i=0):
     """sum_{k <= N} 2^(gamma (k - N)) a_k."""
     hi = min(N, a.k_max)
     if hi < a.k_min:
         return 0.0
     ks = np.arange(a.k_min, hi + 1)
-    return float(np.sum(2.0 ** (gamma * (ks - N)) * a.values[: hi - a.k_min + 1]))
+    return float(np.sum(2.0 ** (gamma * (ks - N)) * a.values[i, : hi - a.k_min + 1]))
 
 
 def test_sequence_validation():
@@ -57,23 +57,26 @@ def test_sequence_validation():
         AnnulusSequence(0, np.array([1.0, -2.0]))
     with pytest.raises(GrowthError):
         AnnulusSequence(0, np.array([np.inf]))
+    with pytest.raises(GrowthError):
+        AnnulusSequence(0, np.ones((2, 2, 2)))
     a = AnnulusSequence(-3, np.array([1.0, 2.0, 0.5, 0.25]))
     assert a.k_max == 0
+    assert a.values.shape == (1, 4)  # a 1-d array is a batch of one
     assert head_sum(a, -2) == 3.0
-    assert a.at(5) == 0.0
+    assert a.head_sums([5]).tolist() == [[3.75]]  # zero above the range
 
 
 def test_zero_sequence_trivially_passes():
     a = AnnulusSequence(-8, np.zeros(10))
     rep = driteration(a, 1.0, 1.0, 1.0)
-    assert 0 < rep.beta < 1
-    assert rep.constants["Lambda_2"] == 1.0  # falls back to the hypothesis Lambda
+    assert 0 < rep.beta[0] < 1
+    assert rep.constants["Lambda_2"].tolist() == [1.0]  # falls back to the hypothesis Lambda
 
 
 def test_single_spike_passes():
     a = AnnulusSequence(0, np.array([1.0, 0.0]))
     rep = driteration(a, 1.0, 1.0, 2.0)
-    assert all(row["head_sum"] <= row["bound"] * (1 + 1e-12) for row in rep.table)
+    assert np.all(rep.head_sums <= rep.bounds * (1 + 1e-12))
 
 
 def test_geometric_sequence_example():
@@ -88,31 +91,89 @@ def test_geometric_sequence_example():
         assert lhs <= rhs * (1 + 1e-12)
     with pytest.raises(GrowthError) as err:
         driteration(a, 1.0, 1.0, 1.0)
-    assert err.value.witness == 0
+    assert (err.value.sequence, err.value.witness) == (0, 0)
     shifted = AnnulusSequence(-11, a.values)
     rep = driteration(shifted, 1.0, 1.0, 1.0)
-    assert 0 < rep.beta < 1
+    assert 0 < rep.beta[0] < 1
 
 
 def _rel(x, y):
     return np.max(np.abs(x - y) / np.maximum(np.abs(y), 1e-300))
 
 
+def _batches():
+    """The 1000 sequences of `iteration-lemmas` at seed 0, as its two batches."""
+    return (generate_driteration_input(range(500), 1.0, 1.0)[0],
+            generate_iteration_input(range(7000, 7500), 1.0, 1.0, 1.0, 2))
+
+
 def test_array_sums_match_the_scalar_sums():
     # rows with zeros summed in are not bitwise the per-N slices; measured worst
     # 5.9e-16 relative over these sequences
-    sequences = [generate_driteration_input(seed, 1.0, 1.0)[0] for seed in range(500)]
-    sequences += [generate_iteration_input(7000 + seed, 1.0, 1.0, 1.0, 2) for seed in range(500)]
     worst = 0.0
-    for a in sequences:
+    for a in _batches():
         Ns = np.arange(a.k_min - 2, a.k_max + 3)  # below, across and above the range
-        worst = max(worst, _rel(a.head_sums(Ns), np.array([head_sum(a, N) for N in Ns])))
-        for gamma, shift in ((1.0, 1), (1.0, 0), (0.7, 0)):
-            tails = np.array([weighted_tail(a, N, gamma, shift) for N in Ns])
-            worst = max(worst, _rel(a.weighted_tails(Ns, gamma, shift), tails))
-        heads = np.array([weighted_head(a, N, 0.7) for N in Ns])
-        worst = max(worst, _rel(a.weighted_heads(Ns, 0.7), heads))
+        sums = [(a.head_sums(Ns), head_sum, ())]
+        sums += [(a.weighted_tails(Ns, gamma, shift), weighted_tail, (gamma, shift))
+                 for gamma, shift in ((1.0, 1), (1.0, 0), (0.7, 0))]
+        sums += [(a.weighted_heads(Ns, 0.7), weighted_head, (0.7,))]
+        for rows, oracle, args in sums:
+            assert rows.shape == (500, Ns.size)
+            for i, row in enumerate(rows):
+                worst = max(worst, _rel(row, np.array([oracle(a, N, *args, i=i) for N in Ns])))
     assert worst <= 1e-15
+
+
+def _assert_row_is_alone(batch, alone, i):
+    """Row i of a batch report is bit for bit the report of that sequence alone."""
+    assert np.array_equal(batch.Ns, alone.Ns) and batch.threshold_index == alone.threshold_index
+    assert batch.beta[i] == alone.beta[0]
+    assert batch.constants.keys() == alone.constants.keys()
+    for name, value in batch.constants.items():
+        assert np.broadcast_to(value, batch.beta.shape)[i] == np.broadcast_to(alone.constants[name], (1,))[0], name
+    assert np.array_equal(batch.head_sums[i], alone.head_sums[0])
+    assert np.array_equal(batch.bounds[i], alone.bounds[0])
+
+
+def test_each_row_of_a_batch_equals_that_sequence_alone():
+    a, b = _batches()
+    lam = generate_driteration_input(range(500), 1.0, 1.0)[1]
+    rep = driteration(a, 1.0, 1.0, lam)
+    for i in range(500):
+        one, lam_one = generate_driteration_input([i], 1.0, 1.0)
+        assert np.array_equal(one.values[0], a.values[i]) and lam_one[0] == lam[i]
+        _assert_row_is_alone(rep, driteration(one, 1.0, 1.0, lam_one), i)
+    rep = iteration_reduce(b, 1.0, 1.0, 1.0, 2)
+    for i in range(500):
+        one = generate_iteration_input([7000 + i], 1.0, 1.0, 1.0, 2)
+        assert np.array_equal(one.values[0], b.values[i])
+        _assert_row_is_alone(rep, iteration_reduce(one, 1.0, 1.0, 1.0, 2), i)
+
+
+def _spike(values, k, at, height):
+    """values with row k zero but for `height` at index `at` (k_min = -12)."""
+    values = values.copy()
+    values[k] = 0.0
+    values[k, at + 12] = height
+    return values
+
+
+@pytest.mark.parametrize("k", [0, 17, 499])
+def test_a_planted_failure_names_its_sequence_and_N(k):
+    a, b = _batches()
+    lam = generate_driteration_input(range(500), 1.0, 1.0)[1]
+    # a lone spike at N = -3 exceeds Lam 2^N there; a later sequence fails
+    # earlier in N, and the first failing sequence is the one named
+    values = _spike(a.values, k, -3, 10.0 * lam[k] * 2.0**-3 + 1.0)
+    if k + 1 < 500:
+        values = _spike(values, k + 1, -9, 10.0 * lam[k + 1] + 1.0)
+    with pytest.raises(GrowthError, match=f"in sequence {k} at N = -3") as err:
+        driteration(AnnulusSequence(a.k_min, values), 1.0, 1.0, lam)
+    assert (err.value.sequence, err.value.witness) == (k, -3)
+    # a spike at N - L first escapes the four-term discounts at N (L = 2)
+    with pytest.raises(GrowthError) as err:
+        iteration_reduce(AnnulusSequence(b.k_min, _spike(b.values, k, -5, 1e9)), 1.0, 1.0, 1.0, 2)
+    assert (err.value.sequence, err.value.witness) == (k, -3)
 
 
 def test_counterexample_witness_is_named():
@@ -120,26 +181,27 @@ def test_counterexample_witness_is_named():
         a = counterexample_driteration(target, 1.0, 1.0, 1.0)
         with pytest.raises(GrowthError) as err:
             driteration(a, 1.0, 1.0, 1.0)
-        assert err.value.witness == target
+        assert (err.value.sequence, err.value.witness) == (0, target)
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10**6), st.floats(0.3, 2.0), st.floats(0.3, 2.0))
-def test_driteration_generator_sound(seed, gamma, alpha):
-    a, lam = generate_driteration_input(seed, gamma, alpha)
+@given(st.lists(st.integers(0, 10**6), min_size=1, max_size=8), st.floats(0.3, 2.0), st.floats(0.3, 2.0))
+def test_driteration_generator_sound(seeds, gamma, alpha):
+    a, lam = generate_driteration_input(seeds, gamma, alpha)
     rep = driteration(a, gamma, alpha, lam)
-    for row in rep.table:
-        assert row["head_sum"] <= row["bound"] * (1 + 1e-12)
+    assert rep.head_sums.shape == (len(seeds), rep.Ns.size)
+    assert np.all(rep.head_sums <= rep.bounds * (1 + 1e-12))
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10**6))
-def test_iteration_generator_sound(seed):
-    a = generate_iteration_input(seed, 1.0, 1.0, 1.0, 2)
+@given(st.lists(st.integers(0, 10**6), min_size=1, max_size=8))
+def test_iteration_generator_sound(seeds):
+    a = generate_iteration_input(seeds, 1.0, 1.0, 1.0, 2)
     rep = iteration_reduce(a, 1.0, 1.0, 1.0, 2)
     assert rep.threshold_index <= 0
     assert rep.constants["Lambda_3"] > 0
-    assert rep.constants["Lambda_4"] > 0
+    assert rep.constants["Lambda_4"].shape == (len(seeds),)
+    assert np.all(rep.constants["Lambda_4"] > 0)
 
 
 def test_iteration_reduce_formula_for_unit_parameters():
@@ -166,11 +228,13 @@ def test_iteration_violation_witness():
 
 
 def test_iteration_parameter_guards():
-    a = AnnulusSequence(-4, np.zeros(6))
+    a = AnnulusSequence(-4, np.zeros((2, 6)))
     with pytest.raises(GrowthError):
         iteration_reduce(a, 1.0, 1.0, 1.0, 0)
     with pytest.raises(GrowthError):
         driteration(a, -1.0, 1.0, 1.0)
+    with pytest.raises(GrowthError):
+        driteration(a, 1.0, 1.0, [1.0, 0.0])  # one Lambda per sequence, each positive
 
 
 # -- Campanato functionals ----------------------------------------------------------

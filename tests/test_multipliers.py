@@ -92,14 +92,14 @@ def test_inverse_rejects_mean(g1):
     f = GridFunction(g1, np.ones(g1.shape))
     with pytest.raises(SymbolError, match="mean"):
         inv_frac_laplacian(f, 0.5)
-    out = inv_frac_laplacian(GridFunction(g1, f.values - f.mean()), 0.5)
+    out = inv_frac_laplacian(GridFunction(g1, f.values - np.mean(f.values)), 0.5)
     assert lp_norm(out, 2) < 1e-12
 
 
 def test_inverse_then_forward_projects(g1):
     f = GridFunction(g1, 1.0 + band_limited_field(g1, 3).values)
-    out = frac_laplacian(inv_frac_laplacian(GridFunction(g1, f.values - f.mean()), 0.5), 0.5)
     mean_zero = f.values - np.mean(f.values)
+    out = frac_laplacian(inv_frac_laplacian(GridFunction(g1, mean_zero), 0.5), 0.5)
     assert np.max(np.abs(out.values - mean_zero)) <= 1e-10 * np.max(np.abs(mean_zero))
 
 
@@ -115,7 +115,7 @@ def test_inverse_scaling_law():
         worst = 0.0
         for seed in range(6):
             f = confined_field(g, seed, radius=r, mean_zero=True)
-            centered = GridFunction(g, f.values - f.mean())
+            centered = GridFunction(g, f.values - np.mean(f.values))
             ratio = lp_norm(inv_frac_laplacian(centered, s), 2) / (r**s * lp_norm(f, 2))
             worst = max(worst, ratio)
         consts.append(worst)
