@@ -36,7 +36,7 @@ from .compensation import (
     DEFECT_ROUNDOFF, DEFECT_SUP, SphereValuedMap, defect_scan, fourier_domination_check, h_norm_ratio,
     structure_identity_residual,
 )
-from .cutoffs import base_profile_values, build_family, evaluate, norm_scaling_experiment
+from .cutoffs import MAX_DEPTH, base_profile_values, build_family, evaluate, norm_scaling_experiment, ring_radii
 from .fields import band_limited_field, confined_field, moment_free_bump, smooth_bump, sphere_valued_map
 from .grid import Grid, GridFunction, ball_mask, l2_inner, lp_norm
 from .growth import (
@@ -153,8 +153,8 @@ def split_seed_regression(rep, samples, cal_seeds, fresh_seeds, verdicts, floor=
 @experiment("partition-of-unity", scales=(10,))
 def run_partition(cfg, rep):
     depth, *rest = cfg["scales"]
-    if rest or not float(depth).is_integer() or depth < 1:
-        raise ValueError(f"--scales takes one integer depth >= 1, got {list(cfg['scales'])}")
+    if rest or not float(depth).is_integer() or not 1 <= depth <= MAX_DEPTH:
+        raise ValueError(f"--scales takes one integer depth in [1, {MAX_DEPTH}], got {list(cfg['scales'])}")
     depth = int(depth)
     rep.config["depth"] = depth
     fam = build_family(depth)  # build_family already asserts the invariants
@@ -163,7 +163,7 @@ def run_partition(cfg, rep):
     rep.add_verdict("partition_identity_on_ball", dev <= 1e-12, dev, 1e-12)
     worst = 0.0
     for k in range(1, depth + 1):
-        grid_rho = np.linspace(0.0, 2.0 ** (depth + 1), 100001)
+        grid_rho = ring_radii(k, 100001)
         vals = fam.ring(k, grid_rho, derivatives=False)
         outside = (grid_rho <= 2.0 ** (k - 1)) | (grid_rho >= 2.0 ** (k + 1))
         worst = max(worst, float(np.max(np.abs(vals[outside]))))

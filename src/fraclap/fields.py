@@ -102,28 +102,22 @@ def confined_field(
     radius: float,
     cutoff: float | None = None,
     envelope: float | None = None,
-    mean_zero: bool = False,
 ) -> GridFunction:
     """Band-limited field times the smooth bump window about the box center:
     compact support with rapidly decaying spectrum.  Normalized to unit L^2.
 
     The window and the support mask (the ball of the given radius) are
     evaluated on the support box alone, where the window can be nonzero, and
-    only the box is normalized; the mean and norm sums still run over the
-    whole grid, in its order.
+    only the box is normalized; the norm sum still runs over the whole grid,
+    in its order.
     """
     f = band_limited_field(grid, seed, cutoff=cutoff, envelope=envelope)
     box, disp = grid.support_box(grid.center, radius)
     rho = np.sqrt(sum(d * d for d in disp))
     window = base_profile_values(2.0 * rho / radius)
     vals = np.zeros(grid.shape)
-    if mean_zero:  # the window summed over the whole grid, in its order
-        vals[box] = window
-        window_sum = np.sum(vals)
     vals[box] = f.values[box] * window
     del f
-    if mean_zero:
-        vals[box] -= window * (np.sum(vals) / max(window_sum, 1e-300))
     norm = np.sqrt(np.sum(vals**2) * grid.cell_measure)
     if norm == 0:
         raise ValueError("degenerate confined field")

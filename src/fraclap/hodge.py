@@ -12,18 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .fields import smooth_bump
 from .grid import DomainMask, Grid, GridFunction, ball_mask, l2_inner, lp_norm
 from .multipliers import (
-    FrequencySymbol,
-    abs_power_table,
-    apply_symbol,
-    apply_table,
-    frac_laplacian,
+    FrequencySymbol, _check_mean_zero, abs_power_symbol, abs_power_table, apply_symbol, apply_table, frac_laplacian,
 )
 from .solve import NumericalError, SolveError, restricted_cg
 
@@ -227,25 +223,18 @@ def local_norm_recovery(v: GridFunction, r: float, x, lam: float) -> dict:
 
 
 def lower_order_product_norm(
-    u: GridFunction,
-    v: GridFunction,
-    s: float,
-    m1: Optional[FrequencySymbol] = None,
-    m2: Optional[FrequencySymbol] = None,
+    u: GridFunction, v: GridFunction, s: float, m1: FrequencySymbol, m2: FrequencySymbol
 ) -> dict:
-    """||M1 Lap^{s - n/2} u . M2 Lap^{-s} v||_2 over ||u||_2 ||v||_2 for
-    s strictly inside (0, n/2); both inputs must be mean-zero (both orders
-    are negative, so inv_frac_laplacian refuses others with SymbolError)."""
-    grid = u.grid
-    n = grid.dim
+    """||M1 Lap^{s - n/2} u . M2 Lap^{-s} v||_2 over ||u||_2 ||v||_2 for s in
+    (0, n/2), each factor one symbol (m1 |xi|^(s - n/2), m2 |xi|^(-s)) applied
+    once; both orders are negative, so u and v must be mean-zero (SymbolError)."""
+    n = u.grid.dim
     if not (0 < s < n / 2.0):
         raise HodgeError(f"order must lie in (0, n/2), got {s}")
-    f1 = frac_laplacian(u, s - n / 2.0)
-    f2 = frac_laplacian(v, -s)
-    if m1 is not None:
-        f1 = apply_symbol(f1, m1)
-    if m2 is not None:
-        f2 = apply_symbol(f2, m2)
+    _check_mean_zero(u)
+    _check_mean_zero(v)
+    f1 = apply_symbol(u, m1 * abs_power_symbol(n, s - n / 2.0))
+    f2 = apply_symbol(v, m2 * abs_power_symbol(n, -s))
     prod_norm = lp_norm(f1 * f2, 2)
     denom = lp_norm(u, 2) * lp_norm(v, 2)
     return {"product_norm": prod_norm, "ratio": prod_norm / denom if denom > 0 else 0.0}

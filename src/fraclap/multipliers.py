@@ -17,7 +17,10 @@ floor on the torus (monomials are only asserted against interior windows).
 A symbol is its term list, a finite sum of terms c xi^gamma |xi|^p, so
 derived symbols are exact: |xi|^s m is differentiated term by term,
 d_a(c xi^gamma |xi|^p) = gamma_a c xi^(gamma - e_a) |xi|^p
-+ p c xi^(gamma + e_a) |xi|^(p - 2).
++ p c xi^(gamma + e_a) |xi|^(p - 2).  A product of symbols multiplies term
+lists, (c, gamma, p) (c', gamma', p') = (c c', gamma + gamma', p + p'), so a
+chain such as M_{beta,s} Lap^(s-|beta|) = (2 pi i)^(-|beta|) d^beta(|xi|^s m)
+is one symbol applied once; m_{beta,s} is it with each power shifted by |beta| - s.
 
 FrequencySymbol.evaluate receives one 1D frequency array per axis, shaped
 to broadcast along its own axis (length along axis a, 1 elsewhere), and
@@ -52,7 +55,7 @@ import functools
 import math
 from dataclasses import dataclass
 from itertools import product as _iterproduct
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -67,8 +70,8 @@ class SymbolError(ValueError):
 class FrequencySymbol:
     """Multiplier m(xi) = sum of terms c xi^gamma |xi|^p, one (c, gamma, p) each.
 
-    The term list is the whole symbol: evaluate sums it, homogeneity_degree
-    is read off it, and derived_symbol differentiates it term by term.
+    The term list is the whole symbol: evaluate sums it, a product multiplies
+    term lists, and derived_symbol differentiates it term by term.
     Construction checks each term exactly: gamma is a multiindex of length
     dim, c and p are finite, and c (-1)^|gamma| = conj(c) to 1e-12 |c|, so
     that m(-xi) = conj(m(xi)) and the symbol maps real fields to real fields.
@@ -89,15 +92,6 @@ class FrequencySymbol:
                 raise SymbolError(f"symbol {self.name}: term coefficient {c} and power {p} must be finite")
             if abs(c * (-1) ** sum(gamma) - np.conjugate(c)) > 1e-12 * abs(c):
                 raise SymbolError(f"symbol {self.name} violates m(-xi) = conj(m(xi)) in its term {c} xi^{gamma}")
-
-    @property
-    def homogeneity_degree(self) -> Optional[float]:
-        """delta with m(lambda xi) = lambda^delta m(xi): the degree |gamma| + p
-        common to every term (to 1e-12), or None when the degrees differ."""
-        degrees = [sum(gamma) + p for _, gamma, p in self.terms]
-        if max(degrees) - min(degrees) > 1e-12 * max(1.0, abs(degrees[0])):
-            return None
-        return float(degrees[0])
 
     def evaluate(self, xs: Sequence[np.ndarray]):
         """The sum of the terms at per-axis frequency arrays xs that broadcast
@@ -123,6 +117,18 @@ class FrequencySymbol:
                         term = term * x
                 out = term if out is None else out + term
         return out
+
+    def __mul__(self, other: "FrequencySymbol") -> "FrequencySymbol":
+        """Each term of self times each term of other, (c c', gamma + gamma', p + p');
+        a coefficient 1 leaves the other's bits (1.0 * (2-0j) would be 2+0j)."""
+        if other.dim != self.dim:
+            raise SymbolError(f"cannot multiply a {self.dim}-dimensional symbol by a {other.dim}-dimensional one")
+        terms = tuple(
+            (c2 if c1 == 1 else c1 if c2 == 1 else c1 * c2, tuple(a + b for a, b in zip(g1, g2)), p1 + p2)
+            for c1, g1, p1 in self.terms
+            for c2, g2, p2 in other.terms
+        )
+        return FrequencySymbol(f"{self.name}*{other.name}", self.dim, terms)
 
     def on_axes(self, axes: Sequence[np.ndarray]) -> np.ndarray:
         """Table at the frequencies of per-axis arrays that broadcast against
@@ -269,26 +275,29 @@ def apply_symbol(f: GridFunction, symbol: FrequencySymbol) -> GridFunction:
 def frac_laplacian(f: GridFunction, s: float) -> GridFunction:
     """Order-s fractional Laplacian: multiplier |xi|^s, zero mode annihilated.
 
-    s = 0 is the identity (0^0 := 1 convention); s < 0 delegates to the
-    mean-zero inverse.
+    s = 0 is the identity (0^0 := 1 convention); s < 0 is the inverse on the
+    mean-zero complement and refuses other input.
     """
     if s == 0:
         return f
     if s < 0:
-        return inv_frac_laplacian(f, -s)
+        _check_mean_zero(f)
     return apply_symbol(f, abs_power_symbol(f.grid.dim, s))
+
+
+def _check_mean_zero(f: GridFunction) -> None:
+    """Refuse f whose mean exceeds 1e-10 of its root mean square (for negative orders)."""
+    grid = f.grid
+    scale = lp_norm(f, 2) / math.sqrt(grid.box_length**grid.dim) + 1e-300
+    if abs(np.mean(f.values)) > 1e-10 * scale:
+        raise SymbolError("input has nonzero mean; subtract it first")
 
 
 def inv_frac_laplacian(f: GridFunction, s: float) -> GridFunction:
     """Multiplier |xi|^(-s) on nonzero modes; requires mean-zero input."""
     if s <= 0:
         raise SymbolError(f"inverse order must be positive, got {s}")
-    grid = f.grid
-    mean = np.mean(f.values)
-    scale = lp_norm(f, 2) / math.sqrt(grid.box_length**grid.dim) + 1e-300
-    if abs(mean) > 1e-10 * scale:
-        raise SymbolError("input has nonzero mean; subtract it first")
-    return apply_symbol(f, abs_power_symbol(grid.dim, -s))
+    return frac_laplacian(f, -s)
 
 
 def abs_power_table(grid: Grid, s: float) -> np.ndarray:
@@ -319,9 +328,7 @@ def apply_table(values: np.ndarray, table: np.ndarray) -> np.ndarray:
 
 def derivative_symbol(dim: int, alpha) -> FrequencySymbol:
     """The symbol (2 pi i xi)^alpha of d^alpha, homogeneous of order |alpha|."""
-    alpha = _multiindex(alpha)
-    if len(alpha) != dim:
-        raise SymbolError(f"multiindex length {len(alpha)} does not match dim {dim}")
+    alpha = _multiindex(alpha)  # FrequencySymbol checks its length against dim
     return FrequencySymbol(f"d:{','.join(map(str, alpha))}", dim, (((2j * np.pi) ** sum(alpha), alpha, 0.0),))
 
 
@@ -333,16 +340,10 @@ def derivative(f: GridFunction, alpha: Sequence[int]) -> GridFunction:
 
 
 def derivative_tensor(f: GridFunction, order: int) -> list:
-    """All order-many spectral derivatives (full n^order tensor, flattened)."""
-    if order == 0:
-        return [f]
-    out = []
-    for combo in _iterproduct(range(f.grid.dim), repeat=order):
-        alpha = [0] * f.grid.dim
-        for a in combo:
-            alpha[a] += 1
-        out.append(derivative(f, alpha))
-    return out
+    """All order-many spectral derivatives (full n^order tensor, flattened):
+    one per tuple of axes, d^alpha with alpha_a the count of axis a in it."""
+    axes = range(f.grid.dim)
+    return [derivative(f, [combo.count(a) for a in axes]) for combo in _iterproduct(axes, repeat=order)]
 
 
 # -- derived symbols --------------------------------------------------------
@@ -355,10 +356,7 @@ def _multiindex(alpha) -> tuple:
 
 
 def _factorial_multi(alpha) -> int:
-    out = 1
-    for a in alpha:
-        out *= math.factorial(a)
-    return out
+    return math.prod(math.factorial(a) for a in alpha)
 
 
 def _differentiate(terms, a: int) -> list:
@@ -375,23 +373,35 @@ def _differentiate(terms, a: int) -> list:
     return [t for t in out if t[0] != 0] or out[:1]
 
 
-def derived_symbol(m: FrequencySymbol, alpha, s: float) -> FrequencySymbol:
-    """The symbol m_{alpha,s}, |alpha| <= 2, exact: |xi|^s m is differentiated
-    term by term in m's term list, and the result is a term list again, so
-    derived symbols of derived symbols are exact too."""
+def _derived_operator(m: FrequencySymbol, alpha, s: float) -> FrequencySymbol:
+    """(2 pi i)^(-|alpha|) d^alpha(|xi|^s m), |alpha| <= 2, term by term: the
+    symbol of M_{alpha,s} Lap^(s-|alpha|)."""
     alpha = _multiindex(alpha)
     if len(alpha) != m.dim:
         raise SymbolError(f"multiindex length {len(alpha)} does not match dim {m.dim}")
     order = sum(alpha)
     if order > 2:
         raise SymbolError("derived symbols support |alpha| <= 2 only")
+    chain = abs_power_symbol(m.dim, s) * m
     if order == 0:
-        return m
-    terms = [(c, gamma, p + s) for c, gamma, p in m.terms]
+        return chain
+    terms = chain.terms
     for a in [a for a, k in enumerate(alpha) for _ in range(k)]:
         terms = _differentiate(terms, a)
     pref = (2j * np.pi) ** (-order)
-    terms = tuple((pref * c, gamma, p + order - s) for c, gamma, p in terms)
+    terms = tuple((pref * c, gamma, p) for c, gamma, p in terms)
+    return FrequencySymbol(f"op:{m.name}:{','.join(map(str, alpha))}:{s:g}", m.dim, terms)
+
+
+def derived_symbol(m: FrequencySymbol, alpha, s: float) -> FrequencySymbol:
+    """The symbol m_{alpha,s}, |alpha| <= 2, exact: _derived_operator's term
+    list with each power p shifted to p + |alpha| - s, so derived symbols of
+    derived symbols are exact too."""
+    alpha = _multiindex(alpha)
+    op, order = _derived_operator(m, alpha, s), sum(alpha)
+    if order == 0:
+        return m
+    terms = tuple((c, gamma, p + order - s) for c, gamma, p in op.terms)
     return FrequencySymbol(f"derived:{m.name}:{','.join(map(str, alpha))}:{s:g}", m.dim, terms)
 
 
@@ -417,11 +427,8 @@ def polynomial_values(disp: Sequence[np.ndarray], coeffs: dict, beta) -> np.ndar
     return out
 
 
-def _multi_indices_upto(dim: int, max_order: int):
-    rng = range(max_order + 1)
-    for combo in _iterproduct(rng, repeat=dim):
-        if sum(combo) <= max_order:
-            yield combo
+def _multi_indices_upto(dim: int, max_order: int) -> list:
+    return [combo for combo in _iterproduct(range(max_order + 1), repeat=dim) if sum(combo) <= max_order]
 
 
 def product_rule_residual(phi: GridFunction, alpha, s: float, window: DomainMask) -> dict:
@@ -438,22 +445,15 @@ def product_rule_residual(phi: GridFunction, alpha, s: float, window: DomainMask
     disp = grid.periodic_displacement(grid.center)
     monomial = {alpha: _factorial_multi(alpha)}
     Q = polynomial_values(disp, monomial, (0,) * grid.dim)
-    lhs = frac_laplacian(GridFunction(grid, Q * phi.values), s)
+    lhs = apply_symbol(GridFunction(grid, Q * phi.values), abs_power_symbol(grid.dim, s))
     acc = np.zeros(grid.shape)
     ident = identity_symbol(grid.dim)
-    for beta in _multi_indices_upto(grid.dim, sum(alpha)):
-        if any(b > a for a, b in zip(alpha, beta)):
-            continue
+    for beta in _iterproduct(*(range(a + 1) for a in alpha)):  # beta <= alpha
         dQ = polynomial_values(disp, monomial, beta)
-        order = sum(beta)
-        inner = frac_laplacian(phi, s - order)
-        if order == 0:
-            reference = lp_norm(inner, 2)
-            term = inner.values
-        else:
-            sym = derived_symbol(ident, beta, s)
-            term = apply_symbol(inner, sym).values / _factorial_multi(beta)
-        acc = acc + dQ * term
+        term = apply_symbol(phi, _derived_operator(ident, beta, s))  # M_{beta,s} Lap^(s-|beta|) phi
+        if not any(beta):
+            reference = lp_norm(term, 2)
+        acc = acc + dQ * (term.values / _factorial_multi(beta))
     resid = GridFunction(grid, lhs.values - acc)
     return {"residual": lp_norm(resid, 2, window), "reference": reference}
 

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from fraclap import cli
+from fraclap import cli, cutoffs
 from fraclap.cli import (
     REGISTRY, RUN_OPTIONS, calibrate_suite, experiment, main, per_seed, split_seed_regression,
 )
@@ -362,6 +362,50 @@ def test_partition_refuses_scales_other_than_one_depth(capsys, tmp_path, scales)
     assert main(["run", "partition-of-unity", "--scales", *scales, "--out", str(tmp_path)]) == 2
     assert "one integer depth" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("depth", ["512", "538", "1023", "1100"])
+def test_partition_refuses_depths_past_normal_floats(capsys, tmp_path, depth):
+    # from 538 on C_2 4^-k underflows to 0 and the derivative check fails
+    # after the work; from 1023 on 2^(depth+1) overflows
+    assert main(["run", "partition-of-unity", "--scales", depth, "--out", str(tmp_path)]) == 2
+    assert "one integer depth in [1, 511]" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_partition_samples_every_ring_on_its_support_band(monkeypatch, tmp_path):
+    # a uniform sample up to 2^(depth+1) left rings 1-4 without a radius at depth 20
+    seen = {}
+    ring = cutoffs.DyadicCutoffFamily.ring
+
+    def recorded(self, k, rho, derivatives=True):
+        if not derivatives:
+            seen.setdefault(k, []).append(np.asarray(rho))
+        return ring(self, k, rho, derivatives)
+
+    monkeypatch.setattr(cutoffs.DyadicCutoffFamily, "ring", recorded)
+    assert main(["run", "partition-of-unity", "--scales", "20", "--out", str(tmp_path)]) == 0
+    assert sorted(seen) == list(range(21))
+    for k in range(1, 21):
+        # build_family's check, then the report's support check
+        assert [rho.size for rho in seen[k]] == [20001, 100001], k
+        for rho in seen[k]:
+            band = (rho > 2.0 ** (k - 1)) & (rho < 2.0 ** (k + 1))
+            assert np.count_nonzero(band) >= 0.7 * rho.size, k
+            assert np.any(rho <= 2.0 ** (k - 1)) and np.any(rho >= 2.0 ** (k + 1)), k
+    payload = json.loads((tmp_path / "partition-of-unity.json").read_text())
+    assert [v["value"] for v in payload["verdicts"]] == [0.0, 0.0]
+
+
+def test_lower_order_product_with_derived_symbol_ids(tmp_path):
+    # value and bound as the two-transform chain (|xi|^p applied, then m)
+    # gave them at seed 0; one composed symbol per factor moves them by roundoff
+    argv = ["run", "lower-order-product", "--m1", "derived:identity:1,1:1.5", "--m2", "riesz:1"]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    (verdict,) = json.loads((tmp_path / "lower-order-product.json").read_text())["verdicts"]
+    assert verdict["name"] == "regression" and verdict["passed"]
+    for key, chained in (("value", 0.0005988654584791709), ("bound", 0.0006063919911475733)):
+        assert abs(verdict[key] - chained) <= 1e-13 * chained, key
 
 
 def test_every_acceptance_criterion_has_an_experiment():

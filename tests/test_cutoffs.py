@@ -97,6 +97,13 @@ def test_closed_form_matches_recursion(depth, seed, n_random):
             assert np.max(np.abs(got[order] - ref[order])) <= 1e-12 * scale
 
 
+def test_depth_range():
+    for depth in (0, 512):
+        with pytest.raises(GridError, match="depth must lie in"):
+            DyadicCutoffFamily(depth)
+    assert DyadicCutoffFamily(511).depth == 511
+
+
 def test_partition_at_origin_exact(family):
     for k in range(family.depth + 1):
         assert family.partial(k, np.array([0.0]))[0][0] == 1.0

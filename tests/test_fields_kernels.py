@@ -124,27 +124,23 @@ def test_confined_field_support():
             assert np.array_equal(f.support.values, ball_mask(g, g.center, radius).values)
 
 
-def _full_grid_confined_values(grid, seed, radius, cutoff, envelope, mean_zero):
+def _full_grid_confined_values(grid, seed, radius, cutoff, envelope):
     """confined_field's values and support with the window on every grid point."""
     f = band_limited_field(grid, seed, cutoff=cutoff, envelope=envelope)
     rho = grid.periodic_distance(grid.center)
-    window = base_profile_values(2.0 * rho / radius)
-    vals = f.values * window
-    if mean_zero:
-        vals = vals - window * (np.sum(vals) / max(np.sum(window), 1e-300))
+    vals = f.values * base_profile_values(2.0 * rho / radius)
     return vals / np.sqrt(np.sum(vals**2) * grid.cell_measure), rho < radius
 
 
 @pytest.mark.parametrize("dim,n_pts", [(1, 256), (1, 4096), (2, 64), (3, 16)])
-@pytest.mark.parametrize("mean_zero", [False, True])
-def test_confined_field_matches_full_grid_window_bitwise(dim, n_pts, mean_zero):
+def test_confined_field_matches_full_grid_window_bitwise(dim, n_pts):
     g = Grid(dim, n_pts, 3.0)
     h, L = g.spacing, g.box_length
     # radii from two cells to past half the box, where the box is the grid
     for radius in (2 * h, L / 6, 0.49 * L, 0.6 * L):
         for seed in (0, 3):
-            f = confined_field(g, seed, radius, cutoff=n_pts / 8, envelope=n_pts / 16, mean_zero=mean_zero)
-            vals, support = _full_grid_confined_values(g, seed, radius, n_pts / 8, n_pts / 16, mean_zero)
+            f = confined_field(g, seed, radius, cutoff=n_pts / 8, envelope=n_pts / 16)
+            vals, support = _full_grid_confined_values(g, seed, radius, n_pts / 8, n_pts / 16)
             # off the support box the full-grid product f * 0.0 is -0.0 where
             # f < 0; adding 0.0 maps -0.0 to 0.0 and keeps the rest
             assert (f.values + 0.0).tobytes() == (vals + 0.0).tobytes(), (radius, seed)
@@ -157,9 +153,8 @@ def test_confined_field_peak_memory(traced_peak):
     # 256^2, r = L/6 (6.96x with the window on every grid point)
     g = Grid(2, 256, 1.0)
     band_limited_field(Grid(1, 8, 1.0), 0)  # numpy.random imports on first use
-    for mean_zero in (False, True):
-        peak = traced_peak(confined_field, g, 0, 1 / 6, 32, 16, mean_zero)
-        assert peak <= 3.3 * g.npoints * 8, mean_zero
+    peak = traced_peak(confined_field, g, 0, 1 / 6, 32, 16)
+    assert peak <= 3.3 * g.npoints * 8
 
 
 def test_moment_free_bump_moments():

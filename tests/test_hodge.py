@@ -19,7 +19,10 @@ from fraclap.hodge import (
     lower_order_product_norm,
 )
 from fraclap.meanvalue import default_degree, meanvalue_polynomial
-from fraclap.multipliers import SymbolError, abs_power_table, apply_table, frac_laplacian
+from fraclap import multipliers
+from fraclap.multipliers import (
+    SymbolError, abs_power_table, apply_table, frac_laplacian, identity_symbol, parse_symbol_id, riesz_symbol,
+)
 from fraclap.solve import NumericalError
 
 
@@ -312,14 +315,17 @@ def test_local_norm_recovery_matches_dense_restricted_solve(N):
 
 # -- lower order products ------------------------------------------------------------------
 
+ONE = identity_symbol(2)
+
+
 def test_lower_order_zero_and_scaling():
     g = Grid(2, 128, 1.0)
     u = band_limited_field(g, 1, cutoff=12)
     v = band_limited_field(g, 2, cutoff=12)
     zero = GridFunction(g, np.zeros(g.shape))
-    assert lower_order_product_norm(zero, v, 0.5)["product_norm"] == 0.0
-    r1 = lower_order_product_norm(u, v, 0.5)["ratio"]
-    r2 = lower_order_product_norm(2.0 * u, 3.0 * v, 0.5)["ratio"]
+    assert lower_order_product_norm(zero, v, 0.5, ONE, ONE)["product_norm"] == 0.0
+    r1 = lower_order_product_norm(u, v, 0.5, ONE, ONE)["ratio"]
+    r2 = lower_order_product_norm(2.0 * u, 3.0 * v, 0.5, ONE, ONE)["ratio"]
     assert abs(r1 - r2) <= 1e-12 * r1
 
 
@@ -328,10 +334,42 @@ def test_lower_order_range_and_mean_guards():
     u = band_limited_field(g, 1, cutoff=8)
     v = band_limited_field(g, 2, cutoff=8)
     with pytest.raises(HodgeError, match="n/2"):
-        lower_order_product_norm(u, v, 1.0)
+        lower_order_product_norm(u, v, 1.0, ONE, ONE)
     for a, b in ((GridFunction(g, u.values + 1.0), v), (u, GridFunction(g, v.values + 1.0))):
-        with pytest.raises(SymbolError, match="mean"):
-            lower_order_product_norm(a, b, 0.5)
+        for m1, m2 in ((ONE, ONE), (riesz_symbol(2, 0), ONE), (ONE, riesz_symbol(2, 1))):
+            with pytest.raises(SymbolError, match="mean"):
+                lower_order_product_norm(a, b, 0.5, m1, m2)
+
+
+def _chained_lower_order_ratio(u, v, s, m1, m2):
+    """The ratio with each factor applied as two transforms: Lap^(s - n/2) u
+    and Lap^(-s) v first, then m1 and m2."""
+    n = u.grid.dim
+    f1 = multipliers.apply_symbol(frac_laplacian(u, s - n / 2.0), m1)
+    f2 = multipliers.apply_symbol(frac_laplacian(v, -s), m2)
+    return lp_norm(f1 * f2, 2) / (lp_norm(u, 2) * lp_norm(v, 2))
+
+
+def test_lower_order_factors_are_one_symbol_each(monkeypatch):
+    g = Grid(2, 64, 1.0)
+    u = band_limited_field(g, 1, cutoff=8)
+    v = band_limited_field(g, 2, cutoff=8)
+    pairs = [(ONE, ONE), (riesz_symbol(2, 0), ONE), (parse_symbol_id("derived:riesz:1:1,0:1.5", 2), riesz_symbol(2, 0))]
+    for m1, m2 in pairs:
+        ref = _chained_lower_order_ratio(u, v, 0.5, m1, m2)
+        assert abs(lower_order_product_norm(u, v, 0.5, m1, m2)["ratio"] - ref) <= 1e-13 * ref, (m1.name, m2.name)
+    # 2 transforms per call, where the chained form made 4
+    calls = []
+    original = multipliers.apply_symbol
+
+    def counted(f, symbol):
+        calls.append(symbol.name)
+        return original(f, symbol)
+
+    for module in (multipliers, hodge):
+        monkeypatch.setattr(module, "apply_symbol", counted)
+    lower_order_product_norm(u, v, 0.5, riesz_symbol(2, 0), ONE)
+    assert calls == ["riesz:0*abs_pow:-0.5", "identity*abs_pow:-0.5"]
 
 
 def test_lower_order_regression():
@@ -342,7 +380,7 @@ def test_lower_order_regression():
         for k in range(count):
             u = band_limited_field(g, seed0 + 2 * k, cutoff=16)
             v = band_limited_field(g, seed0 + 2 * k + 1, cutoff=16)
-            worst = max(worst, lower_order_product_norm(u, v, 0.5)["ratio"])
+            worst = max(worst, lower_order_product_norm(u, v, 0.5, ONE, ONE)["ratio"])
         return worst
 
     assert sup(500, 4) <= sup(0, 10) * 1.01

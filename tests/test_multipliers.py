@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fraclap.cutoffs import base_profile_values
 from fraclap.fields import band_limited_field, moment_free_bump, smooth_bump
 from fraclap import multipliers
 from fraclap.grid import (
@@ -103,18 +104,33 @@ def test_inverse_then_forward_projects(g1):
     assert np.max(np.abs(out.values - mean_zero)) <= 1e-10 * np.max(np.abs(mean_zero))
 
 
+def _mean_zero_confined_field(grid, seed, radius):
+    """A band-limited field times the smooth window of the given radius about
+    the box center, minus the multiple of the window that makes its sum over
+    the whole grid vanish, at unit L^2 norm; window and sums as in
+    fields.confined_field."""
+    f = band_limited_field(grid, seed)
+    box, disp = grid.support_box(grid.center, radius)
+    window = base_profile_values(2.0 * np.sqrt(sum(d * d for d in disp)) / radius)
+    vals = np.zeros(grid.shape)
+    vals[box] = window
+    window_sum = np.sum(vals)  # over the whole grid, in its order
+    vals[box] = f.values[box] * window
+    vals[box] -= window * (np.sum(vals) / max(window_sum, 1e-300))
+    vals[box] /= np.sqrt(np.sum(vals**2) * grid.cell_measure)
+    return GridFunction(grid, vals)
+
+
 def test_inverse_scaling_law():
     # ||Lap^-s f||_2 <= C r^s ||f||_2 for f supported in B_r, s < n/2;
     # the empirical constant is radius-stable (calibration oracle)
-    from fraclap.fields import confined_field
-
     g = Grid(1, 2048, 1.0)
     s = 0.25
     consts = []
     for r in (1 / 32, 1 / 16, 1 / 8):
         worst = 0.0
         for seed in range(6):
-            f = confined_field(g, seed, radius=r, mean_zero=True)
+            f = _mean_zero_confined_field(g, seed, r)
             centered = GridFunction(g, f.values - np.mean(f.values))
             ratio = lp_norm(inv_frac_laplacian(centered, s), 2) / (r**s * lp_norm(f, 2))
             worst = max(worst, ratio)
@@ -509,14 +525,127 @@ def test_symbol_invariant_violations():
             FrequencySymbol("bad", 1, terms)
 
 
+def _homogeneity_degree(symbol):
+    """delta with m(lambda xi) = lambda^delta m(xi): the degree |gamma| + p
+    common to every term (to 1e-12), or None when the degrees differ."""
+    degrees = [sum(gamma) + p for _, gamma, p in symbol.terms]
+    if max(degrees) - min(degrees) > 1e-12 * max(1.0, abs(degrees[0])):
+        return None
+    return float(degrees[0])
+
+
 def test_homogeneity_degree_is_the_common_degree_of_the_terms():
-    assert abs_power_symbol(2, -0.5).homogeneity_degree == -0.5
-    assert riesz_symbol(3, 1).homogeneity_degree == 0.0
-    assert multipliers.derivative_symbol(2, (2, 1)).homogeneity_degree == 3.0
+    assert _homogeneity_degree(abs_power_symbol(2, -0.5)) == -0.5
+    assert _homogeneity_degree(riesz_symbol(3, 1)) == 0.0
+    assert _homogeneity_degree(multipliers.derivative_symbol(2, (2, 1))) == 3.0
     mixed = FrequencySymbol("mixed", 1, ((1.0, (0,), 0.0), (1.0, (0,), 2.0)))
-    assert mixed.homogeneity_degree is None
+    assert _homogeneity_degree(mixed) is None
     odd = FrequencySymbol("odd-mixed", 2, ((1j, (1, 0), -1.0), (1j, (0, 1), 0.0)))
-    assert odd.homogeneity_degree is None
+    assert _homogeneity_degree(odd) is None
+
+
+# -- symbol products -----------------------------------------------------------
+
+def test_symbol_product_multiplies_term_lists():
+    prod = riesz_symbol(2, 0) * abs_power_symbol(2, -0.5)
+    assert prod.name == "riesz:0*abs_pow:-0.5"
+    assert prod.terms == ((1j, (1, 0), -1.5),)
+    # every term of the left factor times every term of the right, in order
+    left = FrequencySymbol("two", 2, ((2.0, (0, 0), 1.0), (-1.0, (2, 0), 0.0)))
+    right = FrequencySymbol("three", 2, ((1j, (0, 1), -1.0), (0.5, (1, 1), 0.5), (3.0, (0, 0), 0.0)))
+    assert (left * right).terms == (
+        (2j, (0, 1), 0.0), (1.0, (1, 1), 1.5), (6.0, (0, 0), 1.0),
+        (-1j, (2, 1), -1.0), (-0.5, (3, 1), 0.5), (-3.0, (2, 0), 0.0),
+    )
+    xs = [np.array([0.5, -3.0, 2.0]), np.array([1.0, 0.25, -7.0])]
+    want = np.asarray(left.evaluate(xs)) * np.asarray(right.evaluate(xs))
+    assert np.max(np.abs(np.asarray((left * right).evaluate(xs)) - want)) <= 1e-14 * np.max(np.abs(want))
+    assert _homogeneity_degree(left * right) is None
+
+
+def test_identity_is_a_unit_of_the_symbol_product_bit_for_bit():
+    # repr tells signed zeros apart: 1.0 * (2-0j) would be 2+0j
+    first = derived_symbol(riesz_symbol(2, 1), (1, 0), 1.5)
+    for m in (first, derived_symbol(first, (0, 1), 0.5), riesz_symbol(2, 0), abs_power_symbol(2, 0.5)):
+        for prod in (identity_symbol(2) * m, m * identity_symbol(2)):
+            assert repr(prod.terms) == repr(m.terms), m.name
+
+
+def test_symbol_product_refuses_mismatched_dimensions():
+    with pytest.raises(SymbolError, match="2-dimensional symbol by a 3-dimensional"):
+        riesz_symbol(2, 0) * abs_power_symbol(3, 0.5)
+
+
+def test_symbol_product_checks_conjugate_symmetry():
+    # each factor is within the 1e-12 tolerance of m(-xi) = conj(m(xi)), the
+    # product's imaginary part is twice as large and past it
+    near = FrequencySymbol("near", 1, ((1 + 4e-13j, (0,), 0.0),))
+    with pytest.raises(SymbolError, match="near\\*near violates"):
+        near * near
+
+
+def _former_derived_terms(m, alpha, s):
+    """derived_symbol's term list as it was formed before the product: the
+    power shifted by s in place, differentiated, then (2 pi i)^-|alpha| and
+    the shift by |alpha| - s."""
+    terms = [(c, gamma, p + s) for c, gamma, p in m.terms]
+    for a in [a for a, k in enumerate(alpha) for _ in range(k)]:
+        terms = multipliers._differentiate(terms, a)
+    pref = (2j * np.pi) ** (-sum(alpha))
+    return tuple((pref * c, gamma, p + sum(alpha) - s) for c, gamma, p in terms)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_derived_term_lists_equal_the_former_construction_bitwise(dim):
+    bases = [identity_symbol(dim), abs_power_symbol(dim, 0.5)] + [riesz_symbol(dim, j) for j in range(dim)]
+    alphas = list(multipliers._multi_indices_upto(dim, 2))[1:]
+    bases += [derived_symbol(riesz_symbol(dim, 0), alpha, 1.5) for alpha in alphas]
+    for base in bases:
+        for alpha in alphas:
+            for s in (0.5, 1.5, 2.0):
+                got = derived_symbol(base, alpha, s).terms
+                assert repr(got) == repr(_former_derived_terms(base, alpha, s)), (base.name, alpha, s)
+
+
+def _white_noise(grid, seed):
+    values = np.random.default_rng(seed).standard_normal(grid.shape)
+    return GridFunction(grid, values - np.mean(values))
+
+
+def _assert_close(got, ref, label):
+    """max |got - ref| <= 1e-13 max |ref| (both vanish for a zero symbol)."""
+    gap = np.max(np.abs(got.values - ref.values))
+    assert gap <= 1e-13 * np.max(np.abs(ref.values)), (label, gap)
+
+
+# even and odd N: the Nyquist planes of an even N carry content
+@pytest.mark.parametrize("dim,n_pts", [(1, 64), (1, 63), (2, 16), (2, 15), (3, 8), (3, 9)])
+def test_composed_chains_match_the_chained_applications(dim, n_pts):
+    g = _unchecked_grid(dim, n_pts, 1.0)
+    f = _white_noise(g, n_pts)
+    e0 = (1,) + (0,) * (dim - 1)
+    zero_order = [identity_symbol(dim), riesz_symbol(dim, dim - 1), derived_symbol(riesz_symbol(dim, 0), e0, 1.5)]
+    # the lower-order product's factors: m |xi|^p against |xi|^p, then m
+    for m in zero_order:
+        for p in (-0.5, -0.25, 0.5 - dim / 2.0):
+            chained = apply_symbol(apply_symbol(f, abs_power_symbol(dim, p)), m)
+            _assert_close(apply_symbol(f, m * abs_power_symbol(dim, p)), chained, (m.name, p))
+    # the product rule's M_{beta,s} Lap^(s-|beta|) against Lap^(s-|beta|), then m_{beta,s}
+    for beta in list(multipliers._multi_indices_upto(dim, 2))[1:]:
+        for s in (2.0, 2.5):
+            ident = identity_symbol(dim)
+            chained = apply_symbol(frac_laplacian(f, s - sum(beta)), derived_symbol(ident, beta, s))
+            got = apply_symbol(f, multipliers._derived_operator(ident, beta, s))
+            _assert_close(got, chained, (beta, s))
+
+
+def test_derived_operator_of_order_zero_is_the_power_table_bitwise():
+    # the product rule's beta = 0 term and its reference ||Lap^s phi|| keep their bits
+    g = Grid(2, 32, 1.0)
+    f = _white_noise(g, 0)
+    for s in (0.5, 1.0, 2.0):
+        op = multipliers._derived_operator(identity_symbol(2), (0, 0), s)
+        assert apply_symbol(f, op).values.tobytes() == frac_laplacian(f, s).values.tobytes(), s
 
 
 # -- term lists against the former evaluator closures ------------------------
@@ -666,7 +795,7 @@ def test_derived_symbol_composition_identity():
 
 def test_derived_symbol_homogeneity_and_reality_metadata():
     ds = derived_symbol(riesz_symbol(2, 0), (1, 1), 1.5)
-    assert ds.homogeneity_degree == 0.0
+    assert _homogeneity_degree(ds) == 0.0
     xs = [np.array([0.5, -3.0, 2.0]), np.array([1.0, 0.25, -7.0])]
     pos = np.asarray(ds.evaluate(xs))
     neg = np.asarray(ds.evaluate([-x for x in xs]))
@@ -728,10 +857,10 @@ def test_derived_symbol_matches_mpmath_oracle(dim):
 
 def test_parse_symbol_ids():
     assert parse_symbol_id("identity", 2).name == "identity"
-    assert parse_symbol_id("abs_pow:0.5", 1).homogeneity_degree == 0.5
+    assert _homogeneity_degree(parse_symbol_id("abs_pow:0.5", 1)) == 0.5
     assert parse_symbol_id("riesz:1", 2).name == "riesz:1"
     d = parse_symbol_id("derived:identity:1,0:1.5", 2)
-    assert d.homogeneity_degree == 0.0
+    assert _homogeneity_degree(d) == 0.0
     with pytest.raises(SymbolError):
         parse_symbol_id("nonsense:1", 1)
 
@@ -844,6 +973,23 @@ def test_product_rule_order_guard():
     win = ball_mask(g, g.center, 1 / 8)
     with pytest.raises(SymbolError, match="exceeds"):
         product_rule_residual(phi, (2,), 1.0, win)
+
+
+def test_product_rule_applies_one_symbol_per_term(monkeypatch):
+    # Lap^s(Q phi), then M_{beta,s} Lap^(s-|beta|) phi once per beta <= alpha:
+    # 4 transforms for alpha = (2,), where the chained form made 6
+    calls = []
+    original = multipliers.apply_symbol
+
+    def counted(f, symbol):
+        calls.append(symbol.name)
+        return original(f, symbol)
+
+    g = Grid(1, 256, 1.0)
+    phi = moment_free_bump(g, radius=1 / 8)
+    monkeypatch.setattr(multipliers, "apply_symbol", counted)
+    product_rule_residual(phi, (2,), 2.5, ball_mask(g, g.center, 1 / 8))
+    assert len(calls) == 4, calls
 
 
 # -- polynomial annihilation ---------------------------------------------------
