@@ -8,10 +8,10 @@ deterministic, and emits a JSON report plus CSV tables.
 
 Each experiment is a body that fills in the report the registry hands it,
 registered with the dimension it pins and the defaults of the run options it
-reads:
+reads; one that declares `grid` runs on the grid the registry builds from them:
 
     @experiment("hodge", dim=1, grid=1024, box=1.0, s=0.5)
-    def run_hodge(cfg, rep): ...
+    def run_hodge(cfg, rep, g): ...
 
 `fraclap run` refuses the other options, since a report echoes its config;
 --seed and --out apply to all.
@@ -74,17 +74,23 @@ RUN_OPTIONS = ("grid", "box", "s", "scales", "constants", "m1", "m2")
 
 
 def experiment(name: str, dim=None, **defaults):
-    """Register the body `fn(cfg, rep)` of experiment `name`: the registered
-    run hands it a Report named `name`, configured as `cfg` plus the `dim`
-    the experiment pins (if any), and returns that report.  `defaults` maps
-    each RUN_OPTIONS key the body reads to the value that runs when the
-    option is not given, and `main` refuses any other option given."""
+    """Register the body of experiment `name`: the registered run hands it a
+    Report named `name`, configured as `cfg` plus the `dim` the experiment
+    pins (if any), and returns that report.  A body that declares `grid`
+    runs as `fn(cfg, rep, g)` on g = Grid(dim, cfg["grid"], cfg["box"]), so
+    the echoed dim is the one that ran; any other runs as `fn(cfg, rep)`.
+    `defaults` maps each RUN_OPTIONS key the body reads to the value that
+    runs when the option is not given, and `main` refuses any other option
+    given."""
 
     def wrap(fn):
         @functools.wraps(fn)
         def run(cfg) -> Report:
             rep = Report(name, dict(cfg) if dim is None else {**cfg, "dim": dim})
-            fn(cfg, rep)
+            if "grid" in defaults:
+                fn(cfg, rep, Grid(dim, cfg["grid"], cfg["box"]))
+            else:
+                fn(cfg, rep)
             return rep
 
         run.defaults = defaults
@@ -94,15 +100,21 @@ def experiment(name: str, dim=None, **defaults):
     return wrap
 
 
-def _grid(cfg, dim, n) -> Grid:
-    return Grid(dim, n, cfg["box"])
-
-
 def _check_order(s, upper=math.inf) -> None:
     """Refuse an order outside (0, upper), the library's range, as a config
     error before any work."""
     if not 0 < s < upper:
         raise ValueError(f"--s must lie in (0, {upper:g}), got {s:g}")
+
+
+def _zero_order_symbol(option: str, spec: str, dim: int):
+    """The symbol `spec` names, refused as a config error unless each of its
+    terms has degree |gamma| + p = 0 (to 1e-12), the order the estimate is
+    stated for."""
+    m = parse_symbol_id(spec, dim)
+    if any(abs(sum(gamma) + p) > 1e-12 for _, gamma, p in m.terms):
+        raise ValueError(f"{option} {spec!r} is not of order zero (a term has degree |gamma| + p != 0)")
+    return m
 
 
 def _sup(stats) -> dict:
@@ -180,7 +192,7 @@ def run_cutoff_scaling(cfg, rep):
     ]
     rows = []
     for case in cases:
-        g = _grid(cfg, dim=case["dim"], n=case["grid"])
+        g = Grid(case["dim"], case["grid"], cfg["box"])
         out = norm_scaling_experiment(fam, g, case["s"], case["p_prime"], case["k"], case["r"])
         target = out["target"]
         tol = 0.1 * abs(target) if target != 0 else 0.1
@@ -193,9 +205,8 @@ def run_cutoff_scaling(cfg, rep):
 
 
 @experiment("definition-equivalence", dim=1, grid=4096, box=1.0, s=0.5)
-def run_definition_equivalence(cfg, rep):
+def run_definition_equivalence(cfg, rep, g):
     t0 = time.time()
-    g = _grid(cfg, dim=1, n=cfg["grid"])
     s = cfg["s"]
     const = calibrate_cns(g, s)
     bump = confined_field(g, cfg["seed"] + 11, radius=g.box_length / 6, cutoff=40, envelope=20)
@@ -211,8 +222,7 @@ def run_definition_equivalence(cfg, rep):
 
 
 @experiment("equivalence-ratio", dim=1, grid=2048, box=1.0, s=0.25)
-def run_equivalence_ratio(cfg, rep):
-    g = _grid(cfg, dim=1, n=cfg["grid"])
+def run_equivalence_ratio(cfg, rep, g):
     s = cfg["s"]
     ratios = []
     for k in range(10):
@@ -224,8 +234,7 @@ def run_equivalence_ratio(cfg, rep):
 
 
 @experiment("hodge", dim=1, grid=1024, box=1.0, s=0.5)
-def run_hodge(cfg, rep):
-    g = _grid(cfg, dim=1, n=cfg["grid"])
+def run_hodge(cfg, rep, g):
     s = cfg["s"]
     _check_order(s)
     D = ball_mask(g, g.center, g.box_length / 6)
@@ -251,8 +260,7 @@ def run_hodge(cfg, rep):
 
 
 @experiment("harmonic-decay", dim=1, grid=4096, box=1.0, s=0.5)
-def run_harmonic_decay(cfg, rep):
-    g = _grid(cfg, dim=1, n=cfg["grid"])
+def run_harmonic_decay(cfg, rep, g):
     s = cfg["s"]
     _check_order(s)
     f = band_limited_field(g, cfg["seed"] + 42, cutoff=g.points_per_axis / 16)
@@ -273,7 +281,7 @@ def run_disjoint_decay(cfg, rep):
     ]
     rows = []
     for case in cases:
-        g = _grid(cfg, dim=case["dim"], n=case["grid"])
+        g = Grid(case["dim"], case["grid"], cfg["box"])
         gamma = case["gamma_cells"] * g.spacing
         d_list = [m * case["r"] * g.box_length for m in (4, 8, 16, 32)]
         out = disjoint_pairing_decay(g, case["s"], case["t"], gamma, d_list)
@@ -285,8 +293,7 @@ def run_disjoint_decay(cfg, rep):
 
 
 @experiment("poincare-scaling", dim=1, grid=1024, box=1.0)
-def run_poincare_scaling(cfg, rep):
-    g = _grid(cfg, dim=1, n=cfg["grid"])
+def run_poincare_scaling(cfg, rep, g):
     radii = [g.box_length / 64, g.box_length / 32, g.box_length / 16]
     rows = []
     for s in (0.5, 1.0):
@@ -299,8 +306,7 @@ def run_poincare_scaling(cfg, rep):
 
 
 @experiment("lorentz-algebra", dim=1, grid=512, box=1.0)
-def run_lorentz_algebra(cfg, rep):
-    g = _grid(cfg, dim=1, n=cfg["grid"])
+def run_lorentz_algebra(cfg, rep, g):
     f = band_limited_field(g, cfg["seed"], cutoff=32)
     h = band_limited_field(g, cfg["seed"] + 1, cutoff=32)
     gaps = product_rearrangement_gaps(f, h)
@@ -351,8 +357,7 @@ def _h_ratio_sample(g, seed) -> dict:
 
 
 @experiment("compensation", dim=1, grid=512, box=1.0, constants=None)
-def run_compensation(cfg, rep):
-    g = _grid(cfg, dim=1, n=cfg["grid"])
+def run_compensation(cfg, rep, g):
     fam = build_family(4)
     eta = evaluate(fam, 0, g.box_length / 8, g.center, g)
     worst_resid = 0.0
@@ -398,8 +403,7 @@ def run_iteration(cfg, rep):
 
 
 @experiment("dirichlet-growth", dim=1, grid=16384, box=1.0)
-def run_dirichlet_growth(cfg, rep):
-    g = _grid(cfg, dim=1, n=cfg["grid"])
+def run_dirichlet_growth(cfg, rep, g):
     rho = g.periodic_distance(g.center)
     window = base_profile_values(4.0 * rho / g.box_length)
     E = ball_mask(g, g.center, g.box_length / 6)
@@ -419,7 +423,7 @@ def run_dirichlet_growth(cfg, rep):
 
 @experiment("product-rule", box=1.0)
 def run_product_rule(cfg, rep):
-    g2 = _grid(cfg, dim=2, n=512)
+    g2 = Grid(2, 512, cfg["box"])
     phi = moment_free_bump(g2, radius=g2.box_length / 6)
     win = ball_mask(g2, g2.center, g2.box_length / 8)
     out = product_rule_residual(phi, (1, 0), 1.0, win)
@@ -428,7 +432,7 @@ def run_product_rule(cfg, rep):
     ratios = []
     prev = None
     for n in (128, 256, 512):
-        gg = _grid(cfg, dim=1, n=n)
+        gg = Grid(1, n, cfg["box"])
         ph = moment_free_bump(gg, radius=gg.box_length / 8)
         w = ball_mask(gg, gg.center, gg.box_length / 8)
         r = product_rule_residual(ph, (2,), 2.0, w)
@@ -440,8 +444,7 @@ def run_product_rule(cfg, rep):
 
 
 @experiment("polynomial-annihilation", dim=1, grid=2048, box=1.0)
-def run_poly_annihilation(cfg, rep):
-    g = _grid(cfg, dim=1, n=cfg["grid"])
+def run_poly_annihilation(cfg, rep, g):
     phi = smooth_bump(g, radius=g.box_length / 24)
     out = polynomial_annihilation((0,), 0.75, phi, [g.box_length / 32, g.box_length / 16, g.box_length / 8])
     rep.add_verdict("slope_below_bound", out["slope"] <= out["bound"], out["slope"], out["bound"])
@@ -449,8 +452,7 @@ def run_poly_annihilation(cfg, rep):
 
 
 @experiment("mv-poincare", dim=1, grid=2048, box=1.0, s=0.5)
-def run_mv_poincare(cfg, rep):
-    g = _grid(cfg, dim=1, n=cfg["grid"])
+def run_mv_poincare(cfg, rep, g):
     fam = build_family(4)
     s, t = cfg["s"], 0.0
     r = g.box_length / 32
@@ -466,8 +468,7 @@ def run_mv_poincare(cfg, rep):
 
 
 @experiment("homogeneous-norm-localization", dim=1, grid=2048, box=1.0, s=0.5)
-def run_homogloc(cfg, rep):
-    g = _grid(cfg, dim=1, n=cfg["grid"])
+def run_homogloc(cfg, rep, g):
     s = cfg["s"]
 
     def samples(seeds):
@@ -481,8 +482,7 @@ def run_homogloc(cfg, rep):
 
 
 @experiment("local-norm-recovery", dim=1, grid=1024, box=1.0)
-def run_local_norm(cfg, rep):
-    g = _grid(cfg, dim=1, n=cfg["grid"])
+def run_local_norm(cfg, rep, g):
     r = g.box_length / 64
     ratios = {}  # seed -> Lambda = 8 ratio, kept for the stability check
 
@@ -519,8 +519,7 @@ def run_weighted_power(cfg, rep):
 
 
 @experiment("annulus-mv-poincare", dim=1, grid=2048, box=1.0, s=0.5)
-def run_annulus_mv(cfg, rep):
-    g = _grid(cfg, dim=1, n=cfg["grid"])
+def run_annulus_mv(cfg, rep, g):
     fam = build_family(5)
     s, t = cfg["s"], 0.0
     r = g.box_length / 64
@@ -534,8 +533,7 @@ def run_annulus_mv(cfg, rep):
 
 
 @experiment("polynomial-gap", dim=1, grid=2048, box=1.0)
-def run_polynomial_gap(cfg, rep):
-    g = _grid(cfg, dim=1, n=cfg["grid"])
+def run_polynomial_gap(cfg, rep, g):
     fam = build_family(5)
     r = g.box_length / 64
 
@@ -550,8 +548,7 @@ def run_polynomial_gap(cfg, rep):
 
 
 @experiment("fourier-domination", dim=1, grid=512, box=1.0)
-def run_fourier_domination(cfg, rep):
-    g = _grid(cfg, dim=1, n=cfg["grid"])
+def run_fourier_domination(cfg, rep, g):
     cut = g.points_per_axis / 8
 
     def sample(seed):
@@ -566,8 +563,7 @@ def run_fourier_domination(cfg, rep):
 
 
 @experiment("localization", dim=1, grid=1024, box=1.0)
-def run_localization(cfg, rep):
-    g = _grid(cfg, dim=1, n=cfg["grid"])
+def run_localization(cfg, rep, g):
     gamma = g.box_length / 32
     norms = []
     rng = np.random.default_rng(cfg["seed"])
@@ -599,13 +595,12 @@ def run_localization(cfg, rep):
 
 
 @experiment("lower-order-product", dim=2, grid=256, box=1.0, s=0.5, m1="riesz:0", m2="identity")
-def run_lower_order(cfg, rep):
-    g = _grid(cfg, dim=2, n=cfg["grid"])
+def run_lower_order(cfg, rep, g):
     s = cfg["s"]
     _check_order(s, upper=g.dim / 2.0)
     # zero-multiplier factors are nameable by symbol id ("identity", "riesz:j")
-    m1 = parse_symbol_id(cfg["m1"], 2)
-    m2 = parse_symbol_id(cfg["m2"], 2)
+    m1 = _zero_order_symbol("--m1", cfg["m1"], g.dim)
+    m2 = _zero_order_symbol("--m2", cfg["m2"], g.dim)
 
     def sample(seed):
         u = band_limited_field(g, seed, cutoff=16)
@@ -618,8 +613,7 @@ def run_lower_order(cfg, rep):
 
 
 @experiment("campanato", dim=1, grid=2048, box=1.0)
-def run_campanato(cfg, rep):
-    g = _grid(cfg, dim=1, n=cfg["grid"])
+def run_campanato(cfg, rep, g):
     D = ball_mask(g, g.center, g.box_length / 8)
     v = band_limited_field(g, cfg["seed"], cutoff=64, envelope=32)
     out = campanato_functionals(v, D, 2.0, g.box_length / 32)
@@ -631,8 +625,7 @@ def run_campanato(cfg, rep):
 
 
 @experiment("seminorm-comparison", dim=1, grid=4096, box=1.0)
-def run_seminorm_comparison(cfg, rep):
-    g = _grid(cfg, dim=1, n=cfg["grid"])
+def run_seminorm_comparison(cfg, rep, g):
     fam = build_family(5)
     r = g.box_length / 128
 

@@ -21,6 +21,8 @@ d_a(c xi^gamma |xi|^p) = gamma_a c xi^(gamma - e_a) |xi|^p
 lists, (c, gamma, p) (c', gamma', p') = (c c', gamma + gamma', p + p'), so a
 chain such as M_{beta,s} Lap^(s-|beta|) = (2 pi i)^(-|beta|) d^beta(|xi|^s m)
 is one symbol applied once; m_{beta,s} is it with each power shifted by |beta| - s.
+Two factors that both hold a term of odd |gamma| are not multiplied (their
+chain differs on the Nyquist planes; see apply_symbol).
 
 FrequencySymbol.evaluate receives one 1D frequency array per axis, shaped
 to broadcast along its own axis (length along axis a, 1 elsewhere), and
@@ -120,9 +122,16 @@ class FrequencySymbol:
 
     def __mul__(self, other: "FrequencySymbol") -> "FrequencySymbol":
         """Each term of self times each term of other, (c c', gamma + gamma', p + p');
-        a coefficient 1 leaves the other's bits (1.0 * (2-0j) would be 2+0j)."""
+        a coefficient 1 leaves the other's bits (1.0 * (2-0j) would be 2+0j).
+
+        Refused when both factors hold a term of odd |gamma|: on an even grid
+        apply_symbol's conjugate symmetrization zeroes an odd term on the
+        Nyquist entries that are their own mirror, and the product of two odd
+        terms is even and kept there, so the product would not be the chain."""
         if other.dim != self.dim:
             raise SymbolError(f"cannot multiply a {self.dim}-dimensional symbol by a {other.dim}-dimensional one")
+        if all(any(sum(gamma) % 2 for _, gamma, _ in m.terms) for m in (self, other)):
+            raise SymbolError(f"cannot multiply {self.name} by {other.name}: both hold a term of odd degree |gamma|")
         terms = tuple(
             (c2 if c1 == 1 else c1 if c2 == 1 else c1 * c2, tuple(a + b for a, b in zip(g1, g2)), p1 + p2)
             for c1, g1, p1 in self.terms

@@ -81,21 +81,24 @@ def test_run_refuses_options_the_experiment_ignores(capsys, tmp_path, argv, igno
 
 
 def test_registration_builds_the_report_named_by_its_key(monkeypatch):
-    monkeypatch.delitem(REGISTRY, "probe", raising=False)  # restores REGISTRY afterwards
-    monkeypatch.delitem(REGISTRY, "probe-any-dim", raising=False)
+    # recorded as absent, so undo removes what the test registers
+    monkeypatch.setitem(REGISTRY, "probe", None)
+    monkeypatch.setitem(REGISTRY, "probe-any-dim", None)
 
-    @experiment("probe", dim=2, grid=64)
-    def run_probe(cfg, rep):
-        rep.add_verdict("grid_read", cfg["grid"] == 64, cfg["grid"], 64)
+    @experiment("probe", dim=2, grid=64, box=0.5)
+    def run_probe(cfg, rep, g):
+        # the registry builds the declared grid: the echoed dim is the one that ran
+        built = (g.dim, g.points_per_axis, g.box_length)
+        rep.add_verdict("grid_built", built == (2, 64, 0.5), built, (2, 64, 0.5))
 
-    cfg = {"grid": 64, "box": 1.0, "seed": 3}
+    cfg = {"grid": 64, "box": 0.5, "seed": 3}
     rep = REGISTRY["probe"](cfg)
     assert rep.experiment == "probe"
     assert rep.config == {**cfg, "dim": 2}
-    assert cfg == {"grid": 64, "box": 1.0, "seed": 3}
-    assert rep.passed and [v["name"] for v in rep.verdicts] == ["grid_read"]
-    assert REGISTRY["probe"].defaults == {"grid": 64}
-    assert 'rep.add_verdict("grid_read"' in inspect.getsource(REGISTRY["probe"])
+    assert cfg == {"grid": 64, "box": 0.5, "seed": 3}
+    assert rep.passed and [v["name"] for v in rep.verdicts] == ["grid_built"]
+    assert REGISTRY["probe"].defaults == {"grid": 64, "box": 0.5}
+    assert 'rep.add_verdict("grid_built"' in inspect.getsource(REGISTRY["probe"])
 
     experiment("probe-any-dim")(lambda cfg, rep: None)
     rep = REGISTRY["probe-any-dim"](cfg)
@@ -106,12 +109,12 @@ def test_registration_builds_the_report_named_by_its_key(monkeypatch):
 
 def test_declared_options_are_the_options_read():
     # every cfg key an experiment reads, besides the seed, is declared, and
-    # nothing else is; _grid(cfg, ...) reads the box
+    # nothing else is; the grid the registry builds for a declared grid reads the box
     for name, fn in REGISTRY.items():
         src = inspect.getsource(fn)
         read = set(re.findall(r'cfg(?:\.get\(|\[)"(\w+)"', src)) - {"seed"}
-        if "_grid(cfg" in src:
-            read.add("box")
+        if "grid" in fn.defaults:
+            read |= {"grid", "box"}
         assert read <= set(RUN_OPTIONS), name
         assert set(fn.defaults) == read, name
 
@@ -154,6 +157,18 @@ def test_malformed_symbol_id_is_a_config_error(capsys, tmp_path, argv, message):
     assert main(["run", "lower-order-product", *argv, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and message in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv,option", [
+    (["--m1", "abs_pow:1", "--m2", "abs_pow:-0.5", "--grid", "64"], "--m1 'abs_pow:1'"),
+    (["--m2", "derived:abs_pow:0.5:1,0:1.5"], "--m2 'derived:abs_pow:0.5:1,0:1.5'"),
+])
+def test_lower_order_product_refuses_symbols_not_of_order_zero(capsys, tmp_path, argv, option):
+    # the estimate is stated for zero-order factors; a well-formed id of
+    # another degree is refused before any work, not run to a verdict
+    assert main(["run", "lower-order-product", *argv, "--out", str(tmp_path)]) == 2
+    assert f"config error: {option} is not of order zero" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 

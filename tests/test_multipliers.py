@@ -639,6 +639,31 @@ def test_composed_chains_match_the_chained_applications(dim, n_pts):
             _assert_close(got, chained, (beta, s))
 
 
+def test_product_of_two_odd_symbols_is_refused():
+    # formed term by term, riesz:0 * riesz:j is not riesz:0 then riesz:j on
+    # 16^2 white noise: each odd factor loses its self-mirrored Nyquist
+    # entries to conjugate symmetrization, their even product keeps them
+    g = Grid(2, 16, 1.0)
+    f = _white_noise(g, 16)
+    mixed = FrequencySymbol("mixed", 2, ((1.0, (0, 0), 0.0), (1j, (0, 1), -1.0)))
+    for j, gap in ((0, 0.1), (1, 0.01)):
+        chained = apply_symbol(apply_symbol(f, riesz_symbol(2, 0)), riesz_symbol(2, j))
+        e = tuple(int(a == j) for a in range(2))
+        unchecked = FrequencySymbol("unchecked", 2, ((-1 + 0j, (1 + e[0], e[1]), -2.0),))
+        assert np.max(np.abs(apply_symbol(f, unchecked).values - chained.values)) >= gap * np.max(
+            np.abs(chained.values))
+        for left, right in ((riesz_symbol(2, 0), riesz_symbol(2, j)), (mixed, riesz_symbol(2, j))):
+            with pytest.raises(SymbolError, match=f"cannot multiply {left.name} by riesz:{j}: both hold"):
+                left * right
+    # an even factor times an odd one, either way round, is still the chain
+    odd = riesz_symbol(2, 0)
+    for even in (abs_power_symbol(2, 0.5), abs_power_symbol(2, -0.5), identity_symbol(2)):
+        for prod, first, second in ((even * odd, odd, even), (odd * even, even, odd)):
+            chained = apply_symbol(apply_symbol(f, first), second)
+            gap = np.max(np.abs(apply_symbol(f, prod).values - chained.values))
+            assert gap <= 1e-15 * np.max(np.abs(chained.values)), prod.name
+
+
 def test_derived_operator_of_order_zero_is_the_power_table_bitwise():
     # the product rule's beta = 0 term and its reference ||Lap^s phi|| keep their bits
     g = Grid(2, 32, 1.0)
